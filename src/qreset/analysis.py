@@ -1,10 +1,9 @@
 """Survival timescales, optimal restart periods, and engine comparisons.
 
-The dissipative descriptions compress a whole restart window into a
-single decay weight: propagate once over the window time, read off the
-surviving norm ``P_eff``, and set ``alpha = -ln P_eff``.  The restarted
-survival then falls as ``e^{-alpha R}`` across windows, one number per
-window instead of one propagation per measurement.  Routines here
+The dissipative descriptions compress a restart window of ``t_r = r tau``
+into a single decay weight ``alpha = -ln P_r``, read off the surviving
+norm of the stepped dissipative series.  The restarted survival then falls
+as ``e^{-alpha R}`` across windows, one number per window.  Routines here
 extract ``alpha``, scan restart periods for the one minimizing the mean
 detection time (equivalently maximizing ``alpha / t_r``), and quantify
 how far each dissipative engine drifts from the projective reference.
@@ -18,10 +17,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import measured_evolution
+from .dynamics import measured_evolution, nh_survival_series
 from .errors import InstantAbsorptionError, NeverDetectedError, QresetError
-from .lattice import LatticeSpec, ModelKind, build_hamiltonian, initial_state, propagator
-from .restart import mfdt
+# Unused here, but perfbench/tracing.py:137-138 wraps these two names on this module.
+from .lattice import LatticeSpec, ModelKind, build_hamiltonian, propagator  # noqa: F401
+from .restart import RestartSpec, mfdt
 
 __all__ = [
     "AlphaResult",
@@ -71,23 +71,13 @@ class FitResult(NamedTuple):
     residual: float
 
 
-def alpha(kind: ModelKind, spec: LatticeSpec, tau: float, t_r: float) -> AlphaResult:
-    """Window decay weight ``-ln P_eff(t_r)`` from a single propagation.
+def _decay_weight(kind: ModelKind, t_r: float, p_eff: float) -> AlphaResult:
+    """Checked ``-ln P_eff`` for one window of length ``t_r``.
 
-    ``P_eff`` is the squared norm of the initial state evolved under the
-    dissipative generator for the full window time.  A norm above one
-    signals a numerically broken propagation; a norm at or below zero
-    means the window absorbs everything, where the log diverges and the
-    restart protocol degenerates.
+    A norm above one signals a numerically broken propagation; a norm at
+    or below zero means the window absorbs everything, where the log
+    diverges and the restart protocol degenerates.
     """
-    if kind is ModelKind.EXACT:
-        raise ValueError("decay weight is defined for the dissipative models only")
-    if t_r <= 0:
-        raise ValueError(f"restart time must be positive, got {t_r}")
-    h = build_hamiltonian(spec, kind, tau=tau)
-    op = propagator(h, t_r, hermitian=False, kind=kind, tau=tau)
-    phi = op.matrix @ initial_state(spec)
-    p_eff = float(np.vdot(phi, phi).real)
     if p_eff > 1.0 + 1e-10:
         raise QresetError(
             f"dissipative propagation produced norm {p_eff} > 1 at t_r={t_r}"
@@ -99,6 +89,18 @@ def alpha(kind: ModelKind, spec: LatticeSpec, tau: float, t_r: float) -> AlphaRe
     a = -math.log(p_eff)
     t_s = math.inf if a == 0.0 else t_r / a
     return AlphaResult(t_r=t_r, alpha=a, T_s=t_s, kind=kind)
+
+
+def alpha(kind: ModelKind, spec: LatticeSpec, tau: float, t_r: float) -> AlphaResult:
+    """Window decay weight ``-ln P_eff(t_r)`` read off the stepped series.
+
+    ``P_eff`` is ``P_r`` of the dissipative survival series stepped at
+    ``tau``, with ``r = t_r / tau``; a ``t_r`` off that grid is a
+    ``ValueError``.  The bulk guard is not applied.
+    """
+    r = RestartSpec.from_time(t_r, tau).r
+    series = nh_survival_series(spec, kind, tau, r, bulk_guard=False)
+    return _decay_weight(kind, t_r, float(series.P[r - 1]))
 
 
 def survival_prediction(alpha_value: float, t_r: float, times: np.ndarray) -> np.ndarray:
@@ -123,10 +125,12 @@ def optimal_tr_nh(
     grid_arr = np.asarray(list(grid), dtype=np.float64)
     if grid_arr.size == 0:
         raise ValueError("restart-time grid is empty")
+    r_values = [RestartSpec.from_time(float(t_r), tau).r for t_r in grid_arr]
+    survival = nh_survival_series(spec, kind, tau, max(r_values), bulk_guard=False).P
     objective = np.full(grid_arr.size, np.nan)
-    for i, t_r in enumerate(grid_arr):
+    for i, (t_r, r) in enumerate(zip(grid_arr, r_values)):
         try:
-            res = alpha(kind, spec, tau, float(t_r))
+            res = _decay_weight(kind, float(t_r), float(survival[r - 1]))
         except InstantAbsorptionError:
             continue
         objective[i] = -res.alpha / res.t_r

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -35,7 +37,7 @@ from .analysis import alpha, delta_p_r, optimal_tr_nh, survival_prediction
 from .dynamics import measured_evolution, nh_survival_series
 from .errors import ConfigError, QresetError
 from .lattice import LatticeSpec, ModelKind
-from .restart import mfdt, reset_pdet, reset_survival
+from .restart import RestartSpec, mfdt, reset_pdet, reset_survival
 
 __all__ = [
     "RECIPES",
@@ -53,14 +55,11 @@ RECIPES = ("pdet", "reset-survival", "mfdt-sweep", "optimal-tr", "delta-pr")
 
 _MODEL_CHOICES = ("exact", "model1", "model2", "all")
 
-_INT_KEYS = frozenset({"L", "detector_index", "initial_index", "r", "n_max", "seed"})
+_INT_KEYS = frozenset({"L", "detector_index", "initial_index", "r", "n_max"})
 _FLOAT_KEYS = frozenset({"tau", "t_r", "horizon"})
 _LIST_KEYS = frozenset({"tau_sweep", "tr_sweep"})
 _STR_KEYS = frozenset({"model", "output_path"})
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _LIST_KEYS | _STR_KEYS
-
-# Accepted slack when deciding whether t_r sits on the measurement grid.
-_GRID_RTOL = 1e-9
 
 
 class PartialSweepError(QresetError):
@@ -73,9 +72,8 @@ class RunConfig:
 
     ``model`` selects which engines a recipe runs: a single engine name
     or ``all``.  ``r`` and ``t_r`` both describe the restart period and
-    are mutually exclusive; ``horizon`` (a physical time) is folded into
-    ``n_max`` during parsing.  ``seed`` exists for synthetic-noise test
-    fixtures only; the physics is deterministic.
+    are mutually exclusive; ``t_r`` must be a multiple of ``tau``.
+    ``horizon`` (a physical time) is folded into ``n_max`` during parsing.
     """
 
     tau: float
@@ -89,7 +87,6 @@ class RunConfig:
     tau_sweep: tuple[float, ...] | None = None
     tr_sweep: tuple[float, ...] | None = None
     output_path: str | None = None
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.detector_index is None:
@@ -107,14 +104,7 @@ class RunConfig:
         if self.r is not None and self.r < 1:
             raise ConfigError(f"r must be at least 1, got {self.r}")
         if self.t_r is not None:
-            if self.t_r <= 0:
-                raise ConfigError(f"t_r must be positive, got {self.t_r}")
-            # Projective runs live on the measurement grid, so a restart
-            # time must land on it whenever the exact engine is in play.
-            if self.model in ("exact", "all") and not self._on_grid(self.t_r):
-                raise ConfigError(
-                    f"t_r={self.t_r} is not an integer multiple of tau={self.tau}"
-                )
+            _restart_period(self.t_r, self.tau)
         if self.n_max is not None and self.n_max < 1:
             raise ConfigError(f"n_max must be at least 1, got {self.n_max}")
         for name, values in (("tau_sweep", self.tau_sweep), ("tr_sweep", self.tr_sweep)):
@@ -128,10 +118,6 @@ class RunConfig:
             self.lattice()
         except ValueError as err:
             raise ConfigError(str(err)) from err
-
-    def _on_grid(self, t_r: float) -> bool:
-        ratio = t_r / self.tau
-        return abs(ratio - round(ratio)) <= _GRID_RTOL * max(1.0, abs(ratio))
 
     def lattice(self) -> LatticeSpec:
         return LatticeSpec(
@@ -154,16 +140,19 @@ class RunConfig:
             return self.r
         if self.t_r is None:
             raise ConfigError("this recipe needs a restart period: set r or t_r")
-        if not self._on_grid(self.t_r):
-            raise ConfigError(
-                f"t_r={self.t_r} is not an integer multiple of tau={self.tau}"
-            )
-        return int(round(self.t_r / self.tau))
+        return _restart_period(self.t_r, self.tau)
 
     def n_measurements(self) -> int:
         if self.n_max is None:
             raise ConfigError("this recipe needs a run length: set n_max or horizon")
         return self.n_max
+
+
+def _restart_period(t_r: float, tau: float) -> int:
+    try:
+        return RestartSpec.from_time(t_r, tau).r
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 def _as_int(key: str, text: str) -> int:
@@ -267,7 +256,10 @@ class CsvArtifact:
 
     Numeric cells render as 12-significant-digit decimals; when the
     first column is numeric it must increase strictly row to row, and
-    every numeric value must be finite.
+    every numeric value must be finite.  Rows stream into a temporary
+    file beside the target, which replaces the target only once every
+    row has passed, so a failed or killed write never leaves a partial
+    CSV under the final name.
     """
 
     path: Path
@@ -275,7 +267,20 @@ class CsvArtifact:
     rows: list[tuple]
 
     def write(self) -> Path:
-        lines = [",".join(self.header)]
+        tmp = self.path.with_name(
+            f".{self.path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
+        )
+        try:
+            with tmp.open("w", encoding="utf-8") as out:
+                out.write(",".join(self.header) + "\n")
+                out.writelines(self._lines())
+            os.replace(tmp, self.path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        return self.path
+
+    def _lines(self):
         prev_lead: float | None = None
         for row in self.rows:
             if len(row) != len(self.header):
@@ -301,9 +306,7 @@ class CsvArtifact:
                         f"({lead} after {prev_lead})"
                     )
                 prev_lead = lead
-            lines.append(",".join(cells))
-        self.path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return self.path
+            yield ",".join(cells) + "\n"
 
 
 def _stem(config: RunConfig, default: str, tag: str) -> str:
@@ -357,15 +360,7 @@ def _build_mfdt_sweep(config: RunConfig, out_dir: Path, tag: str) -> list[CsvArt
         raise ConfigError("mfdt-sweep needs tr_sweep (config key or --sweep-tr)")
     spec = config.lattice()
     tau = config.tau
-    r_values = []
-    for t_r in config.tr_sweep:
-        ratio = t_r / tau
-        r = int(round(ratio))
-        if abs(ratio - r) > _GRID_RTOL * max(1.0, abs(ratio)) or r < 1:
-            raise ConfigError(
-                f"tr_sweep value {t_r:g} is not an integer multiple of tau={tau:g}"
-            )
-        r_values.append(r)
+    r_values = [_restart_period(t_r, tau) for t_r in config.tr_sweep]
     base = measured_evolution(spec, tau, max(r_values))
     rows: list[tuple] = []
     artifact = CsvArtifact(

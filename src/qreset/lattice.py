@@ -269,13 +269,15 @@ def propagator(
     return EvolutionOperator(u, dt=t, kind=kind, is_unitary=hermitian, tau=tau)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=len(ModelKind))
 def step_propagator(spec: LatticeSpec, kind: ModelKind, tau: float) -> EvolutionOperator:
-    """Single-measurement-step propagator, computed once per (spec, kind, tau).
+    """Single-measurement-step propagator, cached per (spec, kind, tau).
 
     Stroboscopic engines advance states by repeated multiplication with
     this one matrix; powers are never re-exponentiated, which keeps the
     exact and dissipative runs numerically consistent with each other.
+    The cache holds one entry per model kind: enough for a grid point to
+    reuse each kind's matrix, few enough that a tau sweep stays bounded.
     """
     h = build_hamiltonian(spec, kind, tau)
     return propagator(h, tau, hermitian=(kind is ModelKind.EXACT), kind=kind, tau=tau)

@@ -17,6 +17,7 @@ subnormalized states, which avoids underflow at large ``R``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,19 @@ class RestartSpec:
             raise ValueError(f"restart period must be at least 1, got r={self.r}")
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
+
+    @classmethod
+    def from_time(cls, t_r: float, tau: float) -> "RestartSpec":
+        """Period whose window lasts ``t_r``, which must sit on the tau grid."""
+        if tau <= 0:
+            raise ValueError(f"tau must be positive, got {tau}")
+        ratio = t_r / tau
+        r = round(ratio) if math.isfinite(ratio) else 0
+        if r < 1 or abs(ratio - r) > 1e-9 * max(1.0, ratio):
+            raise ValueError(
+                f"t_r={t_r:g} is not a positive integer multiple of tau={tau:g}"
+            )
+        return cls(r=r, tau=tau)
 
     @property
     def t_r(self) -> float:

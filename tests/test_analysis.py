@@ -46,6 +46,18 @@ class TestAlpha:
         assert abs(res.alpha - expected) < 1e-9
         assert res.T_s == pytest.approx(1.0 / expected)
 
+    def test_multi_step_window_against_taylor_oracle(self):
+        # t_r = 2 at tau = 0.5 is read off the fourth step of the series.
+        res = alpha(ModelKind.MODEL2, TWO_SITE, 0.5, 2.0)
+        u = taylor_expm(build_model2_heff(TWO_SITE, 0.5), 2.0)
+        phi = u @ initial_state(TWO_SITE)
+        expected = -np.log(np.vdot(phi, phi).real)
+        assert abs(res.alpha - expected) < 1e-9
+
+    def test_off_grid_restart_time_rejected(self):
+        with pytest.raises(ValueError):
+            alpha(ModelKind.MODEL2, TWO_SITE, 0.5, 1.2)
+
     def test_result_carries_inputs(self):
         spec = LatticeSpec(L=4, detector_index=2, initial_index=4)
         res = alpha(ModelKind.MODEL1, spec, 0.5, 2.0)
@@ -102,10 +114,14 @@ class TestOptimalTrDissipative:
 
     def test_absorbing_points_are_skipped_not_fatal(self):
         res = optimal_tr_nh(
-            ModelKind.MODEL2, TWO_SITE, ABSORBING_TAU, [0.5, ABSORBING_TR]
+            ModelKind.MODEL2, TWO_SITE, ABSORBING_TAU, [1.0, ABSORBING_TR]
         )
-        assert res.t_star == 0.5
+        assert res.t_star == 1.0
         assert np.isnan(res.objective[1])
+
+    def test_off_grid_restart_time_rejected(self):
+        with pytest.raises(ValueError):
+            optimal_tr_nh(ModelKind.MODEL2, TWO_SITE, 0.5, [1.0, 1.2])
 
 
 class TestOptimalTrExact:

@@ -1,11 +1,13 @@
 """Config parsing, CSV contracts, recipe smoke runs, and sweep semantics."""
 
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qreset import ConfigError
+from qreset import ConfigError, ModelKind, step_propagator
 from qreset.cli import (
     CsvArtifact,
     RunConfig,
@@ -46,12 +48,13 @@ class TestParseConfig:
             parse_config("tau = 0.3\nt_r = 1.0\nmodel = exact\n")
         with pytest.raises(ConfigError):
             parse_config("tau = 0.3\nt_r = 1.0\n")  # model defaults to all
-
-    def test_off_grid_restart_time_allowed_for_dissipative_only(self):
-        config = parse_config("tau = 0.3\nt_r = 1.0\nmodel = model2\n")
-        assert config.t_r == 1.0
         with pytest.raises(ConfigError):
-            config.resolve_r()  # window synthesis still needs the grid
+            # Dissipative windows are read off the same tau grid.
+            parse_config("tau = 0.3\nt_r = 1.0\nmodel = model2\n")
+
+    def test_seed_is_not_a_config_key(self):
+        with pytest.raises(ConfigError, match="unknown key 'seed'"):
+            parse_config("tau = 0.25\nseed = 1\n")
 
     def test_comments_and_blank_lines(self):
         config = parse_config(
@@ -154,6 +157,16 @@ class TestCsvArtifact:
         artifact = CsvArtifact(tmp_path / "x.csv", ("T", "v"), [(1.0,)])
         with pytest.raises(ValueError):
             artifact.write()
+
+    def test_failed_write_keeps_previous_file_and_no_temp(self, tmp_path):
+        target = tmp_path / "x.csv"
+        CsvArtifact(target, ("T", "v"), [(1.0, 2.0)]).write()
+        before = target.read_bytes()
+        bad = CsvArtifact(target, ("T", "v"), [(1.0, 3.0), (2.0, np.nan)])
+        with pytest.raises(ValueError):
+            bad.write()
+        assert target.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
 
 class TestRecipes:
@@ -259,6 +272,13 @@ class TestDeterminism:
 
 
 class TestSweepSemantics:
+    def test_restart_time_sweep_misses_the_step_cache_once_per_kind(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL + "tau = 0.25\nhorizon = 2.0\ntr_sweep = 0.5,1.0\n")
+        step_propagator.cache_clear()
+        assert main(["delta-pr", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert step_propagator.cache_info().misses == len(ModelKind)
+
     def test_partial_failure_keeps_good_points_and_logs_bad(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -322,3 +342,16 @@ class TestMainErrorPaths:
         config = RunConfig(tau=0.5, L=20, detector_index=14, initial_index=10)
         with pytest.raises(ConfigError):
             run_experiment(config, "spectrum", tmp_path)
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_qreset_runs_a_recipe(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL + "tau = 0.25\nhorizon = 2.0\n")
+        monkeypatch.setattr(
+            sys, "argv", ["qreset", "pdet", "--config", str(cfg), "--out", str(tmp_path)]
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("qreset", run_name="__main__")
+        assert exit_info.value.code == 0
+        assert (tmp_path / "pdet.csv").exists()

@@ -252,6 +252,13 @@ class TestStepPropagator:
         )
         assert np.array_equal(a.matrix, direct.matrix)
 
+    def test_cache_is_bounded(self):
+        spec = LatticeSpec(L=10, detector_index=6, initial_index=5)
+        step_propagator.cache_clear()
+        for tau in (0.1, 0.2, 0.3, 0.4):
+            step_propagator(spec, ModelKind.MODEL2, tau)
+        assert step_propagator.cache_info().currsize <= len(ModelKind)
+
     def test_exact_step_is_unitary_operator(self):
         spec = LatticeSpec(L=10, detector_index=6, initial_index=5)
         op = step_propagator(spec, ModelKind.EXACT, 0.3)
