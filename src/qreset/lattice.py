@@ -19,7 +19,10 @@ Three generators are provided:
 Propagators ``e^{-iMt}`` use a spectral decomposition when the generator
 is Hermitian and scaling-and-squaring with a degree-13 Pade approximant
 otherwise; the dissipative generators are non-normal, so their eigenbasis
-is not a safe route.
+is not a safe route.  The engines in ``dynamics`` never multiply by an
+L x L matrix: the exact one works in the closed-form eigenbasis and the
+dissipative one applies the band of its step.  The dense matrices here
+are the reference both are tested against.
 """
 
 from __future__ import annotations
@@ -273,11 +276,12 @@ def propagator(
 def step_propagator(spec: LatticeSpec, kind: ModelKind, tau: float) -> EvolutionOperator:
     """Single-measurement-step propagator, cached per (spec, kind, tau).
 
-    Stroboscopic engines advance states by repeated multiplication with
-    this one matrix; powers are never re-exponentiated, which keeps the
-    exact and dissipative runs numerically consistent with each other.
-    The cache holds one entry per model kind: enough for a grid point to
-    reuse each kind's matrix, few enough that a tau sweep stays bounded.
+    The dissipative engine advances states by repeated application of
+    the band of this one matrix; powers are never re-exponentiated.  The
+    exact engine needs no step matrix, so the exact entry serves the
+    renewal oracle and the tests.  The cache holds one entry per model
+    kind: enough for a grid point to reuse each kind's matrix, few
+    enough that a tau sweep stays bounded.
     """
     h = build_hamiltonian(spec, kind, tau)
     return propagator(h, tau, hermitian=(kind is ModelKind.EXACT), kind=kind, tau=tau)

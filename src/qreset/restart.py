@@ -113,8 +113,10 @@ def mfdt(base: DetectionSeries, r: int, tau: float) -> float:
 
         r tau (1 - Pdet(r)) / Pdet(r) + sum_ntilde ntilde tau p_ntilde / Pdet(r).
 
-    The window survival is taken from ``P_r`` directly, which is the same
-    quantity as ``1 - Pdet(r)`` without the cancellation at tiny survival.
+    The window survival is taken from ``P_r`` directly.  Every engine
+    computes ``P_r`` as a squared state norm, so it keeps its relative
+    accuracy at tiny survival, where ``1 - Pdet(r)`` would cancel to
+    rounding noise.
     """
     _check_window(base, r)
     pdet_r = base.Pdet[r - 1]

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qreset import ConfigError, ModelKind, step_propagator
+from qreset import ConfigError, measured_evolution, step_propagator
 from qreset.cli import (
     CsvArtifact,
     RunConfig,
@@ -277,7 +277,12 @@ class TestSweepSemantics:
         cfg.write_text(SMALL + "tau = 0.25\nhorizon = 2.0\ntr_sweep = 0.5,1.0\n")
         step_propagator.cache_clear()
         assert main(["delta-pr", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        assert step_propagator.cache_info().misses == len(ModelKind)
+        # One build per dissipative kind; the exact engine builds no step matrix.
+        assert step_propagator.cache_info().misses == 2
+        before = step_propagator.cache_info()
+        spec = parse_config(SMALL + "tau = 0.5\n").lattice()
+        measured_evolution(spec, 0.5, 10, bulk_guard=False)
+        assert step_propagator.cache_info() == before
 
     def test_partial_failure_keeps_good_points_and_logs_bad(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -16,7 +16,9 @@ from qreset import (
     measured_evolution,
     nh_survival_series,
     renewal_amplitudes,
+    step_propagator,
 )
+from qreset.dynamics import band_blocks
 
 from conftest import taylor_expm
 
@@ -67,11 +69,14 @@ class TestRenewalRecursion:
         assert abs(ren.amplitudes[0] - free) < 1e-12
 
     def test_matches_projective_dynamics_midsize(self):
-        spec = LatticeSpec(L=20, detector_index=14, initial_index=10)
-        tau = 0.3
-        base = measured_evolution(spec, tau, 50, bulk_guard=False)
-        ren = renewal_amplitudes(spec, tau, 50)
-        assert np.max(np.abs(np.abs(ren.amplitudes) ** 2 - base.p)) <= 1e-10
+        for spec, tau, n in (
+            (LatticeSpec(L=20, detector_index=14, initial_index=10), 0.3, 50),
+            # the frequent-measurement geometry of the pdet benchmark
+            (LatticeSpec(L=1000, detector_index=510, initial_index=500), 0.05, 400),
+        ):
+            base = measured_evolution(spec, tau, n, bulk_guard=False)
+            ren = renewal_amplitudes(spec, tau, n)
+            assert np.max(np.abs(np.abs(ren.amplitudes) ** 2 - base.p)) <= 1e-10
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -130,6 +135,52 @@ class TestDissipativeSeries:
             nh_survival_series(TWO_SITE, ModelKind.EXACT, 0.5, 3, bulk_guard=False)
 
 
+def unpack_band(blocks: np.ndarray, L: int) -> np.ndarray:
+    """Dense L x L matrix of the block rows, as the banded step applies them."""
+    n_blocks, b, _ = blocks.shape
+    dense = np.zeros(((n_blocks + 2) * b, (n_blocks + 2) * b), dtype=blocks.dtype)
+    for k in range(n_blocks):
+        dense[b + k * b : b + (k + 1) * b, k * b : (k + 3) * b] = blocks[k]
+    return dense[b : b + L, b : b + L]
+
+
+def default_geometry(L: int) -> LatticeSpec:
+    return LatticeSpec(L=L, detector_index=L // 2 + 10, initial_index=L // 2)
+
+
+class TestBandedDissipativeStep:
+    @pytest.mark.parametrize("L,tau,n", [(500, 0.25, 60), (1000, 0.05, 200)])
+    def test_matches_dense_step_loop(self, L, tau, n):
+        spec = default_geometry(L)
+        for kind in (ModelKind.MODEL1, ModelKind.MODEL2):
+            series = nh_survival_series(spec, kind, tau, n)
+            a = step_propagator(spec, kind, tau).matrix
+            phi = initial_state(spec)
+            dense = np.empty(n)
+            for k in range(n):
+                phi = a @ phi
+                dense[k] = np.vdot(phi, phi).real
+            assert np.max(np.abs(series.P / dense - 1.0)) <= 1e-12
+
+    # (L, tau) of every shipped config and benchmark workload that runs a
+    # dissipative model: the frequent-measurement pdet run at L = 1000
+    # (first, so it reuses the cached steps of the test above), and
+    # tau = 0.25, 0.5, 1.0 at L = 500.
+    @pytest.mark.parametrize("L,tau", [(1000, 0.05), (500, 0.25), (500, 0.5), (500, 1.0)])
+    def test_dropped_tail_is_below_rounding(self, L, tau):
+        spec = default_geometry(L)
+        eps = np.finfo(np.float64).eps
+        offset = np.abs(np.subtract.outer(np.arange(L), np.arange(L)))
+        for kind in (ModelKind.MODEL1, ModelKind.MODEL2):
+            a = step_propagator(spec, kind, tau).matrix
+            blocks = band_blocks(a)
+            kept = unpack_band(blocks, L)
+            assert np.array_equal(kept, np.where(offset <= blocks.shape[1], a, 0))
+            dropped = np.abs(a - kept)
+            assert dropped.max() <= eps**2
+            assert dropped.sum(axis=0).max() <= L * eps**2
+
+
 class TestBulkGuard:
     def test_contaminated_horizon_rejected(self):
         spec = LatticeSpec(L=20, detector_index=14, initial_index=10)
@@ -153,6 +204,21 @@ class TestBulkGuard:
 
 
 class TestSeriesBookkeeping:
+    def test_survival_is_accurate_far_below_rounding(self):
+        # True survival ~1.85e-46; subtracting detected masses from 1 would
+        # stop at the rounding floor of about 3e-15.
+        spec = LatticeSpec(L=4, detector_index=3, initial_index=2)
+        tau, n = 0.7, 400
+        series = measured_evolution(spec, tau, n, bulk_guard=False)
+        u = step_propagator(spec, ModelKind.EXACT, tau).matrix
+        phi = initial_state(spec)
+        for _ in range(n):
+            phi = u @ phi
+            phi[spec.detector_index - 1] = 0.0
+        expected = np.vdot(phi, phi).real
+        assert 1e-47 < expected < 1e-45
+        assert abs(series.P[-1] / expected - 1.0) <= 1e-9
+
     def test_probability_is_conserved(self):
         spec = LatticeSpec(L=16, detector_index=12, initial_index=8)
         series = measured_evolution(spec, 0.7, 40, bulk_guard=False)
