@@ -14,9 +14,12 @@ Three routes to the same bookkeeping:
   independent cross-check for the projected route and keeps the dense
   cached step matrix (O(n_max L^2)).
 * ``nh_survival_series`` replaces projection by a dissipative generator
-  and reads survival off the decaying norm.  It applies the cached
-  single-step contraction through its band, O(L b) per step with b the
-  band half-width (14 to 30 sites for tau from 0.05 to 1).
+  and reads survival off the decaying norm.  It applies the single-step
+  contraction through its band, O(L b) per step with b the band
+  half-width (14 to 30 sites for tau from 0.05 to 1).  The band is built
+  once per run straight from the generator's diagonals, by applying the
+  exponential to a block of probe vectors: O(L b) memory, no L x L
+  matrix and no dense exponential.
 
 No matrix powers are stored.  Measurements happen at t = tau, 2 tau,
 ...; there is no measurement at t = 0.
@@ -30,7 +33,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BoundaryContaminationError
-from .lattice import LatticeSpec, ModelKind, initial_state, step_propagator
+from .lattice import (
+    LatticeSpec,
+    ModelKind,
+    hamiltonian_diagonals,
+    initial_state,
+    step_propagator,
+)
 
 __all__ = [
     "DetectionSeries",
@@ -197,8 +206,39 @@ def renewal_amplitudes(spec: LatticeSpec, tau: float, n_max: int) -> RenewalSeri
     return RenewalSeries(tau=tau, amplitudes=psi)
 
 
-def band_blocks(a: np.ndarray) -> np.ndarray:
-    """``a`` restricted to its band, as the block rows of a block-tridiagonal matrix.
+def _abs_row_sums(diagonals: dict[int, np.ndarray], L: int) -> np.ndarray:
+    """Row sums of |M| for the matrix M with the given diagonals."""
+    sums = np.zeros(L)
+    for k, d in diagonals.items():
+        sums[max(0, -k) : L - max(0, k)] += np.abs(d)
+    return sums
+
+
+def _probe_half_width(a: dict[int, np.ndarray], L: int) -> int:
+    """Distance B from which no entry of ``e^A`` can exceed ``BAND_CUTOFF``.
+
+    ``A = -i tau H`` is given by its diagonals, H symmetric.  No diagonal
+    entry of H has a positive imaginary part, so the diagonal of A only
+    contracts and ``|e^A| <= e^{|N|}`` entrywise, with N the off-diagonal
+    part of A.  Entry (i, j) of ``|N|^k`` is at most x^k, with x the
+    largest row sum of |N|, and vanishes unless a walk of k hops joins j
+    to i; the shortest one uses each bond at most once, so
+    ``k >= |i-j| - S``, where S counts the sites that bonds longer than
+    one skip.  Hence ``|[e^A]_ij| <= sum_{k >= |i-j| - S} x^k / k!``.
+    """
+    x = _abs_row_sums({k: d for k, d in a.items() if k}, L).max()
+    skipped = sum((k - 1) * np.count_nonzero(d) for k, d in a.items() if k > 1)
+    # Smallest h whose tail is at most 2 x^h / h! <= BAND_CUTOFF; the
+    # factor 2 holds once successive terms shrink by half (h + 1 >= 2x).
+    h, term = 0, 1.0
+    while h + 1 < 2 * x or 2 * term > BAND_CUTOFF:
+        h += 1
+        term *= x / h
+    return h + skipped
+
+
+def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> np.ndarray:
+    """Band of ``e^{-i tau H}`` as the block rows of a block-tridiagonal matrix.
 
     The half-width b is the largest ``|i - j|`` of an entry above
     ``BAND_CUTOFF``; every entry farther out is dropped.  With blocks of b
@@ -206,16 +246,72 @@ def band_blocks(a: np.ndarray) -> np.ndarray:
     ``(k - 1) b .. (k + 2) b - 1``, zero past the chain ends, so the
     product with a state zero-padded by one block on each side is one
     stacked ``(n_blocks, b, 3 b) @ (n_blocks, 3 b, 1)`` matmul.
+
+    The entries come from probing: columns whose indices agree mod
+    ``P = 2 B + 1`` share a probe vector, with B from
+    :func:`_probe_half_width`, so one application of the exponential to
+    the L x P block of probes gives every entry with ``|i - j| <= B``.
+    The other columns of its probe lie more than B away, where the bound
+    holds each entry below the cutoff, so they shift it by about eps^2 at
+    most.  (A chain with ``L <= 2 B + 1`` gives each column its own
+    probe.)  The exponential is applied by Taylor stages on the diagonals
+    of H, O(L P) work per term, and no L x L array is formed.  An entry
+    above the cutoff at distance B means the bound failed, and raises.
     """
-    L = a.shape[0]
-    i, j = np.nonzero(np.abs(a) > BAND_CUTOFF)
-    b = max(1, int(np.max(np.abs(i - j), initial=0)))
+    L = spec.L
+    a = {k: -1j * tau * d for k, d in hamiltonian_diagonals(spec, kind, tau).items()}
+    site = np.arange(L)
+    B = _probe_half_width(a, L)
+    P = min(2 * B + 1, L)
+    if P < L:
+        # Column c of the probed block holds, on row i, the entry of the
+        # column j = c mod P with |i - j| <= B: offset j - i = (c - i + B) mod P - B.
+        offset = (np.arange(P)[None, :] - site[:, None] + B) % P - B
+    else:
+        offset = site[None, :] - site[:, None]
+    norm = _abs_row_sums(a, L).max()
+    # Stages of norm at most 4: at this tolerance fewer, longer stages cost
+    # fewer terms in all, and the largest term, 4^4/4! ~ 11, costs at most
+    # one digit to cancellation.
+    stages = max(1, int(np.ceil(norm / 4)))
+    # Each diagonal as (rows, cols, entries) over the span of its nonzero
+    # entries: the model-specific diagonals hold one or two.
+    slabs = []
+    for k, d in a.items():
+        nz = np.flatnonzero(d)
+        if len(nz):
+            lo, hi, r0, c0 = nz[0], nz[-1] + 1, max(0, -k), max(0, k)
+            rows, cols = slice(r0 + lo, r0 + hi), slice(c0 + lo, c0 + hi)
+            slabs.append((rows, cols, d[lo:hi, None] / stages))
+    f = np.zeros((L, P), dtype=np.complex128)
+    f[site, site % P] = 1.0
+    tol = BAND_CUTOFF * np.finfo(np.float64).eps
+    for _ in range(stages):
+        term, n = f, 0
+        # Term n has its largest entry at most (norm / stages) / n times
+        # that of term n - 1.  Stop at a term below tol once that ratio is
+        # at most 1/2, so the dropped tail stays below tol as well.
+        while n + 1 < 2 * norm / stages or np.abs(term).max() > tol:
+            n += 1
+            nxt = np.zeros_like(term)
+            for rows, cols, d in slabs:
+                nxt[rows] += (d / n) * term[cols]
+            term = nxt
+            f += term
+    j = site[:, None] + offset
+    above = (j >= 0) & (j < L) & (np.abs(f) > BAND_CUTOFF)
+    b = max(1, int(np.max(np.abs(offset[above]), initial=0)))
+    if P < L and b >= B:
+        raise RuntimeError(
+            f"{kind.value} step at L={L}, tau={tau}: an entry above the cutoff "
+            f"lies {b} sites off the diagonal, at the probe half-width {B}"
+        )
     n_blocks = -(-L // b)
     rows = np.arange(n_blocks)[:, None, None] * b + np.arange(b)[None, :, None]
     cols = (np.arange(n_blocks)[:, None, None] - 1) * b + np.arange(3 * b)[None, None, :]
-    inside = (rows < L) & (cols >= 0) & (cols < L) & (np.abs(rows - cols) <= b)
-    entries = a[np.minimum(rows, L - 1), np.clip(cols, 0, L - 1)]
-    return np.where(inside, entries, 0.0)
+    keep = (rows < L) & (cols >= 0) & (cols < L) & (np.abs(rows - cols) <= b)
+    entries = f[np.minimum(rows, L - 1), np.clip(cols, 0, L - 1) % P]
+    return np.where(keep, entries, 0.0)
 
 
 def nh_survival_series(
@@ -230,16 +326,17 @@ def nh_survival_series(
     P_n is the squared norm after n applications of the single-step
     contraction; p_n and Pdet_n follow from the same bookkeeping as the
     projected engine.  Each application goes through the band of the
-    cached step (:func:`band_blocks`, cut once per run); the entries
-    beyond it are each at most ``BAND_CUTOFF`` = eps^2, far below the
-    rounding error of a step.
+    step (:func:`_step_band`, built once per run from the generator's
+    diagonals); the entries beyond it are each at most ``BAND_CUTOFF`` =
+    eps^2, far below the rounding error of a step.  No dense step
+    matrix is built, so memory stays O(L b) at any chain length.
     """
     if kind is ModelKind.EXACT:
         raise ValueError("kind must be one of the dissipative models")
     _check_run_args(tau, n_max)
     if bulk_guard:
         _check_bulk_window(spec, tau, n_max)
-    blocks = band_blocks(step_propagator(spec, kind, tau).matrix)
+    blocks = _step_band(spec, kind, tau)
     n_blocks, b, _ = blocks.shape
     # The state zero-padded by one block on each side; window k is what
     # block row k multiplies.

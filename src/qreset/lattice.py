@@ -1,8 +1,10 @@
 """Tight-binding chain operators and their dense propagators.
 
-Single-particle sector throughout: every operator is a dense L x L matrix
-acting on site amplitudes.  The public interface labels sites 1..L; the
-arrays underneath are 0-based.  The hopping amplitude is fixed at 1 and
+Single-particle sector throughout: operators act on site amplitudes.
+Each generator is defined once, by its at most five nonzero diagonals
+(``hamiltonian_diagonals``); the builders assemble the dense L x L
+matrix from them.  The public interface labels sites 1..L; the arrays
+underneath are 0-based.  The hopping amplitude is fixed at 1 and
 hbar = 1, so energies are in hopping units and times in inverse hopping
 units.
 
@@ -16,13 +18,14 @@ Three generators are provided:
 * a dissipative variant ("model 2") that keeps the full hopping and adds
   an imaginary on-site potential ``-2i/tau`` at ``s``.
 
-Propagators ``e^{-iMt}`` use a spectral decomposition when the generator
-is Hermitian and scaling-and-squaring with a degree-13 Pade approximant
-otherwise; the dissipative generators are non-normal, so their eigenbasis
-is not a safe route.  The engines in ``dynamics`` never multiply by an
-L x L matrix: the exact one works in the closed-form eigenbasis and the
-dissipative one applies the band of its step.  The dense matrices here
-are the reference both are tested against.
+Dense propagators ``e^{-iMt}`` use a spectral decomposition when the
+generator is Hermitian and scaling-and-squaring with a degree-13 Pade
+approximant otherwise; the dissipative generators are non-normal, so
+their eigenbasis is not a safe route.  The engines in ``dynamics`` build
+no L x L matrix: the exact one works in the closed-form eigenbasis, and
+the dissipative one builds the band of its step from the diagonals.  The
+dense matrices here are the reference both are tested against, and the
+renewal oracle's step.
 """
 
 from __future__ import annotations
@@ -131,14 +134,59 @@ def initial_state(spec: LatticeSpec) -> np.ndarray:
     return psi
 
 
+def hamiltonian_diagonals(
+    spec: LatticeSpec, kind: ModelKind, tau: float | None = None
+) -> dict[int, np.ndarray]:
+    """The generator for ``kind`` by its nonzero diagonals: offset k maps to ``H[i, i + k]``.
+
+    This is the one definition of each model; the dense builders below
+    assemble it, and the dissipative engine exponentiates it as it
+    stands.  Every generator is symmetric (``H^T = H``, diagonals k and
+    -k equal), offsets stay within -2..2, and no diagonal entry has a
+    positive imaginary part, so the dissipative part only contracts.
+    """
+    L = spec.L
+    hop = np.ones(L - 1)
+    if kind is ModelKind.EXACT:
+        return {-1: hop, 1: hop}
+    if tau is None:
+        raise ValueError(f"{kind.value} requires the measurement step tau")
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    s0 = spec.detector_index - 1
+    if kind is ModelKind.MODEL2:
+        diag = np.zeros(L, dtype=np.complex128)
+        diag[s0] = -2.0j / tau
+        return {-1: hop, 0: diag, 1: hop}
+    if kind is not ModelKind.MODEL1:
+        raise ValueError(f"unknown model kind: {kind!r}")
+    if not 1 <= s0 <= L - 2:
+        raise ValueError(
+            f"detector_index {s0 + 1} is at the chain edge; both neighbours are needed"
+        )
+    g = -0.5j * tau
+    hop = hop.astype(np.complex128)
+    hop[[s0 - 1, s0]] = 0.0  # the bonds (s-1, s) and (s, s+1)
+    diag = np.zeros(L, dtype=np.complex128)
+    diag[[s0 - 1, s0 + 1]] = g
+    bridge = np.zeros(L - 2, dtype=np.complex128)
+    bridge[s0 - 1] = g
+    return {-2: bridge, -1: hop, 0: diag, 1: hop, 2: bridge}
+
+
+def _assemble(diagonals: dict[int, np.ndarray]) -> np.ndarray:
+    """Dense L x L matrix with the given diagonals."""
+    L = len(diagonals[1]) + 1
+    h = np.zeros((L, L), dtype=np.result_type(*diagonals.values()))
+    for k, d in diagonals.items():
+        i = np.arange(len(d))
+        h[i + max(0, -k), i + max(0, k)] = d
+    return h
+
+
 def build_tb_hamiltonian(spec: LatticeSpec) -> np.ndarray:
     """Open-chain hopping Hamiltonian: ones on the first off-diagonals."""
-    L = spec.L
-    h = np.zeros((L, L), dtype=np.float64)
-    idx = np.arange(L - 1)
-    h[idx, idx + 1] = 1.0
-    h[idx + 1, idx] = 1.0
-    return h
+    return _assemble(hamiltonian_diagonals(spec, ModelKind.EXACT))
 
 
 def build_model1_heff(spec: LatticeSpec, tau: float) -> np.ndarray:
@@ -152,24 +200,7 @@ def build_model1_heff(spec: LatticeSpec, tau: float) -> np.ndarray:
     whose strength grows linearly with the measurement step.  Requires
     2 <= s <= L-1 so that both neighbours exist.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    s = spec.detector_index
-    if not 2 <= s <= spec.L - 1:
-        raise ValueError(
-            f"detector_index {s} is at the chain edge; both neighbours are needed"
-        )
-    s0 = s - 1
-    h = build_tb_hamiltonian(spec).astype(np.complex128)
-    # cut the two bonds touching the detector site
-    h[s0 - 1, s0] = h[s0, s0 - 1] = 0.0
-    h[s0, s0 + 1] = h[s0 + 1, s0] = 0.0
-    g = -0.5j * tau
-    h[s0 - 1, s0 + 1] += g
-    h[s0 + 1, s0 - 1] += g
-    h[s0 - 1, s0 - 1] += g
-    h[s0 + 1, s0 + 1] += g
-    return h
+    return _assemble(hamiltonian_diagonals(spec, ModelKind.MODEL1, tau))
 
 
 def build_model2_heff(spec: LatticeSpec, tau: float) -> np.ndarray:
@@ -178,26 +209,14 @@ def build_model2_heff(spec: LatticeSpec, tau: float) -> np.ndarray:
     The potential strength is tied to the measurement step internally;
     callers never supply it separately.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    h = build_tb_hamiltonian(spec).astype(np.complex128)
-    h[spec.detector_index - 1, spec.detector_index - 1] = -2.0j / tau
-    return h
+    return _assemble(hamiltonian_diagonals(spec, ModelKind.MODEL2, tau))
 
 
 def build_hamiltonian(
     spec: LatticeSpec, kind: ModelKind, tau: float | None = None
 ) -> np.ndarray:
-    """Dispatch to the generator for ``kind``; dissipative kinds need ``tau``."""
-    if kind is ModelKind.EXACT:
-        return build_tb_hamiltonian(spec)
-    if tau is None:
-        raise ValueError(f"{kind.value} requires the measurement step tau")
-    if kind is ModelKind.MODEL1:
-        return build_model1_heff(spec, tau)
-    if kind is ModelKind.MODEL2:
-        return build_model2_heff(spec, tau)
-    raise ValueError(f"unknown model kind: {kind!r}")
+    """Dense generator for ``kind``; dissipative kinds need ``tau``."""
+    return _assemble(hamiltonian_diagonals(spec, kind, tau))
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -274,14 +293,15 @@ def propagator(
 
 @lru_cache(maxsize=len(ModelKind))
 def step_propagator(spec: LatticeSpec, kind: ModelKind, tau: float) -> EvolutionOperator:
-    """Single-measurement-step propagator, cached per (spec, kind, tau).
+    """Dense single-measurement-step propagator, cached per (spec, kind, tau).
 
-    The dissipative engine advances states by repeated application of
-    the band of this one matrix; powers are never re-exponentiated.  The
-    exact engine needs no step matrix, so the exact entry serves the
-    renewal oracle and the tests.  The cache holds one entry per model
-    kind: enough for a grid point to reuse each kind's matrix, few
-    enough that a tau sweep stays bounded.
+    No engine steps with this matrix: the exact engine works in the
+    closed-form eigenbasis, and the dissipative engine builds the band
+    of its step straight from the generator's diagonals.  It serves the
+    renewal oracle (exact kind) and the tests, which hold both engines
+    to it.  The cache holds one entry per model kind: enough for a grid
+    point to reuse each kind's matrix, few enough that a tau sweep stays
+    bounded.
     """
     h = build_hamiltonian(spec, kind, tau)
     return propagator(h, tau, hermitian=(kind is ModelKind.EXACT), kind=kind, tau=tau)

@@ -1,13 +1,17 @@
 """Config parsing, CSV contracts, recipe smoke runs, and sweep semantics."""
 
+import os
 import runpy
+import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qreset import ConfigError, measured_evolution, step_propagator
+import qreset
+from qreset import ConfigError, ModelKind, dynamics, step_propagator
 from qreset.cli import (
     CsvArtifact,
     RunConfig,
@@ -272,17 +276,24 @@ class TestDeterminism:
 
 
 class TestSweepSemantics:
-    def test_restart_time_sweep_misses_the_step_cache_once_per_kind(self, tmp_path):
+    def test_restart_time_sweep_builds_one_band_per_kind_and_point(self, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SMALL + "tau = 0.25\nhorizon = 2.0\ntr_sweep = 0.5,1.0\n")
+        builds = []
+        step_band = dynamics._step_band
+
+        def counted(spec, kind, tau):
+            builds.append(kind)
+            return step_band(spec, kind, tau)
+
+        monkeypatch.setattr(dynamics, "_step_band", counted)
         step_propagator.cache_clear()
-        assert main(["delta-pr", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        # One build per dissipative kind; the exact engine builds no step matrix.
-        assert step_propagator.cache_info().misses == 2
         before = step_propagator.cache_info()
-        spec = parse_config(SMALL + "tau = 0.5\n").lattice()
-        measured_evolution(spec, 0.5, 10, bulk_guard=False)
+        assert main(["delta-pr", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        # No engine builds a dense step matrix; each dissipative kind builds
+        # its band once per grid point (t_r = 0.5, 1.0), not once per step.
         assert step_propagator.cache_info() == before
+        assert Counter(builds) == {ModelKind.MODEL1: 2, ModelKind.MODEL2: 2}
 
     def test_partial_failure_keeps_good_points_and_logs_bad(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -360,3 +371,15 @@ class TestModuleEntryPoint:
             runpy.run_module("qreset", run_name="__main__")
         assert exit_info.value.code == 0
         assert (tmp_path / "pdet.csv").exists()
+
+    def test_import_leaves_scipy_unloaded(self):
+        # The package runs on numpy alone; scipy would also add its import
+        # time to every run's start-up.
+        path = [str(Path(qreset.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        code = "import sys, qreset; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "[]"

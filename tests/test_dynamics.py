@@ -1,5 +1,7 @@
 """Projective measurement dynamics, renewal recursion, and the dissipative series."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,15 +14,14 @@ from qreset import (
     ModelKind,
     RenewalSeries,
     build_model2_heff,
+    dynamics,
     initial_state,
     measured_evolution,
     nh_survival_series,
     renewal_amplitudes,
     step_propagator,
 )
-from qreset.dynamics import band_blocks
-
-from conftest import taylor_expm
+from conftest import band_blocks, taylor_expm
 
 
 TWO_SITE = LatticeSpec(L=2, detector_index=2, initial_index=1)
@@ -179,6 +180,42 @@ class TestBandedDissipativeStep:
             dropped = np.abs(a - kept)
             assert dropped.max() <= eps**2
             assert dropped.sum(axis=0).max() <= L * eps**2
+
+    # The same (L, tau) in reverse, so the first reuses the cached steps of
+    # the test above, and small chains whose band spans both edges.
+    @pytest.mark.parametrize(
+        "L,tau", [(500, 1.0), (500, 0.5), (500, 0.25), (1000, 0.05), (2, 0.7), (4, 0.7), (16, 0.7)]
+    )
+    def test_direct_band_matches_dense_oracle(self, L, tau):
+        if L >= 100:
+            spec, kinds = default_geometry(L), (ModelKind.MODEL1, ModelKind.MODEL2)
+        elif L == 2:
+            spec, kinds = TWO_SITE, (ModelKind.MODEL2,)
+        else:
+            spec = LatticeSpec(L=L, detector_index=L // 2 + 1, initial_index=L // 2)
+            kinds = (ModelKind.MODEL1, ModelKind.MODEL2)
+        for kind in kinds:
+            band = dynamics._step_band(spec, kind, tau)
+            oracle = band_blocks(step_propagator(spec, kind, tau).matrix)
+            assert band.shape == oracle.shape
+            assert np.max(np.abs(band - oracle)) <= 1e-15
+
+    def test_too_small_probe_width_raises(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_probe_half_width", lambda a, L: 5)
+        with pytest.raises(RuntimeError, match="probe half-width 5"):
+            nh_survival_series(default_geometry(100), ModelKind.MODEL2, 0.25, 10)
+
+    def test_memory_stays_far_below_one_dense_step(self):
+        # One dense L = 5000 complex step matrix alone is 400 MB.
+        spec = default_geometry(5000)
+        for kind in (ModelKind.MODEL1, ModelKind.MODEL2):
+            tracemalloc.start()
+            try:
+                nh_survival_series(spec, kind, 0.25, 5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 50e6
 
 
 class TestBulkGuard:
