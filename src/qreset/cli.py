@@ -250,63 +250,89 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(**kwargs)  # type: ignore[arg-type]
 
 
+# Rows rendered per string-formatting call; large enough that per-call
+# overhead vanishes, small enough that a block's text stays under 100 kB.
+_CHUNK_ROWS = 1024
+
+
 @dataclass
 class CsvArtifact:
     """One CSV file: header, rows, and the formatting contract.
 
-    Numeric cells render as 12-significant-digit decimals; when the
-    first column is numeric it must increase strictly row to row, and
-    every numeric value must be finite.  Rows stream into a temporary
-    file beside the target, which replaces the target only once every
-    row has passed, so a failed or killed write never leaves a partial
-    CSV under the final name.
+    ``rows`` is a list of row tuples or a 2-D numeric array.  Numeric
+    cells render as 12-significant-digit decimals (``%.12g``, the same
+    text as ``f"{float(cell):.12g}"``) and text cells as they are; a
+    column is text when its first cell is a ``str``.  When the first
+    column is numeric it must increase strictly row to row, and every
+    numeric value must be finite.  The whole table is checked before
+    anything is written; rows then stream, a block of ``_CHUNK_ROWS``
+    per formatting call, into a temporary file beside the target, which
+    replaces the target only once every block is out, so a failed or
+    killed write never leaves a partial CSV under the final name.
     """
 
     path: Path
     header: tuple[str, ...]
-    rows: list[tuple]
+    rows: list[tuple] | np.ndarray
 
     def write(self) -> Path:
+        table, template = self._checked_table()
         tmp = self.path.with_name(
             f".{self.path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
         )
         try:
             with tmp.open("w", encoding="utf-8") as out:
                 out.write(",".join(self.header) + "\n")
-                out.writelines(self._lines())
+                for start in range(0, len(table), _CHUNK_ROWS):
+                    block = table[start : start + _CHUNK_ROWS]
+                    out.write(template * len(block) % tuple(block.ravel().tolist()))
             os.replace(tmp, self.path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
         return self.path
 
-    def _lines(self):
-        prev_lead: float | None = None
-        for row in self.rows:
-            if len(row) != len(self.header):
-                raise ValueError(
-                    f"{self.path.name}: row width {len(row)} does not match "
-                    f"header width {len(self.header)}"
-                )
-            cells = []
-            for cell in row:
-                if isinstance(cell, str):
-                    cells.append(cell)
-                    continue
-                value = float(cell)
-                if not math.isfinite(value):
-                    raise ValueError(f"{self.path.name}: non-finite value in row {row}")
-                cells.append(f"{value:.12g}")
-            lead = row[0]
-            if not isinstance(lead, str):
-                lead = float(lead)
-                if prev_lead is not None and lead <= prev_lead:
+    def _checked_table(self) -> tuple[np.ndarray, str]:
+        """The rows as one 2-D array, validated, and the template of one row."""
+        name, width, rows = self.path.name, len(self.header), self.rows
+        # A numeric array is used as it is; row tuples become an object table,
+        # whose cells keep their types (text stays text).
+        table = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+        if table.ndim != 2 or table.shape[1] != width:
+            for i, row in enumerate(rows):
+                if np.ndim(row) != 1 or len(row) != width:
                     raise ValueError(
-                        f"{self.path.name}: first column must increase strictly "
-                        f"({lead} after {prev_lead})"
+                        f"{name}: row {i + 1} has width {np.size(row)}, "
+                        f"header width {width}"
                     )
-                prev_lead = lead
-            yield ",".join(cells) + "\n"
+            table = table.reshape(len(rows), width)
+        first = table[0].tolist() if len(table) else [None] * width
+        text = [isinstance(cell, str) for cell in first]
+        for j in range(width):
+            column = table[:, j]
+            if table.dtype == object and any(
+                isinstance(cell, str) != text[j] for cell in column
+            ):
+                raise ValueError(f"{name}: column {self.header[j]} mixes text and numbers")
+            if text[j]:
+                continue
+            values = column.astype(np.float64, copy=False)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if len(bad):
+                i = bad[0]
+                raise ValueError(
+                    f"{name}: non-finite value in row {i + 1} {tuple(table[i].tolist())}"
+                )
+            if j == 0:
+                bad = np.flatnonzero(~(np.diff(values) > 0))
+                if len(bad):
+                    i = bad[0]
+                    raise ValueError(
+                        f"{name}: first column must increase strictly "
+                        f"({values[i + 1]} after {values[i]}, row {i + 2})"
+                    )
+        template = ",".join("%s" if t else "%.12g" for t in text) + "\n"
+        return table, template
 
 
 def _stem(config: RunConfig, default: str, tag: str) -> str:
@@ -328,9 +354,10 @@ def _build_pdet(config: RunConfig, out_dir: Path, tag: str) -> list[CsvArtifact]
         columns.append(series.Pdet)
         if times is None:
             times = series.times
-    rows = [tuple(row) for row in zip(times, *columns)]
     artifact = CsvArtifact(
-        out_dir / f"{_stem(config, 'pdet', tag)}.csv", tuple(header), rows
+        out_dir / f"{_stem(config, 'pdet', tag)}.csv",
+        tuple(header),
+        np.column_stack([times, *columns]),
     )
     artifact.write()
     return [artifact]
@@ -345,11 +372,10 @@ def _build_reset_survival(config: RunConfig, out_dir: Path, tag: str) -> list[Cs
     times = config.tau * np.arange(1, n + 1)
     decay = alpha(ModelKind.MODEL2, spec, config.tau, r * config.tau)
     predicted = survival_prediction(decay.alpha, decay.t_r, times)
-    rows = [tuple(row) for row in zip(times, trajectory, predicted)]
     artifact = CsvArtifact(
         out_dir / f"{_stem(config, 'reset_survival', tag)}.csv",
         ("T", "P_exact", "P_nh_predicted"),
-        rows,
+        np.column_stack((times, trajectory, predicted)),
     )
     artifact.write()
     return [artifact]
@@ -391,15 +417,11 @@ def _build_optimal_tr(config: RunConfig, out_dir: Path, tag: str) -> list[CsvArt
     for kind in kinds:
         result = optimal_tr_nh(kind, spec, config.tau, config.tr_sweep)
         # Fully absorbed grid points carry no objective; leave them out.
-        rows = [
-            (t_r, objective)
-            for t_r, objective in zip(result.grid, result.objective)
-            if math.isfinite(objective)
-        ]
+        table = np.column_stack((result.grid, result.objective))
         artifact = CsvArtifact(
             out_dir / f"{stem}_{kind.value}.csv",
             ("t_r", "neg_alpha_over_tr"),
-            rows,
+            table[np.isfinite(result.objective)],
         )
         artifact.write()
         artifacts.append(artifact)
@@ -436,9 +458,10 @@ def _build_delta_pr(config: RunConfig, out_dir: Path, tag: str) -> list[CsvArtif
         )
         header.append(f"delta_pr_{kind.value}")
         columns.append(report.delta)
-    rows = [tuple(row) for row in zip(range(1, R_max + 1), *columns)]
     artifact = CsvArtifact(
-        out_dir / f"{_stem(config, 'delta_pr', tag)}.csv", tuple(header), rows
+        out_dir / f"{_stem(config, 'delta_pr', tag)}.csv",
+        tuple(header),
+        np.column_stack([np.arange(1, R_max + 1), *columns]),
     )
     artifact.write()
     return [artifact]

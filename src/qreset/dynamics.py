@@ -124,9 +124,10 @@ def _check_run_args(tau: float, n_max: int) -> None:
 
 def _check_bulk_window(spec: LatticeSpec, tau: float, n_max: int) -> None:
     # Front speed 2 from the middle; reflections off the edge contaminate
-    # everything after that, so refuse horizons that reach it.
+    # everything after that, so refuse horizons that reach it.  Sites are
+    # 1-based, so the edges lie initial_index - 1 and L - initial_index hops away.
     horizon = FRONT_SPEED * n_max * tau
-    limit = min(spec.initial_index, spec.L - spec.initial_index) - BULK_MARGIN
+    limit = min(spec.initial_index - 1, spec.L - spec.initial_index) - BULK_MARGIN
     if not horizon < limit:
         raise BoundaryContaminationError(
             f"horizon {n_max}*tau reaches the chain edge "
@@ -153,7 +154,7 @@ def measured_evolution(
     the detector's mode row ``v``, and zeroing it subtracts ``amp v``.
     The detection probability of step ``n`` is ``|amp|^2``; the survival
     is the squared norm of the unnormalized survivor.  ``bulk_guard=False``
-    permits runs whose ballistic front reaches the boundary (small closed
+    permits runs whose ballistic front reaches the boundary (small
     chains, reflection studies).
     """
     _check_run_args(tau, n_max)

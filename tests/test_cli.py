@@ -13,6 +13,7 @@ import pytest
 import qreset
 from qreset import ConfigError, ModelKind, dynamics, step_propagator
 from qreset.cli import (
+    _CHUNK_ROWS,
     CsvArtifact,
     RunConfig,
     main,
@@ -23,7 +24,9 @@ from qreset.cli import (
 )
 
 
-SMALL = "L = 20\ndetector_index = 14\ninitial_index = 10\n"
+# The nearer edge (site 1) lies 10 hops from the start, so a front of 4
+# sites (horizon 2 at tau 0.25) keeps the bulk margin of 5.
+SMALL = "L = 22\ndetector_index = 15\ninitial_index = 11\n"
 
 
 def read_csv(path: Path):
@@ -169,6 +172,94 @@ class TestCsvArtifact:
         bad = CsvArtifact(target, ("T", "v"), [(1.0, 3.0), (2.0, np.nan)])
         with pytest.raises(ValueError):
             bad.write()
+        assert target.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+    # Cells that stress the shortest-repr and exponent paths of %.12g, and
+    # every numeric type a recipe or caller may hand over.
+    HOSTILE = (
+        5e-324,
+        -0.0,
+        1.7976931348623157e308,
+        -1.7976931348623157e308,
+        1e16,
+        2**60 + 1,
+        7,
+        np.int64(-3),
+        np.float64(np.pi),
+        np.float32(0.1),
+        -2.2250738585072014e-308,
+        0.1 + 0.2,
+    )
+    LEADS = (int, np.int64, float, np.float64)
+
+    def hostile_rows(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        noise = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+        return [
+            (self.LEADS[i % 4](i), self.HOSTILE[i % len(self.HOSTILE)], noise[i])
+            for i in range(n_rows)
+        ]
+
+    @staticmethod
+    def per_cell_reference(header, rows):
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(
+                ",".join(c if isinstance(c, str) else f"{float(c):.12g}" for c in row)
+            )
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "n_rows",
+        [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1],
+    )
+    def test_chunked_rendering_matches_per_cell_formatting(self, tmp_path, n_rows):
+        header = ("T", "hostile", "noise")
+        rows = self.hostile_rows(n_rows)
+        expected = self.per_cell_reference(header, rows)
+        as_tuples = CsvArtifact(tmp_path / "t.csv", header, rows)
+        as_array = CsvArtifact(
+            tmp_path / "a.csv", header, np.array(rows, dtype=np.float64)
+        )
+        assert len(as_tuples.rows) == len(as_array.rows) == n_rows
+        for artifact in (as_tuples, as_array):
+            assert artifact.write().read_text(encoding="utf-8") == expected
+
+    def test_text_first_column_renders_as_is(self, tmp_path):
+        header = ("model", "hostile")
+        rows = [
+            (f"m{i % 3}", value)
+            for i, value in enumerate(self.HOSTILE * (_CHUNK_ROWS // 6))
+        ]
+        artifact = CsvArtifact(tmp_path / "s.csv", header, rows)
+        assert len(artifact.rows) == len(rows) > _CHUNK_ROWS
+        expected = self.per_cell_reference(header, rows)
+        assert artifact.write().read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize(
+        "rows", [[(1.0, "a"), (2.0, 3.0)], [(1.0, 2.0), (2.0, "3.5")]]
+    )
+    def test_column_mixing_text_and_numbers_rejected(self, tmp_path, rows):
+        with pytest.raises(ValueError, match="mixes text and numbers"):
+            CsvArtifact(tmp_path / "x.csv", ("T", "v"), rows).write()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    @pytest.mark.parametrize("defect", ["non-finite", "non-increasing"])
+    def test_defect_in_second_chunk_keeps_previous_file(self, tmp_path, defect, as_array):
+        target = tmp_path / "x.csv"
+        CsvArtifact(target, ("T", "v"), [(1.0, 2.0)]).write()
+        before = target.read_bytes()
+        n_rows, bad_row = 2 * _CHUNK_ROWS + 1, _CHUNK_ROWS + 5
+        table = np.column_stack((np.arange(n_rows, dtype=np.float64), np.ones(n_rows)))
+        if defect == "non-finite":
+            table[bad_row, 1] = np.nan
+        else:
+            table[bad_row, 0] = table[bad_row - 1, 0]
+        rows = table if as_array else [tuple(row) for row in table.tolist()]
+        with pytest.raises(ValueError, match=f"row {bad_row + 1}"):
+            CsvArtifact(target, ("T", "v"), rows).write()
         assert target.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 

@@ -239,6 +239,28 @@ class TestBulkGuard:
         series = measured_evolution(spec, 0.25, 100)
         assert series.n_max == 100
 
+    @pytest.mark.parametrize(
+        "L, start, tau, n_max, passes",
+        [
+            (20, 7, 0.25, 1, True),
+            (20, 6, 0.25, 1, False),
+            (500, 250, 0.25, 487, True),
+            (500, 250, 0.25, 488, False),
+        ],
+    )
+    def test_verdict_is_mirror_symmetric(self, L, start, tau, n_max, passes):
+        # Site i and its mirror image L + 1 - i lie equally far from the edges.
+        def verdict(start, detector):
+            spec = LatticeSpec(L=L, detector_index=detector, initial_index=start)
+            try:
+                measured_evolution(spec, tau, n_max)
+            except BoundaryContaminationError:
+                return False
+            return True
+
+        assert verdict(start, start + 1) == passes
+        assert verdict(L + 1 - start, L - start) == passes
+
 
 class TestSeriesBookkeeping:
     def test_survival_is_accurate_far_below_rounding(self):
