@@ -7,12 +7,13 @@ that replace the measurement backaction with complex generators),
 layers a sharp-restart protocol on top, and extracts the derived
 quantities those descriptions are judged by: window decay weights,
 survival timescales, optimal restart times, and per-window accuracy
-gaps.  The ``qreset`` CLI drives the standard experiments into CSV.
+gaps.  The ``qreset`` CLI drives the standard experiments into CSV;
+its config parser, artifact writer and sweep runner stay in
+``qreset.cli``.
 """
 
 from .analysis import (
     AlphaResult,
-    ComparisonReport,
     FitResult,
     OptimalTr,
     alpha,
@@ -22,7 +23,7 @@ from .analysis import (
     optimal_tr_nh,
     survival_prediction,
 )
-from .cli import CsvArtifact, RunConfig, main, parse_config, parse_values, run_experiment, sweep
+from .cli import main
 from .dynamics import (
     DetectionSeries,
     RenewalSeries,
@@ -39,28 +40,14 @@ from .errors import (
     QresetError,
 )
 from .lattice import (
-    EvolutionOperator,
     LatticeSpec,
     ModelKind,
     build_hamiltonian,
-    build_model1_heff,
-    build_model2_heff,
-    build_tb_hamiltonian,
     initial_state,
     propagator,
     step_propagator,
 )
-from .restart import (
-    RestartResult,
-    RestartSpec,
-    build_reset_heff,
-    mfdt,
-    mfdt_direct,
-    reset_pdet,
-    reset_survival,
-    restart_pmf,
-    run_restart,
-)
+from .restart import RestartSpec, mfdt, reset_pdet, reset_survival, restart_pmf
 
 __version__ = "0.1.0"
 
@@ -69,10 +56,6 @@ __all__ = [
     # lattice
     "ModelKind",
     "LatticeSpec",
-    "EvolutionOperator",
-    "build_tb_hamiltonian",
-    "build_model1_heff",
-    "build_model2_heff",
     "build_hamiltonian",
     "propagator",
     "step_propagator",
@@ -85,17 +68,12 @@ __all__ = [
     "nh_survival_series",
     # restart
     "RestartSpec",
-    "RestartResult",
     "restart_pmf",
     "mfdt",
-    "mfdt_direct",
     "reset_survival",
     "reset_pdet",
-    "build_reset_heff",
-    "run_restart",
     # analysis
     "AlphaResult",
-    "ComparisonReport",
     "OptimalTr",
     "FitResult",
     "alpha",
@@ -105,12 +83,6 @@ __all__ = [
     "delta_p_r",
     "fit_exponential",
     # cli
-    "RunConfig",
-    "CsvArtifact",
-    "parse_config",
-    "parse_values",
-    "run_experiment",
-    "sweep",
     "main",
     # errors
     "QresetError",

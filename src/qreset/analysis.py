@@ -25,7 +25,6 @@ from .restart import RestartSpec, mfdt
 
 __all__ = [
     "AlphaResult",
-    "ComparisonReport",
     "OptimalTr",
     "FitResult",
     "alpha",
@@ -54,16 +53,6 @@ class OptimalTr:
     grid: np.ndarray
     objective: np.ndarray
     t_star: float
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Per-window gap between projective and dissipative detection curves."""
-
-    tau: float
-    r: int
-    delta: np.ndarray
-    kind: ModelKind | None = None
 
 
 class FitResult(NamedTuple):
@@ -179,15 +168,14 @@ def delta_p_r(
     exact_pdet_reset: np.ndarray,
     eff_pdet_reset: np.ndarray,
     r: int,
-    tau: float,
     R_max: int,
-) -> ComparisonReport:
+) -> np.ndarray:
     """Mean absolute detection-probability gap, window by window.
 
     Both inputs are integrated detection probabilities under the same
     restart protocol, sampled at every measurement.  Window ``R`` covers
-    measurements ``rR + 1 .. r(R+1)``; its score is the mean of the
-    absolute pointwise differences inside it.
+    measurements ``rR + 1 .. r(R+1)``; entry ``R - 1`` of the result is
+    the mean of the absolute pointwise differences inside it.
     """
     if r < 1:
         raise ValueError(f"restart period must be at least 1, got {r}")
@@ -205,8 +193,7 @@ def delta_p_r(
             f"need {needed} samples for {R_max} windows of {r}, got {exact_arr.size}"
         )
     gaps = np.abs(exact_arr[:needed] - eff_arr[:needed])
-    delta = gaps.reshape(R_max, r).mean(axis=1)
-    return ComparisonReport(tau=tau, r=r, delta=delta)
+    return gaps.reshape(R_max, r).mean(axis=1)
 
 
 def fit_exponential(

@@ -453,11 +453,8 @@ def _build_delta_pr(config: RunConfig, out_dir: Path, tag: str) -> list[CsvArtif
     columns = []
     for kind in kinds:
         nh_base = nh_survival_series(spec, kind, config.tau, r)
-        report = delta_p_r(
-            exact_curve, reset_pdet(nh_base, r, needed), r, config.tau, R_max
-        )
         header.append(f"delta_pr_{kind.value}")
-        columns.append(report.delta)
+        columns.append(delta_p_r(exact_curve, reset_pdet(nh_base, r, needed), r, R_max))
     artifact = CsvArtifact(
         out_dir / f"{_stem(config, 'delta_pr', tag)}.csv",
         tuple(header),
@@ -507,6 +504,8 @@ def sweep(
     results and failures are collected in value order, so output is
     deterministic under any schedule.  Failures go to ``errors.log`` in
     ``out_dir``, one line per failed value; completed artifacts stay.
+    Files carry each value's ``%g`` tag (``_tau0.25``); distinct values
+    sharing a tag would overwrite each other, so they are a ConfigError.
     """
     if axis not in ("tau", "t_r"):
         raise ValueError(f"sweep axis must be 'tau' or 't_r', got {axis!r}")
@@ -515,17 +514,24 @@ def sweep(
         raise ConfigError("sweep needs at least one value")
     if any(v <= 0 for v in values):
         raise ConfigError("sweep values must be positive")
+    prefix = "_tau" if axis == "tau" else "_tr"
+    tags: dict[str, float] = {}
+    for value in values:
+        other = tags.setdefault(f"{prefix}{value:g}", value)
+        if other != value:
+            raise ConfigError(
+                f"sweep values {other!r} and {value!r} share the file tag "
+                f"{prefix}{value:g}; they differ beyond 6 significant digits"
+            )
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
 
     def one(value: float) -> list[CsvArtifact]:
         if axis == "tau":
             derived = replace(config, tau=value)
-            tag = f"_tau{value:g}"
         else:
             derived = replace(config, r=None, t_r=value)
-            tag = f"_tr{value:g}"
-        return run_experiment(derived, recipe, out_path, tag=tag)
+        return run_experiment(derived, recipe, out_path, tag=f"{prefix}{value:g}")
 
     outcomes: list[list[CsvArtifact] | Exception] = [None] * len(values)  # type: ignore[list-item]
     if workers <= 1:

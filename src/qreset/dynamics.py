@@ -132,7 +132,7 @@ def _check_bulk_window(spec: LatticeSpec, tau: float, n_max: int) -> None:
         raise BoundaryContaminationError(
             f"horizon {n_max}*tau reaches the chain edge "
             f"(front travels {horizon:.1f} sites, room for {limit}); "
-            f"shorten the run, enlarge L, or pass bulk_guard=False"
+            f"shorten the run or enlarge L"
         )
 
 
@@ -185,7 +185,7 @@ def renewal_amplitudes(spec: LatticeSpec, tau: float, n_max: int) -> RenewalSeri
     kept; no propagator powers are stored.
     """
     _check_run_args(tau, n_max)
-    u = step_propagator(spec, ModelKind.EXACT, tau).matrix
+    u = step_propagator(spec, ModelKind.EXACT, tau)
     s0 = spec.detector_index - 1
     v = initial_state(spec)
     w = np.zeros(spec.L, dtype=np.complex128)

@@ -2,9 +2,9 @@
 
 Single-particle sector throughout: operators act on site amplitudes.
 Each generator is defined once, by its at most five nonzero diagonals
-(``hamiltonian_diagonals``); the builders assemble the dense L x L
-matrix from them.  The public interface labels sites 1..L; the arrays
-underneath are 0-based.  The hopping amplitude is fixed at 1 and
+(``hamiltonian_diagonals``); ``build_hamiltonian``, the one dense
+builder, assembles the L x L matrix of any kind from them.  The public interface labels sites 1..L; the
+arrays underneath are 0-based.  The hopping amplitude is fixed at 1 and
 hbar = 1, so energies are in hopping units and times in inverse hopping
 units.
 
@@ -21,11 +21,11 @@ Three generators are provided:
 Dense propagators ``e^{-iMt}`` use a spectral decomposition when the
 generator is Hermitian and scaling-and-squaring with a degree-13 Pade
 approximant otherwise; the dissipative generators are non-normal, so
-their eigenbasis is not a safe route.  The engines in ``dynamics`` build
-no L x L matrix: the exact one works in the closed-form eigenbasis, and
-the dissipative one builds the band of its step from the diagonals.  The
-dense matrices here are the reference both are tested against, and the
-renewal oracle's step.
+their eigenbasis is not a safe route.  Both return the bare read-only
+matrix.  The engines in ``dynamics`` build no L x L matrix: the exact
+one works in the closed-form eigenbasis, and the dissipative one builds
+the band of its step from the diagonals.  The dense matrices here are
+the reference both are tested against, and the renewal oracle's step.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ from .errors import ExpmScalingError
 __all__ = [
     "ModelKind",
     "LatticeSpec",
-    "EvolutionOperator",
-    "build_tb_hamiltonian",
-    "build_model1_heff",
-    "build_model2_heff",
     "build_hamiltonian",
     "propagator",
     "step_propagator",
@@ -111,22 +107,6 @@ class LatticeSpec:
             )
 
 
-@dataclass(frozen=True)
-class EvolutionOperator:
-    """A dense propagator over one time interval, with its provenance.
-
-    ``tau`` records the measurement step the generator was built with,
-    which for the dissipative kinds also fixes their dissipation
-    strength; for the Hermitian chain it is simply the step propagated.
-    """
-
-    matrix: np.ndarray
-    dt: float
-    kind: ModelKind
-    is_unitary: bool
-    tau: float | None = None
-
-
 def initial_state(spec: LatticeSpec) -> np.ndarray:
     """Unit amplitude on the initial site, zero elsewhere."""
     psi = np.zeros(spec.L, dtype=np.complex128)
@@ -139,11 +119,18 @@ def hamiltonian_diagonals(
 ) -> dict[int, np.ndarray]:
     """The generator for ``kind`` by its nonzero diagonals: offset k maps to ``H[i, i + k]``.
 
-    This is the one definition of each model; the dense builders below
-    assemble it, and the dissipative engine exponentiates it as it
+    This is the one definition of each model; ``build_hamiltonian``
+    assembles it, and the dissipative engine exponentiates it as it
     stands.  Every generator is symmetric (``H^T = H``, diagonals k and
     -k equal), offsets stay within -2..2, and no diagonal entry has a
     positive imaginary part, so the dissipative part only contracts.
+
+    ``EXACT`` ignores ``tau``.  ``MODEL1`` drops the bonds (s-1, s) and
+    (s, s+1) and gives the neighbours the anti-Hermitian block
+    ``-(i tau/2) (|s-1><s+1| + |s+1><s-1| + |s-1><s-1| + |s+1><s+1|)``,
+    which grows with the step; it needs 2 <= s <= L-1.  ``MODEL2`` keeps
+    the hopping and adds ``-2i/tau`` at the detector: the strength is
+    tied to ``tau``, not a separate argument.
     """
     L = spec.L
     hop = np.ones(L - 1)
@@ -182,34 +169,6 @@ def _assemble(diagonals: dict[int, np.ndarray]) -> np.ndarray:
         i = np.arange(len(d))
         h[i + max(0, -k), i + max(0, k)] = d
     return h
-
-
-def build_tb_hamiltonian(spec: LatticeSpec) -> np.ndarray:
-    """Open-chain hopping Hamiltonian: ones on the first off-diagonals."""
-    return _assemble(hamiltonian_diagonals(spec, ModelKind.EXACT))
-
-
-def build_model1_heff(spec: LatticeSpec, tau: float) -> np.ndarray:
-    """Dissipative generator with the detector site cut out of the chain.
-
-    The two bonds (s-1, s) and (s, s+1) are removed from the hopping
-    part, and the detector's neighbours acquire an anti-Hermitian block
-
-        -(i tau / 2) (|s-1><s+1| + |s+1><s-1| + |s-1><s-1| + |s+1><s+1|),
-
-    whose strength grows linearly with the measurement step.  Requires
-    2 <= s <= L-1 so that both neighbours exist.
-    """
-    return _assemble(hamiltonian_diagonals(spec, ModelKind.MODEL1, tau))
-
-
-def build_model2_heff(spec: LatticeSpec, tau: float) -> np.ndarray:
-    """Full hopping plus the imaginary on-site potential -2i/tau at the detector.
-
-    The potential strength is tied to the measurement step internally;
-    callers never supply it separately.
-    """
-    return _assemble(hamiltonian_diagonals(spec, ModelKind.MODEL2, tau))
 
 
 def build_hamiltonian(
@@ -256,14 +215,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return f
 
 
-def propagator(
-    matrix: np.ndarray,
-    t: float,
-    hermitian: bool,
-    kind: ModelKind = ModelKind.EXACT,
-    tau: float | None = None,
-) -> EvolutionOperator:
-    """Dense propagator ``e^{-i M t}`` for the generator ``matrix``.
+def propagator(matrix: np.ndarray, t: float, hermitian: bool) -> np.ndarray:
+    """Dense propagator ``e^{-i M t}`` for the generator ``matrix``, read-only.
 
     With ``hermitian=True`` the exponential goes through the spectral
     decomposition of ``M`` and the result is unitary; the input is
@@ -288,11 +241,11 @@ def propagator(
     else:
         u = _expm(-1j * t * np.asarray(m, dtype=np.complex128))
     u.flags.writeable = False
-    return EvolutionOperator(u, dt=t, kind=kind, is_unitary=hermitian, tau=tau)
+    return u
 
 
 @lru_cache(maxsize=len(ModelKind))
-def step_propagator(spec: LatticeSpec, kind: ModelKind, tau: float) -> EvolutionOperator:
+def step_propagator(spec: LatticeSpec, kind: ModelKind, tau: float) -> np.ndarray:
     """Dense single-measurement-step propagator, cached per (spec, kind, tau).
 
     No engine steps with this matrix: the exact engine works in the
@@ -304,4 +257,4 @@ def step_propagator(spec: LatticeSpec, kind: ModelKind, tau: float) -> Evolution
     bounded.
     """
     h = build_hamiltonian(spec, kind, tau)
-    return propagator(h, tau, hermitian=(kind is ModelKind.EXACT), kind=kind, tau=tau)
+    return propagator(h, tau, hermitian=(kind is ModelKind.EXACT))

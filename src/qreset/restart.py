@@ -13,6 +13,9 @@ The measurement at ``ntilde = r`` happens first and counts toward
 detection; only the undetected remainder is then reset.  The window
 survival is applied as a scalar factor rather than by propagating
 subnormalized states, which avoids underflow at large ``R``.
+
+Its independent checks, ``mfdt_direct`` (a truncated sum plus its tail)
+and ``build_reset_heff`` (the operator-level form), are in tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -27,14 +30,10 @@ from .errors import NeverDetectedError
 
 __all__ = [
     "RestartSpec",
-    "RestartResult",
     "restart_pmf",
     "mfdt",
-    "mfdt_direct",
     "reset_survival",
     "reset_pdet",
-    "build_reset_heff",
-    "run_restart",
 ]
 
 
@@ -67,17 +66,6 @@ class RestartSpec:
     @property
     def t_r(self) -> float:
         return self.r * self.tau
-
-
-@dataclass
-class RestartResult:
-    """Everything a restarted run produces for one (base series, r) pair."""
-
-    spec: RestartSpec
-    pmf: np.ndarray
-    mfdt: float
-    pdet_window: float
-    survival_trajectory: np.ndarray
 
 
 def _window_split(n_max: int, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -129,31 +117,6 @@ def mfdt(base: DetectionSeries, r: int, tau: float) -> float:
     return r * tau * q / pdet_r + in_window / pdet_r
 
 
-def mfdt_direct(base: DetectionSeries, r: int, tau: float, k_windows: int) -> float:
-    """Mean first-detection time as a truncated sum plus its geometric tail.
-
-    Sums n tau p_n^(r) over the first ``k_windows`` windows explicitly and
-    adds the analytically summed remainder.  Exists as an independent
-    check of the closed form in :func:`mfdt`.
-    """
-    _check_window(base, r)
-    if k_windows < 1:
-        raise ValueError(f"k_windows must be at least 1, got {k_windows}")
-    pdet_r = base.Pdet[r - 1]
-    if pdet_r <= 0:
-        raise NeverDetectedError(
-            f"no detection probability in a window of r={r} measurements"
-        )
-    q = base.P[r - 1]
-    n_head = k_windows * r
-    pmf = restart_pmf(base, r, n_head)
-    head = tau * np.dot(np.arange(1, n_head + 1), pmf)
-    # Windows R >= k_windows: sum_R q^R [ r R tau Pdet(r) + sum_n ntilde tau p ]
-    in_window = tau * np.dot(np.arange(1, r + 1), base.p[:r])
-    tail = q**k_windows * (tau * r * (k_windows + q / pdet_r) + in_window / pdet_r)
-    return head + tail
-
-
 def reset_survival(base: DetectionSeries, r: int, n_max: int) -> np.ndarray:
     """Survival probability at t = n tau, n = 1..n_max, under restart."""
     _check_window(base, r)
@@ -167,38 +130,3 @@ def reset_survival(base: DetectionSeries, r: int, n_max: int) -> np.ndarray:
 def reset_pdet(base: DetectionSeries, r: int, n_max: int) -> np.ndarray:
     """Integrated detection probability under restart, 1 - reset survival."""
     return 1.0 - reset_survival(base, r, n_max)
-
-
-def build_reset_heff(
-    h0: np.ndarray, alpha: float, R: int, t: float
-) -> np.ndarray:
-    """Generator whose evolution folds ``R`` completed windows into one step.
-
-    Shifts the dissipative generator by ``-i R alpha / (2 t)`` times the
-    identity (the total particle number acts as the identity on
-    one-particle amplitudes), so that propagating for ``t`` multiplies
-    the survival by ``e^{-alpha R}``.  Provided so the operator-level
-    formulation can be validated directly; production code uses the
-    scalar factorization.
-    """
-    h0 = np.asarray(h0)
-    if h0.ndim != 2 or h0.shape[0] != h0.shape[1]:
-        raise ValueError(f"generator must be square, got shape {h0.shape}")
-    if t <= 0:
-        raise ValueError(f"window time must be positive, got {t}")
-    if R < 0:
-        raise ValueError(f"completed-window count must be non-negative, got {R}")
-    shift = -1j * R * alpha / (2.0 * t)
-    return h0.astype(np.complex128) + shift * np.eye(h0.shape[0])
-
-
-def run_restart(base: DetectionSeries, r: int, n_max: int) -> RestartResult:
-    """Bundle PMF, MFDT, window detection and trajectory for one period."""
-    spec = RestartSpec(r=r, tau=base.tau)
-    return RestartResult(
-        spec=spec,
-        pmf=restart_pmf(base, r, n_max),
-        mfdt=mfdt(base, r, base.tau),
-        pdet_window=float(base.Pdet[r - 1]),
-        survival_trajectory=reset_survival(base, r, n_max),
-    )

@@ -4,14 +4,20 @@ The Taylor-series exponential here is deliberately naive: it is the
 independent check for the production propagators, so it must not share
 any code path with them.  ``band_blocks`` cuts a dense step matrix to
 the band layout the dissipative engine steps with, the reference for
-the band the engine builds without one.
+the band the engine builds without one.  The restart oracles
+``mfdt_direct`` and ``build_reset_heff`` (moved here from
+``qreset.restart``, which no longer exports them) check the closed-form
+mean detection time against a truncated sum, and the scalar window
+factorization against its operator-level form.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from qreset import DetectionSeries, NeverDetectedError, restart_pmf
 from qreset.dynamics import BAND_CUTOFF
+from qreset.restart import _check_window
 
 
 def taylor_expm(matrix: np.ndarray, t: float, terms: int = 60) -> np.ndarray:
@@ -42,6 +48,54 @@ def band_blocks(a: np.ndarray) -> np.ndarray:
     inside = (rows < L) & (cols >= 0) & (cols < L) & (np.abs(rows - cols) <= b)
     entries = a[np.minimum(rows, L - 1), np.clip(cols, 0, L - 1)]
     return np.where(inside, entries, 0.0)
+
+
+def mfdt_direct(base: DetectionSeries, r: int, tau: float, k_windows: int) -> float:
+    """Mean first-detection time as a truncated sum plus its geometric tail.
+
+    Sums n tau p_n^(r) over the first ``k_windows`` windows explicitly and
+    adds the analytically summed remainder.  Exists as an independent
+    check of the closed form in :func:`mfdt`.
+    """
+    _check_window(base, r)
+    if k_windows < 1:
+        raise ValueError(f"k_windows must be at least 1, got {k_windows}")
+    pdet_r = base.Pdet[r - 1]
+    if pdet_r <= 0:
+        raise NeverDetectedError(
+            f"no detection probability in a window of r={r} measurements"
+        )
+    q = base.P[r - 1]
+    n_head = k_windows * r
+    pmf = restart_pmf(base, r, n_head)
+    head = tau * np.dot(np.arange(1, n_head + 1), pmf)
+    # Windows R >= k_windows: sum_R q^R [ r R tau Pdet(r) + sum_n ntilde tau p ]
+    in_window = tau * np.dot(np.arange(1, r + 1), base.p[:r])
+    tail = q**k_windows * (tau * r * (k_windows + q / pdet_r) + in_window / pdet_r)
+    return head + tail
+
+
+def build_reset_heff(
+    h0: np.ndarray, alpha: float, R: int, t: float
+) -> np.ndarray:
+    """Generator whose evolution folds ``R`` completed windows into one step.
+
+    Shifts the dissipative generator by ``-i R alpha / (2 t)`` times the
+    identity (the total particle number acts as the identity on
+    one-particle amplitudes), so that propagating for ``t`` multiplies
+    the survival by ``e^{-alpha R}``.  Provided so the operator-level
+    formulation can be validated directly; production code uses the
+    scalar factorization.
+    """
+    h0 = np.asarray(h0)
+    if h0.ndim != 2 or h0.shape[0] != h0.shape[1]:
+        raise ValueError(f"generator must be square, got shape {h0.shape}")
+    if t <= 0:
+        raise ValueError(f"window time must be positive, got {t}")
+    if R < 0:
+        raise ValueError(f"completed-window count must be non-negative, got {R}")
+    shift = -1j * R * alpha / (2.0 * t)
+    return h0.astype(np.complex128) + shift * np.eye(h0.shape[0])
 
 
 # One verdict line per acceptance criterion, echoed at the end of the

@@ -24,14 +24,11 @@ from qreset import (
     ModelKind,
     alpha,
     build_hamiltonian,
-    build_model2_heff,
-    build_reset_heff,
     delta_p_r,
     fit_exponential,
     initial_state,
     measured_evolution,
     mfdt,
-    mfdt_direct,
     nh_survival_series,
     optimal_tr_exact,
     optimal_tr_nh,
@@ -44,7 +41,7 @@ from qreset import (
 )
 from qreset.dynamics import FRONT_SPEED
 
-from conftest import record_acceptance
+from conftest import build_reset_heff, mfdt_direct, record_acceptance
 
 
 OPERATING_POINT = LatticeSpec(L=500, detector_index=260, initial_index=250)
@@ -199,7 +196,7 @@ class TestAcceptance:
             for kind in (ModelKind.MODEL1, ModelKind.MODEL2):
                 nh_base = nh_survival_series(OPERATING_POINT, kind, tau, r)
                 curve = reset_pdet(nh_base, r, n)
-                deltas[kind] = delta_p_r(exact_curve, curve, r, tau, 10).delta
+                deltas[kind] = delta_p_r(exact_curve, curve, r, 10)
             tau_ok = bool(np.all(deltas[ModelKind.MODEL2] < deltas[ModelKind.MODEL1]))
             ok = ok and tau_ok
             margins.append(f"tau={tau:g} {'ok' if tau_ok else 'FAIL'}")
@@ -235,7 +232,7 @@ class TestAcceptance:
         checks = {}
 
         spec = LatticeSpec(L=20, detector_index=14, initial_index=10)
-        u = step_propagator(spec, ModelKind.EXACT, 0.3).matrix
+        u = step_propagator(spec, ModelKind.EXACT, 0.3)
         checks["unitarity"] = float(np.max(np.abs(u.conj().T @ u - np.eye(20)))) <= 1e-12
 
         mono_spec = LatticeSpec(L=16, detector_index=12, initial_index=8)
@@ -255,25 +252,23 @@ class TestAcceptance:
         checks["pmf mass"] = abs(np.sum(pmf) + q**5 - 1.0) <= 1e-12
 
         h_free = build_hamiltonian(spec, ModelKind.EXACT)
-        u1 = propagator(h_free, 0.4, hermitian=True).matrix
-        u2 = propagator(h_free, 1.1, hermitian=True).matrix
-        u12 = propagator(h_free, 1.5, hermitian=True).matrix
+        u1 = propagator(h_free, 0.4, hermitian=True)
+        u2 = propagator(h_free, 1.1, hermitian=True)
+        u12 = propagator(h_free, 1.5, hermitian=True)
         semi = float(np.max(np.abs(u1 @ u2 - u12)))
         h_nh = build_hamiltonian(spec, ModelKind.MODEL2, tau=0.5)
-        kw = dict(hermitian=False, kind=ModelKind.MODEL2, tau=0.5)
-        v1 = propagator(h_nh, 0.4, **kw).matrix
-        v2 = propagator(h_nh, 1.1, **kw).matrix
-        v12 = propagator(h_nh, 1.5, **kw).matrix
+        v1 = propagator(h_nh, 0.4, hermitian=False)
+        v2 = propagator(h_nh, 1.1, hermitian=False)
+        v12 = propagator(h_nh, 1.5, hermitian=False)
         semi = max(semi, float(np.max(np.abs(v1 @ v2 - v12))))
         checks["semigroup"] = semi <= 1e-10
 
         small = LatticeSpec(L=6, detector_index=4, initial_index=3)
-        h0 = build_model2_heff(small, 0.5)
+        h0 = build_hamiltonian(small, ModelKind.MODEL2, 0.5)
         t, a, windows = 1.7, 0.3, 3
         psi = initial_state(small)
-        kw = dict(hermitian=False, kind=ModelKind.MODEL2, tau=0.5)
-        bare = propagator(h0, t, **kw).matrix @ psi
-        damped = propagator(build_reset_heff(h0, a, windows, t), t, **kw).matrix @ psi
+        bare = propagator(h0, t, hermitian=False) @ psi
+        damped = propagator(build_reset_heff(h0, a, windows, t), t, hermitian=False) @ psi
         ratio = np.vdot(damped, damped).real / np.vdot(bare, bare).real
         checks["reset factorization"] = abs(ratio - np.exp(-a * windows)) <= 1e-10
 

@@ -8,7 +8,7 @@ from qreset import (
     LatticeSpec,
     ModelKind,
     alpha,
-    build_model2_heff,
+    build_hamiltonian,
     delta_p_r,
     fit_exponential,
     initial_state,
@@ -40,7 +40,7 @@ class TestAlpha:
 
     def test_against_taylor_oracle(self):
         res = alpha(ModelKind.MODEL2, TWO_SITE, 1.0, 1.0)
-        u = taylor_expm(build_model2_heff(TWO_SITE, 1.0), 1.0)
+        u = taylor_expm(build_hamiltonian(TWO_SITE, ModelKind.MODEL2, 1.0), 1.0)
         phi = u @ initial_state(TWO_SITE)
         expected = -np.log(np.vdot(phi, phi).real)
         assert abs(res.alpha - expected) < 1e-9
@@ -49,7 +49,7 @@ class TestAlpha:
     def test_multi_step_window_against_taylor_oracle(self):
         # t_r = 2 at tau = 0.5 is read off the fourth step of the series.
         res = alpha(ModelKind.MODEL2, TWO_SITE, 0.5, 2.0)
-        u = taylor_expm(build_model2_heff(TWO_SITE, 0.5), 2.0)
+        u = taylor_expm(build_hamiltonian(TWO_SITE, ModelKind.MODEL2, 0.5), 2.0)
         phi = u @ initial_state(TWO_SITE)
         expected = -np.log(np.vdot(phi, phi).real)
         assert abs(res.alpha - expected) < 1e-9
@@ -153,24 +153,22 @@ class TestOptimalTrExact:
 class TestDeltaPR:
     def test_identical_curves_give_zero(self):
         curve = np.linspace(0.0, 0.9, 40)
-        report = delta_p_r(curve, curve, 8, 0.25, 5)
-        assert report.delta.shape == (5,)
-        assert np.max(report.delta) == 0.0
-        assert report.r == 8
-        assert report.tau == 0.25
+        delta = delta_p_r(curve, curve, 8, 5)
+        assert delta.shape == (5,)
+        assert np.max(delta) == 0.0
 
     def test_constant_offset_is_recovered(self):
         curve = np.linspace(0.0, 0.9, 40)
-        report = delta_p_r(curve, curve + 0.003, 8, 0.25, 5)
-        assert np.allclose(report.delta, 0.003, atol=1e-15)
+        delta = delta_p_r(curve, curve + 0.003, 8, 5)
+        assert np.allclose(delta, 0.003, atol=1e-15)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            delta_p_r(np.zeros(40), np.zeros(39), 8, 0.25, 5)
+            delta_p_r(np.zeros(40), np.zeros(39), 8, 5)
 
     def test_short_input_rejected(self):
         with pytest.raises(ValueError):
-            delta_p_r(np.zeros(30), np.zeros(30), 8, 0.25, 5)
+            delta_p_r(np.zeros(30), np.zeros(30), 8, 5)
 
 
 class TestFitExponential:

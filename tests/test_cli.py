@@ -415,6 +415,22 @@ class TestSweepSemantics:
         assert main(["mfdt-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "mfdt_sweep_tau0.5.csv").exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_values_sharing_a_file_tag_rejected_before_any_run(
+        self, tmp_path, capsys, workers
+    ):
+        # Both values print as 0.1 under %g, so their files would collide.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            SMALL + "tau = 0.25\nhorizon = 2.0\ntau_sweep = 0.1000001, 0.1000002\n"
+        )
+        out = tmp_path / "out"
+        code = main(["pdet", "--config", str(cfg), "--out", str(out), "--workers", workers])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "0.1000001" in err and "0.1000002" in err
+        assert list(tmp_path.rglob("*.csv")) == []
+
     def test_sweep_rejects_unknown_axis(self):
         config = RunConfig(tau=0.5, L=20, detector_index=14, initial_index=10)
         with pytest.raises(ValueError):
@@ -444,6 +460,15 @@ class TestMainErrorPaths:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SMALL + "tau = 0.25\n")
         assert main(["pdet", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+
+    def test_bulk_guard_error_offers_only_cli_remedies(self, tmp_path, capsys):
+        # bulk_guard=False is a library argument; the CLI has no way to pass it.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("L = 100\ntau = 0.25\nhorizon = 200\n")
+        assert main(["pdet", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "chain edge" in err
+        assert "bulk_guard" not in err
 
     def test_run_experiment_rejects_unknown_recipe(self, tmp_path):
         config = RunConfig(tau=0.5, L=20, detector_index=14, initial_index=10)

@@ -13,7 +13,7 @@ from qreset import (
     LatticeSpec,
     ModelKind,
     RenewalSeries,
-    build_model2_heff,
+    build_hamiltonian,
     dynamics,
     initial_state,
     measured_evolution,
@@ -63,9 +63,9 @@ class TestRenewalRecursion:
         spec = LatticeSpec(L=12, detector_index=8, initial_index=5)
         tau = 0.9
         ren = renewal_amplitudes(spec, tau, 1)
-        from qreset import build_tb_hamiltonian, propagator
+        from qreset import propagator
 
-        u = propagator(build_tb_hamiltonian(spec), tau, hermitian=True).matrix
+        u = propagator(build_hamiltonian(spec, ModelKind.EXACT), tau, hermitian=True)
         free = u[7, 4]
         assert abs(ren.amplitudes[0] - free) < 1e-12
 
@@ -108,7 +108,7 @@ class TestDissipativeSeries:
         spec = LatticeSpec(L=8, detector_index=5, initial_index=4)
         tau = 0.6
         series = nh_survival_series(spec, ModelKind.MODEL2, tau, 1, bulk_guard=False)
-        u = taylor_expm(build_model2_heff(spec, tau), tau)
+        u = taylor_expm(build_hamiltonian(spec, ModelKind.MODEL2, tau), tau)
         phi = u @ initial_state(spec)
         assert abs(series.P[0] - np.vdot(phi, phi).real) < 1e-10
 
@@ -155,7 +155,7 @@ class TestBandedDissipativeStep:
         spec = default_geometry(L)
         for kind in (ModelKind.MODEL1, ModelKind.MODEL2):
             series = nh_survival_series(spec, kind, tau, n)
-            a = step_propagator(spec, kind, tau).matrix
+            a = step_propagator(spec, kind, tau)
             phi = initial_state(spec)
             dense = np.empty(n)
             for k in range(n):
@@ -173,7 +173,7 @@ class TestBandedDissipativeStep:
         eps = np.finfo(np.float64).eps
         offset = np.abs(np.subtract.outer(np.arange(L), np.arange(L)))
         for kind in (ModelKind.MODEL1, ModelKind.MODEL2):
-            a = step_propagator(spec, kind, tau).matrix
+            a = step_propagator(spec, kind, tau)
             blocks = band_blocks(a)
             kept = unpack_band(blocks, L)
             assert np.array_equal(kept, np.where(offset <= blocks.shape[1], a, 0))
@@ -196,7 +196,7 @@ class TestBandedDissipativeStep:
             kinds = (ModelKind.MODEL1, ModelKind.MODEL2)
         for kind in kinds:
             band = dynamics._step_band(spec, kind, tau)
-            oracle = band_blocks(step_propagator(spec, kind, tau).matrix)
+            oracle = band_blocks(step_propagator(spec, kind, tau))
             assert band.shape == oracle.shape
             assert np.max(np.abs(band - oracle)) <= 1e-15
 
@@ -269,7 +269,7 @@ class TestSeriesBookkeeping:
         spec = LatticeSpec(L=4, detector_index=3, initial_index=2)
         tau, n = 0.7, 400
         series = measured_evolution(spec, tau, n, bulk_guard=False)
-        u = step_propagator(spec, ModelKind.EXACT, tau).matrix
+        u = step_propagator(spec, ModelKind.EXACT, tau)
         phi = initial_state(spec)
         for _ in range(n):
             phi = u @ phi

@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from qreset import (
-    EvolutionOperator,
     ExpmScalingError,
     LatticeSpec,
     ModelKind,
     build_hamiltonian,
-    build_model1_heff,
-    build_model2_heff,
-    build_tb_hamiltonian,
     initial_state,
     propagator,
     step_propagator,
@@ -51,11 +47,11 @@ class TestLatticeSpec:
 class TestTightBinding:
     def test_two_sites(self):
         spec = LatticeSpec(L=2, detector_index=2, initial_index=1)
-        assert np.array_equal(build_tb_hamiltonian(spec), [[0, 1], [1, 0]])
+        assert np.array_equal(build_hamiltonian(spec, ModelKind.EXACT), [[0, 1], [1, 0]])
 
     def test_four_sites_open_boundary(self):
         spec = LatticeSpec(L=4, detector_index=2, initial_index=1)
-        h = build_tb_hamiltonian(spec)
+        h = build_hamiltonian(spec, ModelKind.EXACT)
         expected = np.zeros((4, 4))
         for j in range(3):
             expected[j, j + 1] = expected[j + 1, j] = 1.0
@@ -64,7 +60,7 @@ class TestTightBinding:
 
     def test_spectrum_matches_open_chain_closed_form(self):
         spec = LatticeSpec(L=500, detector_index=260, initial_index=250)
-        h = build_tb_hamiltonian(spec)
+        h = build_hamiltonian(spec, ModelKind.EXACT)
         eigs = np.sort(np.linalg.eigvalsh(h))
         k = np.arange(1, 501)
         expected = np.sort(2.0 * np.cos(k * np.pi / 501.0))
@@ -74,7 +70,7 @@ class TestTightBinding:
 class TestModel1:
     def test_hand_expanded_four_site_example(self):
         spec = LatticeSpec(L=4, detector_index=2, initial_index=1)
-        m = build_model1_heff(spec, tau=0.5)
+        m = build_hamiltonian(spec, ModelKind.MODEL1, 0.5)
         expected = np.zeros((4, 4), dtype=np.complex128)
         expected[2, 3] = expected[3, 2] = 1.0
         expected[0, 2] = expected[2, 0] = -0.25j
@@ -84,7 +80,7 @@ class TestModel1:
     def test_small_tau_limit_is_detector_decoupled_hopping(self):
         spec = LatticeSpec(L=10, detector_index=5, initial_index=3)
         tau = 1e-3
-        m = build_model1_heff(spec, tau)
+        m = build_hamiltonian(spec, ModelKind.MODEL1, tau)
         h_s = np.zeros((10, 10))
         for j in range(9):
             if j in (3, 4):  # bonds (4,5) and (5,6), 1-based
@@ -96,7 +92,7 @@ class TestModel1:
     def test_dissipator_eigenvalues_are_zero_and_tau(self):
         spec = LatticeSpec(L=12, detector_index=6, initial_index=3)
         tau = 0.8
-        m = build_model1_heff(spec, tau)
+        m = build_hamiltonian(spec, ModelKind.MODEL1, tau)
         dissipator = (m - m.conj().T) / (-2j)  # PSD loss operator
         eigs = np.sort(np.linalg.eigvalsh(dissipator))
         assert np.max(np.abs(eigs[:-1])) < 1e-14
@@ -106,23 +102,23 @@ class TestModel1:
     def test_edge_detector_rejected(self, s):
         spec = LatticeSpec(L=6, detector_index=s, initial_index=3)
         with pytest.raises(ValueError):
-            build_model1_heff(spec, tau=0.5)
+            build_hamiltonian(spec, ModelKind.MODEL1, 0.5)
 
     def test_nonpositive_tau_rejected(self):
         spec = LatticeSpec(L=6, detector_index=3, initial_index=2)
         with pytest.raises(ValueError):
-            build_model1_heff(spec, tau=0.0)
+            build_hamiltonian(spec, ModelKind.MODEL1, 0.0)
 
 
 class TestModel2:
     def test_two_site_example(self):
         spec = LatticeSpec(L=2, detector_index=2, initial_index=1)
-        m = build_model2_heff(spec, tau=1.0)
+        m = build_hamiltonian(spec, ModelKind.MODEL2, 1.0)
         assert np.array_equal(m, np.array([[0, 1], [1, -2j]], dtype=np.complex128))
 
     def test_single_absorbing_diagonal_entry(self):
         spec = LatticeSpec(L=500, detector_index=260, initial_index=250)
-        m = build_model2_heff(spec, tau=0.25)
+        m = build_hamiltonian(spec, ModelKind.MODEL2, 0.25)
         diag = np.diag(m)
         assert diag[259] == -8j
         assert np.count_nonzero(diag) == 1
@@ -130,15 +126,15 @@ class TestModel2:
     def test_nonpositive_tau_rejected(self):
         spec = LatticeSpec(L=6, detector_index=3, initial_index=2)
         with pytest.raises(ValueError):
-            build_model2_heff(spec, tau=-0.1)
+            build_hamiltonian(spec, ModelKind.MODEL2, -0.1)
 
 
 class TestBuildHamiltonianDispatch:
     def test_exact_ignores_tau(self):
         spec = LatticeSpec(L=6, detector_index=4, initial_index=2)
         assert np.array_equal(
+            build_hamiltonian(spec, ModelKind.EXACT, tau=0.5),
             build_hamiltonian(spec, ModelKind.EXACT),
-            build_tb_hamiltonian(spec),
         )
 
     @pytest.mark.parametrize("kind", [ModelKind.MODEL1, ModelKind.MODEL2])
@@ -152,75 +148,74 @@ class TestPropagator:
     def test_single_bond_closed_form(self):
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
         t = 0.7
-        op = propagator(m, t, hermitian=True)
+        u = propagator(m, t, hermitian=True)
         expected = np.array(
             [[np.cos(t), -1j * np.sin(t)], [-1j * np.sin(t), np.cos(t)]]
         )
-        assert np.max(np.abs(op.matrix - expected)) < 1e-12
-        assert op.is_unitary
+        assert np.max(np.abs(u - expected)) < 1e-12
 
     def test_pade_path_matches_closed_form(self):
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
         t = 0.7
-        op = propagator(m, t, hermitian=False)
+        u = propagator(m, t, hermitian=False)
         expected = np.array(
             [[np.cos(t), -1j * np.sin(t)], [-1j * np.sin(t), np.cos(t)]]
         )
-        assert np.max(np.abs(op.matrix - expected)) < 1e-12
+        assert np.max(np.abs(u - expected)) < 1e-12
 
     @pytest.mark.parametrize("hermitian", [True, False])
     def test_zero_time_limit_is_identity(self, hermitian):
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        op = propagator(m, 1e-14, hermitian=hermitian)
-        assert np.max(np.abs(op.matrix - np.eye(2))) < 1e-12
+        u = propagator(m, 1e-14, hermitian=hermitian)
+        assert np.max(np.abs(u - np.eye(2))) < 1e-12
 
     def test_model2_matches_taylor_oracle(self):
         spec = LatticeSpec(L=6, detector_index=4, initial_index=3)
         tau = 0.5
-        m = build_model2_heff(spec, tau)
-        op = propagator(m, 0.5, hermitian=False, kind=ModelKind.MODEL2, tau=tau)
-        assert np.max(np.abs(op.matrix - taylor_expm(m, 0.5))) < 1e-10
+        m = build_hamiltonian(spec, ModelKind.MODEL2, tau)
+        u = propagator(m, 0.5, hermitian=False)
+        assert np.max(np.abs(u - taylor_expm(m, 0.5))) < 1e-10
 
     def test_model1_matches_taylor_oracle(self):
         spec = LatticeSpec(L=6, detector_index=3, initial_index=5)
         tau = 0.5
-        m = build_model1_heff(spec, tau)
-        op = propagator(m, 1.3, hermitian=False, kind=ModelKind.MODEL1, tau=tau)
-        assert np.max(np.abs(op.matrix - taylor_expm(m, 1.3))) < 1e-10
+        m = build_hamiltonian(spec, ModelKind.MODEL1, tau)
+        u = propagator(m, 1.3, hermitian=False)
+        assert np.max(np.abs(u - taylor_expm(m, 1.3))) < 1e-10
 
     def test_hermitian_path_rejects_non_hermitian_input(self):
         spec = LatticeSpec(L=6, detector_index=4, initial_index=3)
-        m = build_model2_heff(spec, tau=0.5)
+        m = build_hamiltonian(spec, ModelKind.MODEL2, 0.5)
         with pytest.raises(ValueError):
             propagator(m, 1.0, hermitian=True)
 
     def test_unitarity_of_hermitian_propagator(self):
         spec = LatticeSpec(L=20, detector_index=14, initial_index=10)
-        h = build_tb_hamiltonian(spec)
-        u = propagator(h, 0.3, hermitian=True).matrix
+        h = build_hamiltonian(spec, ModelKind.EXACT)
+        u = propagator(h, 0.3, hermitian=True)
         assert np.max(np.abs(u.conj().T @ u - np.eye(20))) <= 1e-12
 
     @pytest.mark.parametrize("kind", [ModelKind.MODEL1, ModelKind.MODEL2])
     def test_effective_propagators_never_amplify(self, kind):
         spec = LatticeSpec(L=20, detector_index=14, initial_index=10)
         m = build_hamiltonian(spec, kind, tau=0.5)
-        op = propagator(m, 2.0, hermitian=False, kind=kind, tau=0.5)
-        assert np.max(np.linalg.svd(op.matrix, compute_uv=False)) <= 1.0 + 1e-10
+        u = propagator(m, 2.0, hermitian=False)
+        assert np.max(np.linalg.svd(u, compute_uv=False)) <= 1.0 + 1e-10
 
     def test_semigroup_property_hermitian(self):
         spec = LatticeSpec(L=12, detector_index=8, initial_index=4)
-        h = build_tb_hamiltonian(spec)
-        u1 = propagator(h, 0.4, hermitian=True).matrix
-        u2 = propagator(h, 1.1, hermitian=True).matrix
-        u12 = propagator(h, 1.5, hermitian=True).matrix
+        h = build_hamiltonian(spec, ModelKind.EXACT)
+        u1 = propagator(h, 0.4, hermitian=True)
+        u2 = propagator(h, 1.1, hermitian=True)
+        u12 = propagator(h, 1.5, hermitian=True)
         assert np.max(np.abs(u1 @ u2 - u12)) < 1e-10
 
     def test_semigroup_property_pade(self):
         spec = LatticeSpec(L=12, detector_index=8, initial_index=4)
-        m = build_model2_heff(spec, tau=0.5)
-        u1 = propagator(m, 0.4, hermitian=False).matrix
-        u2 = propagator(m, 1.1, hermitian=False).matrix
-        u12 = propagator(m, 1.5, hermitian=False).matrix
+        m = build_hamiltonian(spec, ModelKind.MODEL2, 0.5)
+        u1 = propagator(m, 0.4, hermitian=False)
+        u2 = propagator(m, 1.1, hermitian=False)
+        u12 = propagator(m, 1.5, hermitian=False)
         assert np.max(np.abs(u1 @ u2 - u12)) < 1e-10
 
     def test_scaling_cap_reported(self):
@@ -235,9 +230,9 @@ class TestPropagator:
 
     def test_result_matrix_is_read_only(self):
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        op = propagator(m, 0.5, hermitian=True)
+        u = propagator(m, 0.5, hermitian=True)
         with pytest.raises(ValueError):
-            op.matrix[0, 0] = 1.0
+            u[0, 0] = 1.0
 
 
 class TestStepPropagator:
@@ -247,10 +242,9 @@ class TestStepPropagator:
         b = step_propagator(spec, ModelKind.MODEL2, 0.5)
         assert a is b
         direct = propagator(
-            build_model2_heff(spec, 0.5), 0.5, hermitian=False,
-            kind=ModelKind.MODEL2, tau=0.5,
+            build_hamiltonian(spec, ModelKind.MODEL2, 0.5), 0.5, hermitian=False
         )
-        assert np.array_equal(a.matrix, direct.matrix)
+        assert np.array_equal(a, direct)
 
     def test_cache_is_bounded(self):
         spec = LatticeSpec(L=10, detector_index=6, initial_index=5)
@@ -261,7 +255,6 @@ class TestStepPropagator:
 
     def test_exact_step_is_unitary_operator(self):
         spec = LatticeSpec(L=10, detector_index=6, initial_index=5)
-        op = step_propagator(spec, ModelKind.EXACT, 0.3)
-        assert isinstance(op, EvolutionOperator)
-        assert op.is_unitary
-        assert op.dt == 0.3
+        u = step_propagator(spec, ModelKind.EXACT, 0.3)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(10))) <= 1e-12
+        assert not u.flags.writeable

@@ -33,7 +33,7 @@ class TestUnitarity:
     @given(tau=st.floats(min_value=0.05, max_value=2.0), data=st.data())
     def test_free_step_is_unitary(self, tau, data):
         spec = draw_spec(data)
-        u = step_propagator(spec, ModelKind.EXACT, tau).matrix
+        u = step_propagator(spec, ModelKind.EXACT, tau)
         gap = np.max(np.abs(u.conj().T @ u - np.eye(spec.L)))
         assert gap <= 1e-12
 
@@ -86,9 +86,9 @@ class TestSemigroup:
     def test_hermitian_path_composes(self, t1, t2, data):
         spec = draw_spec(data, half_l_min=2, half_l_max=8)
         h = build_hamiltonian(spec, ModelKind.EXACT)
-        u1 = propagator(h, t1, hermitian=True).matrix
-        u2 = propagator(h, t2, hermitian=True).matrix
-        u12 = propagator(h, t1 + t2, hermitian=True).matrix
+        u1 = propagator(h, t1, hermitian=True)
+        u2 = propagator(h, t2, hermitian=True)
+        u12 = propagator(h, t1 + t2, hermitian=True)
         assert np.max(np.abs(u1 @ u2 - u12)) <= 1e-10
 
     @settings(max_examples=15, deadline=None)
@@ -101,10 +101,9 @@ class TestSemigroup:
     def test_pade_path_composes(self, t1, t2, tau, data):
         spec = draw_spec(data, half_l_min=2, half_l_max=8)
         h = build_hamiltonian(spec, ModelKind.MODEL2, tau=tau)
-        kw = dict(hermitian=False, kind=ModelKind.MODEL2, tau=tau)
-        u1 = propagator(h, t1, **kw).matrix
-        u2 = propagator(h, t2, **kw).matrix
-        u12 = propagator(h, t1 + t2, **kw).matrix
+        u1 = propagator(h, t1, hermitian=False)
+        u2 = propagator(h, t2, hermitian=False)
+        u12 = propagator(h, t1 + t2, hermitian=False)
         assert np.max(np.abs(u1 @ u2 - u12)) <= 1e-10
 
 

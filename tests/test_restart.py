@@ -9,17 +9,16 @@ from qreset import (
     ModelKind,
     NeverDetectedError,
     RestartSpec,
-    build_model2_heff,
-    build_reset_heff,
+    build_hamiltonian,
     measured_evolution,
     mfdt,
-    mfdt_direct,
     nh_survival_series,
     propagator,
     reset_survival,
     restart_pmf,
-    run_restart,
 )
+
+from conftest import build_reset_heff, mfdt_direct
 
 
 TWO_SITE = LatticeSpec(L=2, detector_index=2, initial_index=1)
@@ -167,12 +166,12 @@ class TestEffectiveTheoryUnderRestart:
 
 class TestResetGenerator:
     def test_zero_rate_or_zero_windows_is_identity(self):
-        h = build_model2_heff(TWO_SITE, 0.5)
+        h = build_hamiltonian(TWO_SITE, ModelKind.MODEL2, 0.5)
         assert np.array_equal(build_reset_heff(h, 0.0, 4, 2.0), h.astype(np.complex128))
         assert np.array_equal(build_reset_heff(h, 0.3, 0, 2.0), h.astype(np.complex128))
 
     def test_invalid_args(self):
-        h = build_model2_heff(TWO_SITE, 0.5)
+        h = build_hamiltonian(TWO_SITE, ModelKind.MODEL2, 0.5)
         with pytest.raises(ValueError):
             build_reset_heff(h, 0.3, 2, 0.0)
         with pytest.raises(ValueError):
@@ -184,34 +183,17 @@ class TestResetGenerator:
         # Adding -i R alpha / (2 t) on the diagonal multiplies the
         # t-propagator by exp(-alpha R / 2), i.e. survival by exp(-alpha R).
         spec = LatticeSpec(L=6, detector_index=4, initial_index=3)
-        h = build_model2_heff(spec, 0.5)
+        h = build_hamiltonian(spec, ModelKind.MODEL2, 0.5)
         t, alpha, windows = 1.7, 0.3, 3
-        bare = propagator(h, t, hermitian=False, kind=ModelKind.MODEL2, tau=0.5).matrix
-        damped = propagator(
-            build_reset_heff(h, alpha, windows, t),
-            t,
-            hermitian=False,
-            kind=ModelKind.MODEL2,
-            tau=0.5,
-        ).matrix
+        bare = propagator(h, t, hermitian=False)
+        damped = propagator(build_reset_heff(h, alpha, windows, t), t, hermitian=False)
         assert np.max(np.abs(damped - bare * np.exp(-alpha * windows / 2))) <= 1e-10
 
 
-class TestRestartSpecAndBundle:
+class TestRestartSpec:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             RestartSpec(r=0, tau=0.5)
         with pytest.raises(ValueError):
             RestartSpec(r=3, tau=0.0)
         assert RestartSpec(r=4, tau=0.25).t_r == pytest.approx(1.0)
-
-    def test_bundle_fields_are_consistent(self):
-        spec = LatticeSpec(L=16, detector_index=12, initial_index=8)
-        base = measured_evolution(spec, 0.7, 30, bulk_guard=False)
-        result = run_restart(base, 6, 30)
-        assert result.spec.r == 6
-        assert result.pmf.shape == (30,)
-        assert result.survival_trajectory.shape == (30,)
-        assert abs(result.pdet_window - base.Pdet[5]) < 1e-15
-        assert abs(result.mfdt - mfdt(base, 6, 0.7)) < 1e-15
-        assert np.max(np.abs(result.pmf - restart_pmf(base, 6, 30))) < 1e-15
