@@ -504,8 +504,10 @@ def sweep(
     results and failures are collected in value order, so output is
     deterministic under any schedule.  Failures go to ``errors.log`` in
     ``out_dir``, one line per failed value; completed artifacts stay.
-    Files carry each value's ``%g`` tag (``_tau0.25``); distinct values
-    sharing a tag would overwrite each other, so they are a ConfigError.
+    Files carry each value's ``%g`` tag (``_tau0.25``); a repeated value
+    would run twice and write its file twice, and distinct values sharing
+    a tag would overwrite each other, so both are a ConfigError, raised
+    before any grid point runs.
     """
     if axis not in ("tau", "t_r"):
         raise ValueError(f"sweep axis must be 'tau' or 't_r', got {axis!r}")
@@ -517,11 +519,15 @@ def sweep(
     prefix = "_tau" if axis == "tau" else "_tr"
     tags: dict[str, float] = {}
     for value in values:
-        other = tags.setdefault(f"{prefix}{value:g}", value)
-        if other != value:
+        tag = f"{prefix}{value:g}"
+        if tag not in tags:
+            tags[tag] = value
+        elif tags[tag] == value:
+            raise ConfigError(f"sweep value {value!r} is repeated")
+        else:
             raise ConfigError(
-                f"sweep values {other!r} and {value!r} share the file tag "
-                f"{prefix}{value:g}; they differ beyond 6 significant digits"
+                f"sweep values {tags[tag]!r} and {value!r} share the file tag "
+                f"{tag}; they differ beyond 6 significant digits"
             )
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)

@@ -431,6 +431,23 @@ class TestSweepSemantics:
         assert "0.1000001" in err and "0.1000002" in err
         assert list(tmp_path.rglob("*.csv")) == []
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_repeated_value_rejected_before_any_run(
+        self, tmp_path, capsys, monkeypatch, workers
+    ):
+        calls = []
+        monkeypatch.setattr(
+            qreset.cli, "run_experiment", lambda *args, **kw: calls.append(args)
+        )
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL + "tau = 0.25\nhorizon = 2.0\ntau_sweep = 0.5, 0.25, 0.25\n")
+        out = tmp_path / "out"
+        code = main(["pdet", "--config", str(cfg), "--out", str(out), "--workers", workers])
+        assert code == 1
+        assert "sweep value 0.25 is repeated" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_sweep_rejects_unknown_axis(self):
         config = RunConfig(tau=0.5, L=20, detector_index=14, initial_index=10)
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Projective measurement dynamics, renewal recursion, and the dissipative series."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,6 +163,29 @@ class TestBandedDissipativeStep:
                 phi = a @ phi
                 dense[k] = np.vdot(phi, phi).real
             assert np.max(np.abs(series.P / dense - 1.0)) <= 1e-12
+
+    # Long runs past the bulk guard, so the light-cone window widens to
+    # both chain edges and the state reflects off them, from the edge
+    # sites, the middle, and either side of a block boundary.
+    @pytest.mark.parametrize("L,tau,n", [(200, 0.05, 4000), (200, 0.25, 1500), (60, 1.0, 400)])
+    def test_window_matches_dense_step_loop_through_reflections(self, L, tau, n):
+        spec = default_geometry(L)
+        for kind in (ModelKind.MODEL1, ModelKind.MODEL2):
+            b = dynamics._step_band(spec, kind, tau).shape[1]
+            # Sites k b and k b + 1 end one block of b sites and start the next.
+            k = max(1, L // (3 * b))
+            starts = sorted({1, L // 2, L, k * b, k * b + 1})
+            a = step_propagator(spec, kind, tau)
+            phi = np.zeros((L, len(starts)), dtype=np.complex128)
+            phi[np.array(starts) - 1, np.arange(len(starts))] = 1.0
+            dense = np.empty((n, len(starts)))
+            for m in range(n):
+                phi = a @ phi
+                dense[m] = np.sum(np.abs(phi) ** 2, axis=0)
+            for col, start in enumerate(starts):
+                moved = replace(spec, initial_index=start)
+                series = nh_survival_series(moved, kind, tau, n, bulk_guard=False)
+                assert np.max(np.abs(series.P / dense[:, col] - 1.0)) <= 1e-12
 
     # (L, tau) of every shipped config and benchmark workload that runs a
     # dissipative model: the frequent-measurement pdet run at L = 1000
