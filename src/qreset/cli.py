@@ -16,7 +16,8 @@ output, rendered to 12 significant digits.  Sweeps fan grid points out
 to a thread pool; engine calls are pure, so results are merged back in
 value order and the output is byte-identical to a sequential run.
 
-Exit codes: 0 success, 1 validation error, 2 partial sweep failure.
+Exit codes: 0 success, 1 validation error or an unwritable output
+directory, 2 partial sweep failure.
 """
 
 from __future__ import annotations
@@ -250,9 +251,183 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(**kwargs)  # type: ignore[arg-type]
 
 
-# Rows rendered per string-formatting call; large enough that per-call
-# overhead vanishes, small enough that a block's text stays under 100 kB.
-_CHUNK_ROWS = 1024
+# Numeric cells render through one vectorised kernel that reproduces
+# f"{x:.12g}" byte for byte.  A cell is a 12-digit mantissa m and a decimal
+# exponent e, |x| = m * 10**(e - 11) to 12 digits (m = e = 0 for a zero).
+# The fast estimate is e = floor(log10|x|), y = |x| * 10**(11 - e) and
+# m = rint(y), with the power applied as two correctly rounded factors so
+# that no product overflows or underflows.  Four half-ulp roundings put y
+# within 4.4e-4 of its exact value while y < 1e12, so m is the correctly
+# rounded mantissa whenever frac(y) lies at least 1e-3 from 1/2,
+# 1e11 <= y, m < 1e12 and |x| >= 1e-300.  Every other cell (exact ties
+# among them) takes m and e from "%.11e" % |x|, the same correctly rounded
+# 12-digit conversion %.12g makes: about 0.14% of the cells of a
+# restarted-survival table.
+# 11 - e spans -297..335, so each half of it lies in -149..168.
+_POW10_LOW = -150
+_POW10 = np.array([float(f"1e{k}") for k in range(_POW10_LOW, 171)])
+
+
+def _mantissas(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """12-digit mantissas (float64) and decimal exponents of the cells ``x``."""
+    a = np.abs(x)
+    # Zeros are set apart below; the floor keeps log10 off them.
+    shift = 11 - np.floor(np.log10(np.maximum(a, 5e-324))).astype(np.intp)
+    half = shift >> 1
+    y = a * _POW10[half - _POW10_LOW] * _POW10[shift - half - _POW10_LOW]
+    m = np.rint(y)
+    certain = (
+        (np.abs(y - np.floor(y) - 0.5) >= 1e-3) & (y >= 1e11) & (m < 1e12) & (a >= 1e-300)
+    )
+    e = 11 - shift
+    zero = a == 0
+    e[zero] = 0
+    for i in np.flatnonzero(~(certain | zero)).tolist():
+        m[i], e[i] = _dtoa(a[i])
+    return m, e
+
+
+def _dtoa(value: float) -> tuple[int, int]:
+    """Mantissa and exponent of a cell the fast estimate leaves unsure."""
+    text = "%.11e" % value
+    return int(text[0] + text[2:13]), int(text[14:])
+
+
+# Each cell is laid out as a 40-byte record of five 8-byte words,
+#   "-0.000" + 2 pad | d.d.d.d. | d.d.d.d. | d.d.d.d. | "e+XXX" + separator + 2 pad,
+# the digits of m each followed by a dot, and a keep mask picks the bytes
+# of the cell's text out of it by %g's rules: fixed notation for
+# -4 <= e < 12, else d.ddde±XX; trailing zeros and a bare dot stripped.
+# The mask depends only on the notation (e for fixed notation, and for
+# exponential notation whether |e| >= 100), the number of significant
+# digits and the sign, so it comes from a table of 18 * 13 * 2 rows.
+_RECORD = 40
+_LEAD = np.frombuffer(b"-0.000\0\0", np.uint64)[0]
+_SEPARATOR = {
+    sep: np.frombuffer(b"\0" * 5 + sep + b"\0\0", np.uint64)[0] for sep in (b",", b"\n")
+}
+_E_LOW = -324  # exponent of the smallest subnormal; the largest float's is 308
+
+
+def _group_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Text of each 4-digit group with its dots, and its significant digits."""
+    digit = np.arange(10)
+    place = [digit.reshape(shape) for shape in ((10, 1, 1, 1), (10, 1, 1), (10, 1), (10,))]
+    text = np.full((10, 10, 10, 10, 8), ord("."), np.uint8)
+    for i, d in enumerate(place):
+        text[..., 2 * i] = d + ord("0")
+    # Up to the last nonzero digit; -8 for 0000, so that a zero group never
+    # sets a mantissa's digit count.
+    significant = np.full(text.shape[:-1], -8)
+    for i, d in enumerate(place):
+        significant = np.where(d != 0, i + 1, significant)
+    return text.view(np.uint64).ravel(), significant.ravel()
+
+
+def _exponent_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The exponent word of each e, and 2 * 13 * notation, the keep table's row offset."""
+    e = np.arange(_E_LOW, 309)
+    a = np.abs(e)
+    text = np.zeros((len(e), 8), np.uint8)
+    text[:, 0] = ord("e")
+    text[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    text[:, 2:5] = np.stack((a // 100, a // 10 % 10, a % 10), axis=1) + ord("0")
+    fixed = (e >= -4) & (e < 12)
+    notation = np.where(fixed, e + 4, np.where(a < 100, 16, 17))
+    return text.view(np.uint64).ravel(), 26 * notation
+
+
+def _keep_table() -> np.ndarray:
+    """Keep mask of a record for each row (13 * notation + digits) * 2 + negative."""
+    grid = np.meshgrid(np.arange(18), np.arange(13), (False, True), indexing="ij")
+    notation, digits, negative = (axis.ravel() for axis in grid)
+    fixed = notation < 16
+    e = np.where(fixed, notation - 4, 0)
+    below_one = fixed & (e < 0)
+    sci = ~fixed
+    j = np.arange(12)
+    keep = np.zeros((len(notation), _RECORD), bool)
+    keep[:, 0] = negative
+    keep[:, 1] = keep[:, 2] = below_one  # "0."
+    keep[:, 3] = below_one & (e <= -2)  # then -e - 1 zeros
+    keep[:, 4] = below_one & (e <= -3)
+    keep[:, 5] = below_one & (e <= -4)
+    # Significant digits, and in fixed notation every digit before the dot.
+    keep[:, 8:32:2] = (j < digits[:, None]) | (j <= np.where(fixed, e, 0)[:, None])
+    # The dot follows digit e (fixed) or digit 0 (exponential) when a
+    # significant digit comes after it; fixed notation below 1 has its own.
+    dot = np.where(fixed, np.where(e >= 0, e, -1), 0)[:, None]
+    keep[:, 9:32:2] = (j == dot) & (j + 1 < digits[:, None])
+    keep[:, 32] = keep[:, 33] = keep[:, 35] = keep[:, 36] = sci
+    keep[:, 34] = notation == 17  # a third exponent digit
+    keep[:, 37] = True  # separator
+    return keep.view(np.dtype((np.void, _RECORD))).ravel()
+
+
+_GROUP_TEXT, _GROUP_DIGITS = _group_tables()
+_EXPONENT_TEXT, _NOTATION_ROW = _exponent_tables()
+_KEEP = _keep_table()
+
+
+def _numeric_cells(x: np.ndarray, separators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Records and keep masks, each of shape (rows, columns, 40), of a float64 block."""
+    flat = x.ravel()
+    m, e = _mantissas(flat)
+    high = np.floor(m / 1e8)
+    rest = m - high * 1e8
+    mid = np.floor(rest / 1e4)
+    groups = [high.astype(np.intp), mid.astype(np.intp), (rest - mid * 1e4).astype(np.intp)]
+    words = np.empty((*x.shape, 5), np.uint64)
+    flat_words = words.reshape(-1, 5)
+    flat_words[:, 0] = _LEAD
+    for i, group in enumerate(groups):
+        flat_words[:, i + 1] = _GROUP_TEXT[group]
+    exponent = e - _E_LOW
+    words[..., 4] = _EXPONENT_TEXT[exponent].reshape(x.shape) | separators
+    digits = np.maximum(
+        np.maximum(_GROUP_DIGITS[groups[0]], _GROUP_DIGITS[groups[1]] + 4),
+        _GROUP_DIGITS[groups[2]] + 8,
+    )
+    row = _NOTATION_ROW[exponent] + 2 * digits + np.signbit(flat)
+    keep = _KEEP[row].view(bool).reshape(words.shape[:-1] + (_RECORD,))
+    return words.view(np.uint8), keep
+
+
+def _text_cells(cells: list[str], separator: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """UTF-8 text cells, each followed by its separator, and their keep mask."""
+    encoded = [cell.encode("utf-8") + separator for cell in cells]
+    lengths = np.array([len(b) for b in encoded])
+    chars = np.array(encoded, dtype=f"S{lengths.max()}").view(np.uint8).reshape(len(cells), -1)
+    return chars, np.arange(chars.shape[1]) < lengths[:, None]
+
+
+def _render_rows(numbers: np.ndarray, texts: dict[int, list[str]]) -> bytes:
+    """CSV text of a block: ``numbers`` holds the numeric columns in order,
+    ``texts`` the text columns by position."""
+    width = numbers.shape[1] + len(texts)
+    separator = [b"," if j < width - 1 else b"\n" for j in range(width)]
+    words = [_SEPARATOR[separator[j]] for j in range(width) if j not in texts]
+    chars, keep = _numeric_cells(numbers, np.array(words, np.uint64))
+    if texts:
+        columns = zip(chars.swapaxes(0, 1), keep.swapaxes(0, 1))
+        pieces = [
+            _text_cells(texts[j], separator[j]) if j in texts else next(columns)
+            for j in range(width)
+        ]
+        chars = np.concatenate([c for c, _ in pieces], axis=1)
+        keep = np.concatenate([k for _, k in pieces], axis=1)
+    return np.compress(keep.ravel(), chars.ravel()).tobytes()
+
+
+# Rows per kernel call.  The kernel's temporaries take about 180 bytes a
+# cell (2.3 MB for a block of three numeric columns), so memory stays
+# bounded whatever the table's length.  On three 200000-row survival
+# files rendered by two workers, 1024-row blocks ran 40% slower (the
+# per-call cost of the kernel's ~50 numpy operations) and 16384-row
+# blocks raised peak memory by 14 MB.  numpy drops the GIL inside those
+# operations, so the grid points of a ``--workers`` sweep render their
+# files concurrently.
+_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -260,15 +435,19 @@ class CsvArtifact:
     """One CSV file: header, rows, and the formatting contract.
 
     ``rows`` is a list of row tuples or a 2-D numeric array.  Numeric
-    cells render as 12-significant-digit decimals (``%.12g``, the same
-    text as ``f"{float(cell):.12g}"``) and text cells as they are; a
+    cells render as 12-significant-digit decimals, the same text as
+    ``f"{float(cell):.12g}"``, and text cells as their UTF-8 text; a
     column is text when its first cell is a ``str``.  When the first
     column is numeric it must increase strictly row to row, and every
     numeric value must be finite.  The whole table is checked before
-    anything is written; rows then stream, a block of ``_CHUNK_ROWS``
-    per formatting call, into a temporary file beside the target, which
-    replaces the target only once every block is out, so a failed or
-    killed write never leaves a partial CSV under the final name.
+    anything is written.  Rows then render, a block of ``_CHUNK_ROWS`` per
+    call, through the kernel above: numeric cells as ``float64`` (exactly
+    ``float(cell)``) by a float estimate of their 12 digits, with the
+    cells it cannot settle taken from ``"%.11e"``; text cells encoded
+    into the same byte matrix.  Blocks go to a temporary file beside the
+    target, which replaces the target only once every block is out, so
+    a failed or killed write never leaves a partial CSV under the final
+    name.
     """
 
     path: Path
@@ -276,24 +455,26 @@ class CsvArtifact:
     rows: list[tuple] | np.ndarray
 
     def write(self) -> Path:
-        table, template = self._checked_table()
+        numbers, texts = self._checked_columns()
         tmp = self.path.with_name(
             f".{self.path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
         )
         try:
-            with tmp.open("w", encoding="utf-8") as out:
-                out.write(",".join(self.header) + "\n")
-                for start in range(0, len(table), _CHUNK_ROWS):
-                    block = table[start : start + _CHUNK_ROWS]
-                    out.write(template * len(block) % tuple(block.ravel().tolist()))
+            with tmp.open("wb") as out:
+                out.write((",".join(self.header) + "\n").encode("utf-8"))
+                for start in range(0, len(numbers), _CHUNK_ROWS):
+                    stop = start + _CHUNK_ROWS
+                    block = {j: cells[start:stop] for j, cells in texts.items()}
+                    out.write(_render_rows(numbers[start:stop], block))
             os.replace(tmp, self.path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
         return self.path
 
-    def _checked_table(self) -> tuple[np.ndarray, str]:
-        """The rows as one 2-D array, validated, and the template of one row."""
+    def _checked_columns(self) -> tuple[np.ndarray, dict[int, list[str]]]:
+        """The numeric columns as one float64 array and the text columns by
+        position, validated."""
         name, width, rows = self.path.name, len(self.header), self.rows
         # A numeric array is used as it is; row tuples become an object table,
         # whose cells keep their types (text stays text).
@@ -308,15 +489,17 @@ class CsvArtifact:
             table = table.reshape(len(rows), width)
         first = table[0].tolist() if len(table) else [None] * width
         text = [isinstance(cell, str) for cell in first]
-        for j in range(width):
-            column = table[:, j]
-            if table.dtype == object and any(
-                isinstance(cell, str) != text[j] for cell in column
-            ):
-                raise ValueError(f"{name}: column {self.header[j]} mixes text and numbers")
-            if text[j]:
-                continue
-            values = column.astype(np.float64, copy=False)
+        if table.dtype == object:
+            for j in range(width):
+                if any(isinstance(cell, str) != text[j] for cell in table[:, j]):
+                    raise ValueError(
+                        f"{name}: column {self.header[j]} mixes text and numbers"
+                    )
+        numeric = [j for j in range(width) if not text[j]]
+        numbers = (table if len(numeric) == width else table[:, numeric]).astype(
+            np.float64, copy=False
+        )
+        for values, j in zip(numbers.T, numeric):
             bad = np.flatnonzero(~np.isfinite(values))
             if len(bad):
                 i = bad[0]
@@ -331,8 +514,7 @@ class CsvArtifact:
                         f"{name}: first column must increase strictly "
                         f"({values[i + 1]} after {values[i]}, row {i + 2})"
                     )
-        template = ",".join("%s" if t else "%.12g" for t in text) + "\n"
-        return table, template
+        return numbers, {j: table[:, j].tolist() for j in range(width) if text[j]}
 
 
 def _stem(config: RunConfig, default: str, tag: str) -> str:
@@ -637,6 +819,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (QresetError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except OSError as err:
+        # Creating the output directory, or a single run's write; a sweep
+        # records its grid points' write errors in errors.log instead.
+        print(f"error: cannot write to {args.out}: {err}", file=sys.stderr)
         return 1
 
 

@@ -9,11 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import qreset
 from qreset import ConfigError, ModelKind, dynamics, step_propagator
 from qreset.cli import (
     _CHUNK_ROWS,
+    _render_rows,
     CsvArtifact,
     RunConfig,
     main,
@@ -213,6 +216,7 @@ class TestCsvArtifact:
     @pytest.mark.parametrize(
         "n_rows",
         [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1],
+        ids=["block-1", "block", "block+1", "2block+1"],
     )
     def test_chunked_rendering_matches_per_cell_formatting(self, tmp_path, n_rows):
         header = ("T", "hostile", "noise")
@@ -262,6 +266,72 @@ class TestCsvArtifact:
             CsvArtifact(target, ("T", "v"), rows).write()
         assert target.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+
+def render_column(values):
+    """The kernel's text for ``values`` as one numeric column, one cell a line."""
+    column = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    return _render_rows(column, {}).decode("utf-8").splitlines()
+
+
+def with_neighbours(values):
+    """Each value with the floats one ulp below and above it."""
+    return [w for v in values for w in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))]
+
+
+class TestNumericKernel:
+    """The vectorised cell kernel against Python's own ``%.12g``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+    def test_finite_floats(self, values):
+        assert render_column(values) == [f"{v:.12g}" for v in values]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_raw_bit_patterns(self, words):
+        values = np.array(words, dtype=np.uint64).view(np.float64)
+        values = values[np.isfinite(values)]
+        assume(len(values))
+        assert render_column(values) == [f"{v:.12g}" for v in values.tolist()]
+
+    # Subnormals, zeros, the float range's ends, 13-digit ties (half-even),
+    # the notation switches at 1e-5, 1e-4, 1e12 and 1e16, and the carry of
+    # 9.99999999999|5 into 10.
+    EDGES = [
+        5e-324, -5e-324, 2.225073858507201e-308, 1e-310, 1e-300,
+        0.0, -0.0,
+        1.7976931348623157e308, -1.7976931348623157e308,
+        1234567890125.0, 1234567890135.0, 0.1234567890125,
+    ] + with_neighbours([1e-5, 1e-4, 1e12, 1e16, 9.999999999995, 999999999999.5])
+
+    def test_edge_cells(self):
+        values = [float(v) for v in self.EDGES]
+        text = render_column(values)
+        assert text == [f"{v:.12g}" for v in values]
+        assert "10" in text and "1e+12" in text
+
+    def test_ints_and_float32_render_as_float_of_the_cell(self, tmp_path):
+        cells = [7, -3, 2**60 + 1, 2**70, np.int64(-3), np.float32(0.1), np.float32(3.4e38), True]
+        rows = [(i, cell) for i, cell in enumerate(cells)]
+        text = CsvArtifact(tmp_path / "c.csv", ("i", "v"), rows).write().read_text("utf-8")
+        assert text.splitlines()[1:] == [f"{i},{float(c):.12g}" for i, c in rows]
+
+    @pytest.mark.parametrize("rows", [[], np.empty((0, 2))], ids=["tuples", "array"])
+    def test_header_only_table(self, tmp_path, rows):
+        path = CsvArtifact(tmp_path / "h.csv", ("T", "v"), rows).write()
+        assert path.read_bytes() == b"T,v\n"
+
+    def test_unsure_cells_take_the_dtoa_branch(self, monkeypatch):
+        # 1234567890125 * 10**-1 is a tie the float estimate cannot settle;
+        # one ulp below 1e-4 rounds up to the next decade (and to fixed
+        # notation); 0.5 is settled by the estimate.
+        calls = []
+        dtoa = qreset.cli._dtoa
+        monkeypatch.setattr(qreset.cli, "_dtoa", lambda v: calls.append(v) or dtoa(v))
+        below = float(np.nextafter(1e-4, 0.0))
+        assert render_column([1234567890125.0, 0.5, below]) == ["1.23456789012e+12", "0.5", "0.0001"]
+        assert calls == [1234567890125.0, below]
 
 
 class TestRecipes:
@@ -486,6 +556,24 @@ class TestMainErrorPaths:
         err = capsys.readouterr().err
         assert "chain edge" in err
         assert "bulk_guard" not in err
+
+    @pytest.mark.parametrize("sweep", [[], ["--sweep-tau", "0.25"]], ids=["single", "sweep"])
+    def test_output_directory_that_is_a_file(self, tmp_path, capsys, sweep):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL + "tau = 0.25\nhorizon = 2.0\n")
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main(["pdet", "--config", str(cfg), "--out", str(out), *sweep])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write to {out}: ")
+
+    def test_single_run_write_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL + "tau = 0.25\nhorizon = 2.0\n")
+        (tmp_path / "pdet.csv").mkdir()  # the target name is taken by a directory
+        assert main(["pdet", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write to {tmp_path}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pdet.csv", "run.cfg"]
 
     def test_run_experiment_rejects_unknown_recipe(self, tmp_path):
         config = RunConfig(tau=0.5, L=20, detector_index=14, initial_index=10)
