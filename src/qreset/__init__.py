@@ -13,7 +13,6 @@ its config parser, artifact writer and sweep runner stay in
 """
 
 from .analysis import (
-    AlphaResult,
     FitResult,
     OptimalTr,
     alpha,
@@ -47,7 +46,7 @@ from .lattice import (
     propagator,
     step_propagator,
 )
-from .restart import RestartSpec, mfdt, reset_pdet, reset_survival, restart_pmf
+from .restart import mfdt, reset_pdet, reset_survival, restart_pmf
 
 __version__ = "0.1.0"
 
@@ -67,13 +66,11 @@ __all__ = [
     "renewal_amplitudes",
     "nh_survival_series",
     # restart
-    "RestartSpec",
     "restart_pmf",
     "mfdt",
     "reset_survival",
     "reset_pdet",
     # analysis
-    "AlphaResult",
     "OptimalTr",
     "FitResult",
     "alpha",

@@ -21,10 +21,9 @@ from .dynamics import measured_evolution, nh_survival_series
 from .errors import InstantAbsorptionError, NeverDetectedError, QresetError
 # Unused here, but perfbench/tracing.py:137-138 wraps these two names on this module.
 from .lattice import LatticeSpec, ModelKind, build_hamiltonian, propagator  # noqa: F401
-from .restart import RestartSpec, mfdt
+from .restart import mfdt
 
 __all__ = [
-    "AlphaResult",
     "OptimalTr",
     "FitResult",
     "alpha",
@@ -34,16 +33,6 @@ __all__ = [
     "delta_p_r",
     "fit_exponential",
 ]
-
-
-@dataclass(frozen=True)
-class AlphaResult:
-    """Decay weight of one restart window under a dissipative generator."""
-
-    t_r: float
-    alpha: float
-    T_s: float
-    kind: ModelKind
 
 
 @dataclass(frozen=True)
@@ -60,7 +49,17 @@ class FitResult(NamedTuple):
     residual: float
 
 
-def _decay_weight(kind: ModelKind, t_r: float, p_eff: float) -> AlphaResult:
+def _period_grid(r_grid: Sequence[int], tau: float) -> tuple[list[int], np.ndarray]:
+    """Checked restart periods and their window lengths ``r tau``."""
+    r_values = [int(r) for r in r_grid]
+    if not r_values:
+        raise ValueError("restart-period grid is empty")
+    if any(r < 1 for r in r_values):
+        raise ValueError("restart periods must be at least 1")
+    return r_values, np.asarray([r * tau for r in r_values], dtype=np.float64)
+
+
+def _decay_weight(p_eff: float, t_r: float) -> float:
     """Checked ``-ln P_eff`` for one window of length ``t_r``.
 
     A norm above one signals a numerically broken propagation; a norm at
@@ -75,21 +74,20 @@ def _decay_weight(kind: ModelKind, t_r: float, p_eff: float) -> AlphaResult:
         raise InstantAbsorptionError(
             f"window survival vanished at t_r={t_r}; decay weight diverges"
         )
-    a = -math.log(p_eff)
-    t_s = math.inf if a == 0.0 else t_r / a
-    return AlphaResult(t_r=t_r, alpha=a, T_s=t_s, kind=kind)
+    return -math.log(p_eff)
 
 
-def alpha(kind: ModelKind, spec: LatticeSpec, tau: float, t_r: float) -> AlphaResult:
-    """Window decay weight ``-ln P_eff(t_r)`` read off the stepped series.
+def alpha(kind: ModelKind, spec: LatticeSpec, tau: float, r: int) -> float:
+    """Decay weight ``-ln P_r`` of a restart window of ``r`` measurements.
 
-    ``P_eff`` is ``P_r`` of the dissipative survival series stepped at
-    ``tau``, with ``r = t_r / tau``; a ``t_r`` off that grid is a
-    ``ValueError``.  The bulk guard is not applied.
+    ``P_r`` is entry ``r`` of the dissipative survival series stepped at
+    ``tau``, the window survival over ``t_r = r tau``; the survival
+    timescale is ``t_r / alpha``.  The bulk guard is not applied.
     """
-    r = RestartSpec.from_time(t_r, tau).r
+    if r < 1:
+        raise ValueError(f"restart period must be at least 1, got r={r}")
     series = nh_survival_series(spec, kind, tau, r, bulk_guard=False)
-    return _decay_weight(kind, t_r, float(series.P[r - 1]))
+    return _decay_weight(float(series.P[r - 1]), r * tau)
 
 
 def survival_prediction(alpha_value: float, t_r: float, times: np.ndarray) -> np.ndarray:
@@ -101,28 +99,26 @@ def survival_prediction(alpha_value: float, t_r: float, times: np.ndarray) -> np
 
 
 def optimal_tr_nh(
-    kind: ModelKind, spec: LatticeSpec, tau: float, grid: Sequence[float]
+    kind: ModelKind, spec: LatticeSpec, tau: float, r_grid: Sequence[int]
 ) -> OptimalTr:
-    """Restart time minimizing ``-alpha / t_r`` over a grid.
+    """Restart period minimizing ``-alpha / t_r`` over a grid of periods.
 
     Minimizing ``-alpha / t_r`` maximizes the decay per unit time, the
-    dissipative stand-in for minimizing the mean detection time.  Grid
-    points where the window absorbs everything are skipped (their mean
-    detection time is not improved by information the model no longer
-    carries).  Ties resolve toward the smallest restart time.
+    dissipative stand-in for minimizing the mean detection time.  The
+    result's ``grid`` and ``t_star`` are window lengths ``r tau``, as in
+    :func:`optimal_tr_exact`.  Periods whose window absorbs everything
+    are skipped (their mean detection time is not improved by
+    information the model no longer carries).  Ties resolve toward the
+    shortest period.  The bulk guard is not applied.
     """
-    grid_arr = np.asarray(list(grid), dtype=np.float64)
-    if grid_arr.size == 0:
-        raise ValueError("restart-time grid is empty")
-    r_values = [RestartSpec.from_time(float(t_r), tau).r for t_r in grid_arr]
+    r_values, grid_arr = _period_grid(r_grid, tau)
     survival = nh_survival_series(spec, kind, tau, max(r_values), bulk_guard=False).P
     objective = np.full(grid_arr.size, np.nan)
     for i, (t_r, r) in enumerate(zip(grid_arr, r_values)):
         try:
-            res = _decay_weight(kind, float(t_r), float(survival[r - 1]))
+            objective[i] = -_decay_weight(float(survival[r - 1]), t_r) / t_r
         except InstantAbsorptionError:
             continue
-        objective[i] = -res.alpha / res.t_r
     if np.all(np.isnan(objective)):
         raise InstantAbsorptionError(
             "every grid point fully absorbs within one window"
@@ -144,13 +140,8 @@ def optimal_tr_exact(
     grid and evaluates the closed-form mean for each candidate.  Periods
     with no detection probability at all get an infinite mean.
     """
-    r_values = [int(r) for r in r_grid]
-    if not r_values:
-        raise ValueError("restart-period grid is empty")
-    if any(r < 1 for r in r_values):
-        raise ValueError("restart periods must be at least 1")
+    r_values, grid_arr = _period_grid(r_grid, tau)
     base = measured_evolution(spec, tau, max(r_values), bulk_guard=bulk_guard)
-    grid_arr = np.asarray([r * tau for r in r_values], dtype=np.float64)
     objective = np.empty(grid_arr.size)
     for i, r in enumerate(r_values):
         try:

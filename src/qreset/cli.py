@@ -35,10 +35,10 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import alpha, delta_p_r, optimal_tr_nh, survival_prediction
-from .dynamics import measured_evolution, nh_survival_series
+from .dynamics import _check_bulk_window, measured_evolution, nh_survival_series
 from .errors import ConfigError, QresetError
 from .lattice import LatticeSpec, ModelKind
-from .restart import RestartSpec, mfdt, reset_pdet, reset_survival
+from .restart import mfdt, reset_pdet, reset_survival
 
 __all__ = [
     "RECIPES",
@@ -73,8 +73,12 @@ class RunConfig:
 
     ``model`` selects which engines a recipe runs: a single engine name
     or ``all``.  ``r`` and ``t_r`` both describe the restart period and
-    are mutually exclusive; ``t_r`` must be a multiple of ``tau``.
-    ``horizon`` (a physical time) is folded into ``n_max`` during parsing.
+    are mutually exclusive.  The library takes restart periods as
+    measurement counts, and the CLI is the one place that turns a time
+    into one, so ``t_r`` must be a multiple of ``tau``; so must every
+    ``tr_sweep`` value, checked here unless ``tau_sweep`` varies ``tau``
+    (a pair off the grid then fails as its own grid point).  ``horizon``
+    (a physical time) is folded into ``n_max`` during parsing.
     """
 
     tau: float
@@ -115,6 +119,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must not be empty")
             if any(v <= 0 for v in values):
                 raise ConfigError(f"{name} values must be positive")
+        if self.tr_sweep is not None and self.tau_sweep is None:
+            for t_r in self.tr_sweep:
+                _restart_period(t_r, self.tau)
         try:
             self.lattice()
         except ValueError as err:
@@ -150,10 +157,17 @@ class RunConfig:
 
 
 def _restart_period(t_r: float, tau: float) -> int:
-    try:
-        return RestartSpec.from_time(t_r, tau).r
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    """Measurements in a restart window of length ``t_r``.
+
+    ``t_r / tau`` must be a whole number to a relative 1e-9.
+    """
+    ratio = t_r / tau
+    r = round(ratio) if math.isfinite(ratio) else 0
+    if r < 1 or abs(ratio - r) > 1e-9 * max(1.0, ratio):
+        raise ConfigError(
+            f"t_r={t_r:g} is not a positive integer multiple of tau={tau:g}"
+        )
+    return r
 
 
 def _as_int(key: str, text: str) -> int:
@@ -552,8 +566,8 @@ def _build_reset_survival(config: RunConfig, out_dir: Path, tag: str) -> list[Cs
     base = measured_evolution(spec, config.tau, r)
     trajectory = reset_survival(base, r, n)
     times = config.tau * np.arange(1, n + 1)
-    decay = alpha(ModelKind.MODEL2, spec, config.tau, r * config.tau)
-    predicted = survival_prediction(decay.alpha, decay.t_r, times)
+    decay = alpha(ModelKind.MODEL2, spec, config.tau, r)
+    predicted = survival_prediction(decay, r * config.tau, times)
     artifact = CsvArtifact(
         out_dir / f"{_stem(config, 'reset_survival', tag)}.csv",
         ("T", "P_exact", "P_nh_predicted"),
@@ -593,11 +607,13 @@ def _build_optimal_tr(config: RunConfig, out_dir: Path, tag: str) -> list[CsvArt
     if not kinds:
         raise ConfigError("optimal-tr needs a dissipative model: model1, model2, or all")
     spec = config.lattice()
+    r_values = [_restart_period(t_r, config.tau) for t_r in config.tr_sweep]
+    _check_bulk_window(spec, config.tau, max(r_values))
     stem = _stem(config, "optimal_tr", tag)
     artifacts = []
     summary_rows: list[tuple] = []
     for kind in kinds:
-        result = optimal_tr_nh(kind, spec, config.tau, config.tr_sweep)
+        result = optimal_tr_nh(kind, spec, config.tau, r_values)
         # Fully absorbed grid points carry no objective; leave them out.
         table = np.column_stack((result.grid, result.objective))
         artifact = CsvArtifact(
@@ -729,13 +745,18 @@ def sweep(
             except Exception as err:  # recorded per grid point, run continues
                 outcomes[i] = err
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
             futures = [pool.submit(one, value) for value in values]
             for i, future in enumerate(futures):
                 try:
                     outcomes[i] = future.result()
                 except Exception as err:
                     outcomes[i] = err
+        finally:
+            # On an interrupt the grid points not yet started are dropped
+            # rather than run to the end.
+            pool.shutdown(cancel_futures=True)
 
     artifacts: list[CsvArtifact] = []
     failures: list[str] = []

@@ -1,7 +1,10 @@
 """Sharp-restart statistics built on top of a no-restart detection series.
 
 The protocol resets the system to its initial state every ``r``
-measurements, conditional on non-detection.  Writing a measurement index
+measurements, conditional on non-detection, so a window lasts
+``t_r = r tau``.  Every routine here and in ``qreset.analysis`` takes the
+count ``r``; only the CLI reads restart times, and turns each into a count
+before calling in.  Writing a measurement index
 as ``n = r R + ntilde`` with ``R = (n-1) // r`` completed windows and
 ``ntilde = 1 + (n-1) % r`` inside the current one, everything factorizes
 over windows:
@@ -20,52 +23,17 @@ and ``build_reset_heff`` (the operator-level form), are in tests/conftest.py.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dynamics import DetectionSeries
 from .errors import NeverDetectedError
 
 __all__ = [
-    "RestartSpec",
     "restart_pmf",
     "mfdt",
     "reset_survival",
     "reset_pdet",
 ]
-
-
-@dataclass(frozen=True)
-class RestartSpec:
-    """Restart period: ``r`` measurements of length ``tau`` each."""
-
-    r: int
-    tau: float
-
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError(f"restart period must be at least 1, got r={self.r}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-
-    @classmethod
-    def from_time(cls, t_r: float, tau: float) -> "RestartSpec":
-        """Period whose window lasts ``t_r``, which must sit on the tau grid."""
-        if tau <= 0:
-            raise ValueError(f"tau must be positive, got {tau}")
-        ratio = t_r / tau
-        r = round(ratio) if math.isfinite(ratio) else 0
-        if r < 1 or abs(ratio - r) > 1e-9 * max(1.0, ratio):
-            raise ValueError(
-                f"t_r={t_r:g} is not a positive integer multiple of tau={tau:g}"
-            )
-        return cls(r=r, tau=tau)
-
-    @property
-    def t_r(self) -> float:
-        return self.r * self.tau
 
 
 def _window_split(n_max: int, r: int) -> tuple[np.ndarray, np.ndarray]:

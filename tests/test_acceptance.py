@@ -47,6 +47,8 @@ from conftest import build_reset_heff, mfdt_direct, record_acceptance
 OPERATING_POINT = LatticeSpec(L=500, detector_index=260, initial_index=250)
 OPERATING_TAU = 0.25
 SEED = 20260821
+# Restart periods of the optimum scans, t_r = 0.25 .. 15.
+R_GRID = range(1, 61)
 
 
 def report(criterion: int, passed: bool, detail: str) -> str:
@@ -64,15 +66,10 @@ def random_instance(rng, l_max=24):
 
 
 @pytest.fixture(scope="module")
-def tr_grid():
-    return [0.25 * k for k in range(1, 61)]
-
-
-@pytest.fixture(scope="module")
-def nh_scan(tr_grid):
-    """Window decay objective over the full restart-time grid, per model."""
+def nh_scan():
+    """Window decay objective over the full restart-period grid, per model."""
     return {
-        kind: optimal_tr_nh(kind, OPERATING_POINT, OPERATING_TAU, tr_grid)
+        kind: optimal_tr_nh(kind, OPERATING_POINT, OPERATING_TAU, R_GRID)
         for kind in (ModelKind.MODEL1, ModelKind.MODEL2)
     }
 
@@ -125,8 +122,8 @@ class TestAcceptance:
         report(3, ok, f"closed form vs truncated sum with tail, 50 instances, max rel gap {worst:.3e} (tol 1e-10)")
         assert ok
 
-    def test_4_optimal_restart_time_containment(self, tr_grid, nh_scan):
-        exact = optimal_tr_exact(OPERATING_POINT, OPERATING_TAU, range(1, 61))
+    def test_4_optimal_restart_time_containment(self, nh_scan):
+        exact = optimal_tr_exact(OPERATING_POINT, OPERATING_TAU, R_GRID)
         stars = {"exact": exact.t_star}
         for kind, result in nh_scan.items():
             stars[kind.value] = result.t_star
@@ -135,15 +132,15 @@ class TestAcceptance:
         report(4, ok, f"{detail}; required interval [6.0, 7.0]")
         assert ok
 
-    def test_5_survival_timescale_prediction(self, tr_grid, nh_scan):
+    def test_5_survival_timescale_prediction(self, nh_scan):
         arrival = abs(OPERATING_POINT.detector_index - OPERATING_POINT.initial_index) / FRONT_SPEED
         parts = []
         ok = True
         fit_gap = 0.0
         under = []
         for t_r in (2.5, 5.0, 10.0):
-            idx = tr_grid.index(t_r)
             r = int(round(t_r / OPERATING_TAU))
+            idx = R_GRID.index(r)
             n = int(round(20 * t_r / OPERATING_TAU))
             base = measured_evolution(OPERATING_POINT, OPERATING_TAU, r)
             traj = reset_survival(base, r, n)

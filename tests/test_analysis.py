@@ -27,53 +27,40 @@ TWO_SITE = LatticeSpec(L=2, detector_index=2, initial_index=1)
 # Zeno-protected and the window survival underflows to zero once the
 # window stretches to a few hundred hopping times.
 ABSORBING_TAU = 1.0
-ABSORBING_TR = 500.0
+ABSORBING_R = 500
 
 
 class TestAlpha:
     def test_front_not_yet_arrived_means_no_decay(self):
-        # Ballistic front needs t ~ distance / 2; at t_r = 1 the
+        # Ballistic front needs t ~ distance / 2; at t_r = 4 tau = 1 the
         # detector 10 sites away has seen essentially nothing.
         spec = LatticeSpec(L=500, detector_index=260, initial_index=250)
-        res = alpha(ModelKind.MODEL2, spec, 0.25, 1.0)
-        assert res.alpha < 1e-8
+        assert alpha(ModelKind.MODEL2, spec, 0.25, 4) < 1e-8
 
     def test_against_taylor_oracle(self):
-        res = alpha(ModelKind.MODEL2, TWO_SITE, 1.0, 1.0)
+        res = alpha(ModelKind.MODEL2, TWO_SITE, 1.0, 1)
         u = taylor_expm(build_hamiltonian(TWO_SITE, ModelKind.MODEL2, 1.0), 1.0)
         phi = u @ initial_state(TWO_SITE)
         expected = -np.log(np.vdot(phi, phi).real)
-        assert abs(res.alpha - expected) < 1e-9
-        assert res.T_s == pytest.approx(1.0 / expected)
+        assert abs(res - expected) < 1e-9
 
     def test_multi_step_window_against_taylor_oracle(self):
-        # t_r = 2 at tau = 0.5 is read off the fourth step of the series.
-        res = alpha(ModelKind.MODEL2, TWO_SITE, 0.5, 2.0)
+        # r = 4 at tau = 0.5 is read off the fourth step of the series.
+        res = alpha(ModelKind.MODEL2, TWO_SITE, 0.5, 4)
         u = taylor_expm(build_hamiltonian(TWO_SITE, ModelKind.MODEL2, 0.5), 2.0)
         phi = u @ initial_state(TWO_SITE)
         expected = -np.log(np.vdot(phi, phi).real)
-        assert abs(res.alpha - expected) < 1e-9
-
-    def test_off_grid_restart_time_rejected(self):
-        with pytest.raises(ValueError):
-            alpha(ModelKind.MODEL2, TWO_SITE, 0.5, 1.2)
-
-    def test_result_carries_inputs(self):
-        spec = LatticeSpec(L=4, detector_index=2, initial_index=4)
-        res = alpha(ModelKind.MODEL1, spec, 0.5, 2.0)
-        assert res.t_r == 2.0
-        assert res.kind is ModelKind.MODEL1
-        assert res.alpha > 0
+        assert abs(res - expected) < 1e-9
 
     def test_rejects_projective_kind_and_bad_time(self):
         with pytest.raises(ValueError):
-            alpha(ModelKind.EXACT, TWO_SITE, 0.5, 1.0)
+            alpha(ModelKind.EXACT, TWO_SITE, 0.5, 2)
         with pytest.raises(ValueError):
-            alpha(ModelKind.MODEL2, TWO_SITE, 0.5, 0.0)
+            alpha(ModelKind.MODEL2, TWO_SITE, 0.5, 0)
 
     def test_total_absorption_raises(self):
         with pytest.raises(InstantAbsorptionError):
-            alpha(ModelKind.MODEL2, TWO_SITE, ABSORBING_TAU, ABSORBING_TR)
+            alpha(ModelKind.MODEL2, TWO_SITE, ABSORBING_TAU, ABSORBING_R)
 
 
 class TestSurvivalPrediction:
@@ -89,19 +76,20 @@ class TestSurvivalPrediction:
 
 class TestOptimalTrDissipative:
     def test_single_point_grid(self):
-        res = optimal_tr_nh(ModelKind.MODEL2, TWO_SITE, 0.5, [1.5])
+        res = optimal_tr_nh(ModelKind.MODEL2, TWO_SITE, 0.5, [3])
         assert res.t_star == 1.5
         assert res.objective.shape == (1,)
 
     def test_objective_is_decay_per_unit_time(self):
-        grid = [0.5, 1.0, 2.0]
-        res = optimal_tr_nh(ModelKind.MODEL2, TWO_SITE, 0.5, grid)
-        for i, t_r in enumerate(grid):
-            a = alpha(ModelKind.MODEL2, TWO_SITE, 0.5, t_r).alpha
-            assert res.objective[i] == pytest.approx(-a / t_r, rel=1e-12)
+        r_grid = [1, 2, 4]
+        res = optimal_tr_nh(ModelKind.MODEL2, TWO_SITE, 0.5, r_grid)
+        assert res.grid.tolist() == [0.5, 1.0, 2.0]
+        for i, r in enumerate(r_grid):
+            a = alpha(ModelKind.MODEL2, TWO_SITE, 0.5, r)
+            assert res.objective[i] == pytest.approx(-a / (0.5 * r), rel=1e-12)
         # Same argmin whether phrased as max alpha/t_r or min t_r/alpha.
         assert np.argmin(res.objective) == np.argmin(
-            [t / alpha(ModelKind.MODEL2, TWO_SITE, 0.5, t).alpha for t in grid]
+            [0.5 * r / alpha(ModelKind.MODEL2, TWO_SITE, 0.5, r) for r in r_grid]
         )
 
     def test_empty_grid_rejected(self):
@@ -110,18 +98,18 @@ class TestOptimalTrDissipative:
 
     def test_all_points_absorbing_raises(self):
         with pytest.raises(InstantAbsorptionError):
-            optimal_tr_nh(ModelKind.MODEL2, TWO_SITE, ABSORBING_TAU, [ABSORBING_TR])
+            optimal_tr_nh(ModelKind.MODEL2, TWO_SITE, ABSORBING_TAU, [ABSORBING_R])
 
     def test_absorbing_points_are_skipped_not_fatal(self):
         res = optimal_tr_nh(
-            ModelKind.MODEL2, TWO_SITE, ABSORBING_TAU, [1.0, ABSORBING_TR]
+            ModelKind.MODEL2, TWO_SITE, ABSORBING_TAU, [1, ABSORBING_R]
         )
         assert res.t_star == 1.0
         assert np.isnan(res.objective[1])
 
-    def test_off_grid_restart_time_rejected(self):
+    def test_period_below_one_rejected(self):
         with pytest.raises(ValueError):
-            optimal_tr_nh(ModelKind.MODEL2, TWO_SITE, 0.5, [1.0, 1.2])
+            optimal_tr_nh(ModelKind.MODEL2, TWO_SITE, 0.5, [2, 0])
 
 
 class TestOptimalTrExact:

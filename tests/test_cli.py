@@ -4,6 +4,8 @@ import os
 import runpy
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from qreset import ConfigError, ModelKind, dynamics, step_propagator
 from qreset.cli import (
     _CHUNK_ROWS,
     _render_rows,
+    _restart_period,
     CsvArtifact,
     RunConfig,
     main,
@@ -105,6 +108,44 @@ class TestParseConfig:
     def test_invalid_model_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(tau=0.5, model="model3")
+
+
+class TestRestartPeriod:
+    def test_grid_tolerance_is_relative_1e9(self):
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point.
+        assert parse_config("tau = 0.1\nt_r = 0.3\n").resolve_r() == 3
+        assert parse_config(f"tau = 0.1\nt_r = {0.3 * (1 + 1e-10)!r}\n").resolve_r() == 3
+        with pytest.raises(ConfigError, match="not a positive integer multiple of tau=0.1"):
+            parse_config(f"tau = 0.1\nt_r = {0.3 * (1 + 1e-8)!r}\n")
+
+    def test_off_grid_time_rejected(self):
+        assert _restart_period(2.0, 0.5) == 4
+        for t_r in (1.2, 0.2):  # between grid points, and below one interval
+            with pytest.raises(ConfigError, match=f"t_r={t_r:g} is not"):
+                _restart_period(t_r, 0.5)
+
+    @pytest.mark.parametrize(
+        "recipe, option",
+        [("reset-survival", []), ("mfdt-sweep", []), ("optimal-tr", []),
+         ("reset-survival", ["--sweep-tr", "0.5, 0.6"])],
+        ids=["reset-survival", "mfdt-sweep", "optimal-tr", "sweep-tr-option"],
+    )
+    def test_off_grid_tr_sweep_rejected_before_any_run(self, tmp_path, capsys, recipe, option):
+        cfg = tmp_path / "run.cfg"
+        grid = "" if option else "tr_sweep = 0.5, 0.6\n"
+        cfg.write_text("L = 40\ntau = 0.25\nhorizon = 2\n" + grid)
+        out = tmp_path / "out"
+        assert main([recipe, "--config", str(cfg), "--out", str(out), *option]) == 1
+        assert "t_r=0.6 is not a positive integer multiple of tau=0.25" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_off_grid_pair_of_a_tau_sweep_fails_as_its_grid_point(self, tmp_path):
+        # 0.5 sits on the grid of tau = 0.25 but not on that of tau = 0.3.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL + "tau = 0.25\ntr_sweep = 0.5\ntau_sweep = 0.25, 0.3\n")
+        assert main(["mfdt-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert (tmp_path / "mfdt_sweep_tau0.25.csv").exists()
+        assert "tau=0.3: t_r=0.5 is not" in (tmp_path / "errors.log").read_text()
 
 
 class TestParseValues:
@@ -379,6 +420,34 @@ class TestRecipes:
         for row in rows:
             assert float(row[1]) in (0.5, 1.0, 1.5)
 
+    def test_optimal_tr_applies_the_bulk_guard(self, tmp_path, capsys):
+        # The longest window, 80 measurements, carries the front 40 sites.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("L = 40\ntau = 0.25\ntr_sweep = 5:20:5\n")
+        for recipe in ("mfdt-sweep", "optimal-tr"):
+            out = tmp_path / recipe
+            assert main([recipe, "--config", str(cfg), "--out", str(out)]) == 1
+            assert "front travels 40.0 sites, room for 14" in capsys.readouterr().err
+            assert list(out.glob("*.csv")) == []
+
+    def test_output_path_names_a_single_run(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL + "tau = 0.25\nhorizon = 2.0\noutput_path = curves\n")
+        assert main(["pdet", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["curves.csv"]
+
+    def test_output_path_names_a_tau_sweep(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            SMALL + "tau = 0.25\nmodel = model1\ntr_sweep = 0.5, 1.0\n"
+            "tau_sweep = 0.5\noutput_path = scan\n"
+        )
+        assert main(["optimal-tr", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+            "scan_tau0.5_model1.csv",
+            "scan_tau0.5_summary.csv",
+        ]
+
     def test_delta_pr_smoke(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SMALL + "tau = 0.25\nr = 4\nn_max = 20\n")
@@ -517,6 +586,27 @@ class TestSweepSemantics:
         assert "sweep value 0.25 is repeated" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers, most", [(1, 1), (2, 5)])
+    def test_interrupt_stops_the_grid(self, tmp_path, monkeypatch, workers, most):
+        calls = []
+        lock = threading.Lock()
+
+        def interrupted_first(config, recipe, out_dir, tag=""):
+            with lock:
+                calls.append(tag)
+                first = len(calls) == 1
+            if first:
+                raise KeyboardInterrupt
+            time.sleep(0.2)
+            return []
+
+        monkeypatch.setattr(qreset.cli, "run_experiment", interrupted_first)
+        config = RunConfig(tau=0.5, L=20, detector_index=14, initial_index=10)
+        values = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+        with pytest.raises(KeyboardInterrupt):
+            sweep(config, "pdet", "tau", values, tmp_path, workers=workers)
+        assert 1 <= len(calls) <= most
 
     def test_sweep_rejects_unknown_axis(self):
         config = RunConfig(tau=0.5, L=20, detector_index=14, initial_index=10)

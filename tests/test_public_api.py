@@ -22,6 +22,8 @@ NOT_EXPORTED = (
     "ComparisonReport",
     "RestartResult",
     "run_restart",
+    "RestartSpec",
+    "AlphaResult",
     "mfdt_direct",
     "build_reset_heff",
     "RunConfig",

@@ -8,7 +8,6 @@ from qreset import (
     LatticeSpec,
     ModelKind,
     NeverDetectedError,
-    RestartSpec,
     build_hamiltonian,
     measured_evolution,
     mfdt,
@@ -189,11 +188,3 @@ class TestResetGenerator:
         damped = propagator(build_reset_heff(h, alpha, windows, t), t, hermitian=False)
         assert np.max(np.abs(damped - bare * np.exp(-alpha * windows / 2))) <= 1e-10
 
-
-class TestRestartSpec:
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            RestartSpec(r=0, tau=0.5)
-        with pytest.raises(ValueError):
-            RestartSpec(r=3, tau=0.0)
-        assert RestartSpec(r=4, tau=0.25).t_r == pytest.approx(1.0)
