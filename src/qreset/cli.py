@@ -75,9 +75,9 @@ class RunConfig:
     or ``all``.  ``r`` and ``t_r`` both describe the restart period and
     are mutually exclusive.  The library takes restart periods as
     measurement counts, and the CLI is the one place that turns a time
-    into one, so ``t_r`` must be a multiple of ``tau``; so must every
-    ``tr_sweep`` value, checked here unless ``tau_sweep`` varies ``tau``
-    (a pair off the grid then fails as its own grid point).  ``horizon``
+    into one, so ``t_r`` and every ``tr_sweep`` value must be multiples of
+    ``tau``, checked here unless ``tau_sweep`` varies ``tau`` (a pair off
+    the grid then fails as its own grid point).  ``horizon``
     (a physical time) is folded into ``n_max`` during parsing.
     """
 
@@ -108,7 +108,7 @@ class RunConfig:
             raise ConfigError("r and t_r are mutually exclusive")
         if self.r is not None and self.r < 1:
             raise ConfigError(f"r must be at least 1, got {self.r}")
-        if self.t_r is not None:
+        if self.t_r is not None and self.tau_sweep is None:
             _restart_period(self.t_r, self.tau)
         if self.n_max is not None and self.n_max < 1:
             raise ConfigError(f"n_max must be at least 1, got {self.n_max}")

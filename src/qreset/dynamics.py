@@ -23,7 +23,9 @@ Three routes to the same bookkeeping:
   eps^2 times the state's is dropped.  The band is built once per run
   straight from the generator's diagonals, by applying the exponential
   to a block of probe vectors: O(L b) memory, no L x L matrix and no
-  dense exponential.
+  dense exponential.  Both models have real hops and imaginary entries
+  on even diagonals only, so in the gauge D = diag(i^x) band and state
+  are real: float64, half the memory of complex, with the same norms.
 
 No matrix powers are stored.  Measurements happen at t = tau, 2 tau,
 ...; there is no measurement at t = 0.
@@ -166,7 +168,7 @@ def measured_evolution(
         _check_bulk_window(spec, tau, n_max)
     L = spec.L
     phases = np.exp(-2j * tau * np.cos(np.pi * np.arange(1, L + 1) / (L + 1)))
-    v = _mode_row(L, spec.detector_index)
+    v = _mode_row(L, spec.detector_index).astype(np.complex128)
     phi = _mode_row(L, spec.initial_index).astype(np.complex128)
     p = np.empty(n_max)
     surv = np.empty(n_max)
@@ -222,12 +224,12 @@ def _abs_row_sums(diagonals: dict[int, np.ndarray], L: int) -> np.ndarray:
 def _probe_half_width(a: dict[int, np.ndarray], L: int) -> int:
     """Distance B from which no entry of ``e^A`` can exceed ``BAND_CUTOFF``.
 
-    ``A = -i tau H`` is given by its diagonals, H symmetric.  No diagonal
-    entry of H has a positive imaginary part, so the diagonal of A only
-    contracts and ``|e^A| <= e^{|N|}`` entrywise, with N the off-diagonal
-    part of A.  Entry (i, j) of ``|N|^k`` is at most x^k, with x the
-    largest row sum of |N|, and vanishes unless a walk of k hops joins j
-    to i; the shortest one uses each bond at most once, so
+    ``A = D (-i tau H) D*`` (D = diag(i^x)) is given by its real diagonals,
+    H symmetric.  No diagonal entry of H has a positive imaginary part, so
+    A's diagonal only contracts and ``|e^A| <= e^{|N|}`` entrywise, with N
+    the off-diagonal part of A.  Entry (i, j) of ``|N|^k`` is at most x^k,
+    with x the largest row sum of |N|, and vanishes unless a walk of k hops
+    joins j to i; the shortest one uses each bond at most once, so
     ``k >= |i-j| - S``, where S counts the sites that bonds longer than
     one skip.  Hence ``|[e^A]_ij| <= sum_{k >= |i-j| - S} x^k / k!``.
     """
@@ -243,14 +245,17 @@ def _probe_half_width(a: dict[int, np.ndarray], L: int) -> int:
 
 
 def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> np.ndarray:
-    """Band of ``e^{-i tau H}`` as the block rows of a block-tridiagonal matrix.
+    """Band of the step, as the block rows of a block-tridiagonal matrix, in float64.
 
-    The half-width b is the largest ``|i - j|`` of an entry above
-    ``BAND_CUTOFF``; every entry farther out is dropped.  With blocks of b
-    sites, block row k holds rows ``k b .. k b + b - 1`` against columns
-    ``(k - 1) b .. (k + 2) b - 1``, zero past the chain ends, so the
-    product with a state zero-padded by one block on each side is one
-    stacked ``(n_blocks, b, 3 b) @ (n_blocks, 3 b, 1)`` matmul.
+    The step is taken in the gauge D = diag(i^x), as ``e^A`` with A real:
+    diagonal k of ``-i tau H`` times the exact phase ``(-i)^k``.  An entry
+    that stays complex (an imaginary hop, say) raises.  The half-width b
+    is the largest ``|i - j|`` of an entry above ``BAND_CUTOFF``; every
+    entry farther out is dropped.  With blocks of b sites, block row k
+    holds rows ``k b .. k b + b - 1`` against columns ``(k - 1) b ..
+    (k + 2) b - 1``, zero past the chain ends, so the product with a state
+    zero-padded by one block on each side is one stacked
+    ``(n_blocks, b, 3 b) @ (n_blocks, 3 b, 1)`` matmul.
 
     The entries come from probing: columns whose indices agree mod
     ``P = 2 B + 1`` share a probe vector, with B from
@@ -264,7 +269,13 @@ def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> np.ndarray:
     above the cutoff at distance B means the bound failed, and raises.
     """
     L = spec.L
-    a = {k: -1j * tau * d for k, d in hamiltonian_diagonals(spec, kind, tau).items()}
+    a = {}
+    for k, d in hamiltonian_diagonals(spec, kind, tau).items():
+        # (-i)^k from a table: a float power would round the zero parts.
+        g = -1j * tau * d * (1, -1j, -1, 1j)[k % 4]
+        if np.any(g.imag):
+            raise ValueError(f"{kind.value}: diagonal {k} is not real in the gauge diag(i^x)")
+        a[k] = g.real
     site = np.arange(L)
     B = _probe_half_width(a, L)
     P = min(2 * B + 1, L)
@@ -288,7 +299,7 @@ def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> np.ndarray:
             lo, hi, r0, c0 = nz[0], nz[-1] + 1, max(0, -k), max(0, k)
             rows, cols = slice(r0 + lo, r0 + hi), slice(c0 + lo, c0 + hi)
             slabs.append((rows, cols, d[lo:hi, None] / stages))
-    f = np.zeros((L, P), dtype=np.complex128)
+    f = np.zeros((L, P))
     f[site, site % P] = 1.0
     tol = BAND_CUTOFF * np.finfo(np.float64).eps
     for _ in range(stages):
@@ -332,9 +343,11 @@ def nh_survival_series(
     contraction; p_n and Pdet_n follow from the same bookkeeping as the
     projected engine.  Each application goes through the band of the
     step (:func:`_step_band`, built once per run from the generator's
-    diagonals); the entries beyond it are each at most ``BAND_CUTOFF`` =
-    eps^2, far below the rounding error of a step.  No dense step
-    matrix is built, so memory stays O(L b) at any chain length.
+    diagonals), in the gauge where it and the initial state are real; a
+    diagonal unitary changes no norm.  The entries beyond the band are
+    each at most ``BAND_CUTOFF`` = eps^2, far below the rounding error of
+    a step.  No dense step matrix is built, so memory stays O(L b) at any
+    chain length.
 
     Only the block rows of the light cone are stepped.  The state lives
     on a contiguous range of w blocks, starting at the initial site's
@@ -358,13 +371,13 @@ def nh_survival_series(
     n_blocks, b, _ = blocks.shape
     # The state zero-padded by one block on each side; window k is what
     # block row k multiplies, and state block k sits at padded[(k + 1) b:].
-    padded = np.zeros((n_blocks + 2) * b, dtype=np.complex128)
-    padded[b : b + spec.L] = initial_state(spec)
+    padded = np.zeros((n_blocks + 2) * b)
+    padded[b + spec.initial_index - 1] = 1.0
     windows = sliding_window_view(padded, 3 * b)[::b, :, None]
     # The norm is summed over the whole chain, zeros included, so its
     # rounding does not depend on where the window stands.
     state = padded[b:-b]
-    phi = np.empty((n_blocks, b, 1), dtype=np.complex128)
+    phi = np.empty((n_blocks, b, 1))
     lo = (spec.initial_index - 1) // b
     hi = lo + 1
     p = np.empty(n_max)
@@ -376,12 +389,12 @@ def nh_survival_series(
         # A block the step has just reached joins the range unless its mass
         # is at most eps^4 P_{n-1}; if not, padded still holds zeros there.
         floor = BAND_CUTOFF**2 * prev
-        if start < lo and np.vdot(phi[start], phi[start]).real > floor:
+        if start < lo and np.dot(phi[start, :, 0], phi[start, :, 0]) > floor:
             lo = start
-        if stop > hi and np.vdot(phi[stop - 1], phi[stop - 1]).real > floor:
+        if stop > hi and np.dot(phi[stop - 1, :, 0], phi[stop - 1, :, 0]) > floor:
             hi = stop
         padded[(lo + 1) * b : (hi + 1) * b] = phi[lo:hi].ravel()
-        pk = np.vdot(state, state).real
+        pk = np.dot(state, state)
         surv[k] = pk
         p[k] = prev - pk
         prev = pk

@@ -147,6 +147,22 @@ class TestRestartPeriod:
         assert (tmp_path / "mfdt_sweep_tau0.25.csv").exists()
         assert "tau=0.3: t_r=0.5 is not" in (tmp_path / "errors.log").read_text()
 
+    def test_t_r_is_checked_against_swept_tau_only(self, tmp_path):
+        # The base tau = 0.3 never runs; t_r = 1.0 is 4 and 2 steps of the swept ones.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL + "tau = 0.3\nt_r = 1.0\nn_max = 8\ntau_sweep = 0.25, 0.5\n")
+        assert main(["delta-pr", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "delta_pr_tau0.25.csv").exists()
+        assert (tmp_path / "delta_pr_tau0.5.csv").exists()
+        assert not (tmp_path / "errors.log").exists()
+
+    def test_off_grid_t_r_of_a_tau_sweep_fails_as_its_grid_point(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL + "tau = 0.25\nt_r = 1.0\nn_max = 8\ntau_sweep = 0.25, 0.3\n")
+        assert main(["delta-pr", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert (tmp_path / "delta_pr_tau0.25.csv").exists()
+        assert "tau=0.3: t_r=1 is not" in (tmp_path / "errors.log").read_text()
+
 
 class TestParseValues:
     def test_comma_list(self):

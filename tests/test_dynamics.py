@@ -218,11 +218,34 @@ class TestBandedDissipativeStep:
         else:
             spec = LatticeSpec(L=L, detector_index=L // 2 + 1, initial_index=L // 2)
             kinds = (ModelKind.MODEL1, ModelKind.MODEL2)
+        # The band is the step in the gauge D = diag(i^x); the phases come
+        # from an exact table, since 1j ** x is off by up to 8.6e-14 at L = 500.
+        gauge = np.array([1, 1j, -1, -1j])[np.arange(L) % 4]
         for kind in kinds:
             band = dynamics._step_band(spec, kind, tau)
-            oracle = band_blocks(step_propagator(spec, kind, tau))
+            step = step_propagator(spec, kind, tau)
+            oracle = band_blocks(gauge[:, None] * step * gauge.conj()[None, :])
+            assert not np.any(oracle.imag)
             assert band.shape == oracle.shape
-            assert np.max(np.abs(band - oracle)) <= 1e-15
+            assert np.max(np.abs(band - oracle.real)) <= 1e-15
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_band_is_real(self, kind):
+        assert dynamics._step_band(default_geometry(100), kind, 0.25).dtype == np.float64
+
+    def test_imaginary_hop_raises(self, monkeypatch):
+        real_diagonals = dynamics.hamiltonian_diagonals
+
+        def with_imaginary_hop(spec, kind, tau):
+            diagonals = real_diagonals(spec, kind, tau)
+            diagonals[1] = diagonals[1].astype(np.complex128)
+            diagonals[1][10] = 1j
+            diagonals[-1] = diagonals[1]
+            return diagonals
+
+        monkeypatch.setattr(dynamics, "hamiltonian_diagonals", with_imaginary_hop)
+        with pytest.raises(ValueError, match=r"diagonal -1 is not real in the gauge diag\(i\^x\)"):
+            dynamics._step_band(default_geometry(100), ModelKind.MODEL2, 0.25)
 
     def test_too_small_probe_width_raises(self, monkeypatch):
         monkeypatch.setattr(dynamics, "_probe_half_width", lambda a, L: 5)
