@@ -11,6 +11,10 @@ map onto :class:`RunConfig`.  Recipes name the standard experiments:
 * ``delta-pr``        per-window detection gap between the projective run
                       and each dissipative model
 
+Each input has one form: the restart period is the time ``t_r``, the run
+length the time ``horizon``, sweeps are the ``tau_sweep`` and ``tr_sweep``
+keys, and the command line adds only ``--out`` and ``--workers``.
+
 The CLI performs no numerics of its own: every column is an engine
 output, rendered to 12 significant digits.  Sweeps fan grid points out
 to a thread pool; engine calls are pure, so results are merged back in
@@ -56,10 +60,10 @@ RECIPES = ("pdet", "reset-survival", "mfdt-sweep", "optimal-tr", "delta-pr")
 
 _MODEL_CHOICES = ("exact", "model1", "model2", "all")
 
-_INT_KEYS = frozenset({"L", "detector_index", "initial_index", "r", "n_max"})
+_INT_KEYS = frozenset({"L", "detector_index", "initial_index"})
 _FLOAT_KEYS = frozenset({"tau", "t_r", "horizon"})
 _LIST_KEYS = frozenset({"tau_sweep", "tr_sweep"})
-_STR_KEYS = frozenset({"model", "output_path"})
+_STR_KEYS = frozenset({"model"})
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _LIST_KEYS | _STR_KEYS
 
 
@@ -72,13 +76,14 @@ class RunConfig:
     """One experiment's knobs, validated on construction.
 
     ``model`` selects which engines a recipe runs: a single engine name
-    or ``all``.  ``r`` and ``t_r`` both describe the restart period and
-    are mutually exclusive.  The library takes restart periods as
-    measurement counts, and the CLI is the one place that turns a time
-    into one, so ``t_r`` and every ``tr_sweep`` value must be multiples of
-    ``tau``, checked here unless ``tau_sweep`` varies ``tau`` (a pair off
-    the grid then fails as its own grid point).  ``horizon``
-    (a physical time) is folded into ``n_max`` during parsing.
+    or ``all``.  The library takes restart periods as measurement counts,
+    and the CLI is the one place that turns a time into one, so ``t_r``
+    and every ``tr_sweep`` value must be multiples of ``tau``, checked
+    here unless ``tau_sweep`` varies ``tau`` (a pair off the grid then
+    fails as its own grid point).  The config's ``horizon`` (a physical
+    time) is folded into the measurement count ``n_max`` during parsing,
+    at the base ``tau``; a ``tau_sweep`` keeps that count at every grid
+    point.
     """
 
     tau: float
@@ -86,12 +91,10 @@ class RunConfig:
     detector_index: int | None = None
     initial_index: int | None = None
     model: str = "all"
-    r: int | None = None
     t_r: float | None = None
     n_max: int | None = None
     tau_sweep: tuple[float, ...] | None = None
     tr_sweep: tuple[float, ...] | None = None
-    output_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.detector_index is None:
@@ -104,10 +107,6 @@ class RunConfig:
             raise ConfigError(
                 f"model must be one of {', '.join(_MODEL_CHOICES)}, got {self.model!r}"
             )
-        if self.r is not None and self.t_r is not None:
-            raise ConfigError("r and t_r are mutually exclusive")
-        if self.r is not None and self.r < 1:
-            raise ConfigError(f"r must be at least 1, got {self.r}")
         if self.t_r is not None and self.tau_sweep is None:
             _restart_period(self.t_r, self.tau)
         if self.n_max is not None and self.n_max < 1:
@@ -143,16 +142,14 @@ class RunConfig:
         return tuple(k for k in self.engine_kinds() if k is not ModelKind.EXACT)
 
     def resolve_r(self) -> int:
-        """Restart period in measurements, from ``r`` or a grid-aligned ``t_r``."""
-        if self.r is not None:
-            return self.r
+        """Restart period in measurements, from a grid-aligned ``t_r``."""
         if self.t_r is None:
-            raise ConfigError("this recipe needs a restart period: set r or t_r")
+            raise ConfigError("this recipe needs a restart period: set t_r")
         return _restart_period(self.t_r, self.tau)
 
     def n_measurements(self) -> int:
         if self.n_max is None:
-            raise ConfigError("this recipe needs a run length: set n_max or horizon")
+            raise ConfigError("this recipe needs a run length: set horizon")
         return self.n_max
 
 
@@ -234,8 +231,6 @@ def parse_config(text: str) -> RunConfig:
 
     if "tau" not in entries:
         raise ConfigError("missing required key 'tau'")
-    if "n_max" in entries and "horizon" in entries:
-        raise ConfigError("n_max and horizon are mutually exclusive")
 
     kwargs: dict[str, object] = {}
     for key, value in entries.items():
@@ -255,7 +250,10 @@ def parse_config(text: str) -> RunConfig:
         tau = kwargs["tau"]
         if not isinstance(tau, float) or tau <= 0:
             raise ConfigError(f"tau must be positive, got {tau}")
-        n_max = int(math.floor(horizon / tau + 1e-9))
+        count = horizon / tau + 1e-9
+        if not math.isfinite(count):
+            raise ConfigError(f"horizon {horizon} spans too many intervals of tau={tau}")
+        n_max = int(math.floor(count))
         if n_max < 1:
             raise ConfigError(
                 f"horizon {horizon} is shorter than one measurement interval tau={tau}"
@@ -407,7 +405,7 @@ def _numeric_cells(x: np.ndarray, separators: np.ndarray) -> tuple[np.ndarray, n
     return words.view(np.uint8), keep
 
 
-def _text_cells(cells: list[str], separator: bytes) -> tuple[np.ndarray, np.ndarray]:
+def _text_cells(cells: Sequence[str], separator: bytes) -> tuple[np.ndarray, np.ndarray]:
     """UTF-8 text cells, each followed by its separator, and their keep mask."""
     encoded = [cell.encode("utf-8") + separator for cell in cells]
     lengths = np.array([len(b) for b in encoded])
@@ -415,21 +413,16 @@ def _text_cells(cells: list[str], separator: bytes) -> tuple[np.ndarray, np.ndar
     return chars, np.arange(chars.shape[1]) < lengths[:, None]
 
 
-def _render_rows(numbers: np.ndarray, texts: dict[int, list[str]]) -> bytes:
-    """CSV text of a block: ``numbers`` holds the numeric columns in order,
-    ``texts`` the text columns by position."""
-    width = numbers.shape[1] + len(texts)
-    separator = [b"," if j < width - 1 else b"\n" for j in range(width)]
-    words = [_SEPARATOR[separator[j]] for j in range(width) if j not in texts]
+def _render_rows(numbers: np.ndarray, labels: Sequence[str] = ()) -> bytes:
+    """CSV text of a block of numeric rows, each led by its label if ``labels`` is given."""
+    rows, width = numbers.shape
+    words = [_SEPARATOR[b","]] * (width - 1) + [_SEPARATOR[b"\n"]]
     chars, keep = _numeric_cells(numbers, np.array(words, np.uint64))
-    if texts:
-        columns = zip(chars.swapaxes(0, 1), keep.swapaxes(0, 1))
-        pieces = [
-            _text_cells(texts[j], separator[j]) if j in texts else next(columns)
-            for j in range(width)
-        ]
-        chars = np.concatenate([c for c, _ in pieces], axis=1)
-        keep = np.concatenate([k for _, k in pieces], axis=1)
+    chars, keep = chars.reshape(rows, -1), keep.reshape(rows, -1)
+    if labels:
+        text, mask = _text_cells(labels, b",")
+        chars = np.concatenate((text, chars), axis=1)
+        keep = np.concatenate((mask, keep), axis=1)
     return np.compress(keep.ravel(), chars.ravel()).tobytes()
 
 
@@ -448,28 +441,30 @@ _CHUNK_ROWS = 4096
 class CsvArtifact:
     """One CSV file: header, rows, and the formatting contract.
 
-    ``rows`` is a list of row tuples or a 2-D numeric array.  Numeric
-    cells render as 12-significant-digit decimals, the same text as
-    ``f"{float(cell):.12g}"``, and text cells as their UTF-8 text; a
-    column is text when its first cell is a ``str``.  When the first
-    column is numeric it must increase strictly row to row, and every
-    numeric value must be finite.  The whole table is checked before
-    anything is written.  Rows then render, a block of ``_CHUNK_ROWS`` per
-    call, through the kernel above: numeric cells as ``float64`` (exactly
-    ``float(cell)``) by a float estimate of their 12 digits, with the
-    cells it cannot settle taken from ``"%.11e"``; text cells encoded
-    into the same byte matrix.  Blocks go to a temporary file beside the
-    target, which replaces the target only once every block is out, so
-    a failed or killed write never leaves a partial CSV under the final
-    name.
+    ``rows`` is a numeric 2-D table, an array or a list of numeric row
+    tuples; its cells render as 12-significant-digit decimals, the same
+    text as ``f"{float(cell):.12g}"``.  ``labels``, when given, is a
+    leading text column with one UTF-8 label per row, and the header
+    names it first.  Without labels the first column must increase
+    strictly row to row.  Every value must be finite, and a table that
+    holds text or does not match the header's width is rejected.  The
+    whole table is checked before anything is written.  Rows then
+    render, a block of ``_CHUNK_ROWS`` per call, through the kernel
+    above: cells as ``float64`` (exactly ``float(cell)``) by a float
+    estimate of their 12 digits, with the cells it cannot settle taken
+    from ``"%.11e"``; labels encoded into the same byte matrix.  Blocks
+    go to a temporary file beside the target, which replaces the target
+    only once every block is out, so a failed or killed write never
+    leaves a partial CSV under the final name.
     """
 
     path: Path
     header: tuple[str, ...]
     rows: list[tuple] | np.ndarray
+    labels: tuple[str, ...] = ()
 
     def write(self) -> Path:
-        numbers, texts = self._checked_columns()
+        numbers = self._checked_table()
         tmp = self.path.with_name(
             f".{self.path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
         )
@@ -478,61 +473,44 @@ class CsvArtifact:
                 out.write((",".join(self.header) + "\n").encode("utf-8"))
                 for start in range(0, len(numbers), _CHUNK_ROWS):
                     stop = start + _CHUNK_ROWS
-                    block = {j: cells[start:stop] for j, cells in texts.items()}
-                    out.write(_render_rows(numbers[start:stop], block))
+                    out.write(_render_rows(numbers[start:stop], self.labels[start:stop]))
             os.replace(tmp, self.path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
         return self.path
 
-    def _checked_columns(self) -> tuple[np.ndarray, dict[int, list[str]]]:
-        """The numeric columns as one float64 array and the text columns by
-        position, validated."""
-        name, width, rows = self.path.name, len(self.header), self.rows
-        # A numeric array is used as it is; row tuples become an object table,
-        # whose cells keep their types (text stays text).
-        table = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
-        if table.ndim != 2 or table.shape[1] != width:
-            for i, row in enumerate(rows):
-                if np.ndim(row) != 1 or len(row) != width:
-                    raise ValueError(
-                        f"{name}: row {i + 1} has width {np.size(row)}, "
-                        f"header width {width}"
-                    )
-            table = table.reshape(len(rows), width)
-        first = table[0].tolist() if len(table) else [None] * width
-        text = [isinstance(cell, str) for cell in first]
-        if table.dtype == object:
-            for j in range(width):
-                if any(isinstance(cell, str) != text[j] for cell in table[:, j]):
-                    raise ValueError(
-                        f"{name}: column {self.header[j]} mixes text and numbers"
-                    )
-        numeric = [j for j in range(width) if not text[j]]
-        numbers = (table if len(numeric) == width else table[:, numeric]).astype(
-            np.float64, copy=False
-        )
-        for values, j in zip(numbers.T, numeric):
-            bad = np.flatnonzero(~np.isfinite(values))
+    def _checked_table(self) -> np.ndarray:
+        """The rows as one validated float64 array."""
+        name, columns = self.path.name, len(self.header) - bool(self.labels)
+        table = np.asarray(self.rows)
+        # Text anywhere promotes the table to a string dtype.  Python ints
+        # past int64 leave an object table, whose cells convert one by one.
+        if table.dtype.kind not in "biufO":
+            raise ValueError(f"{name}: rows must be numbers, got {table.dtype} cells")
+        numbers = table.astype(np.float64, copy=False) if len(table) else np.empty((0, columns))
+        if numbers.ndim != 2 or numbers.shape[1] != columns:
+            raise ValueError(
+                f"{name}: table of shape {numbers.shape}, header wants {columns} numeric columns"
+            )
+        if self.labels and len(self.labels) != len(numbers):
+            raise ValueError(f"{name}: {len(self.labels)} labels for {len(numbers)} rows")
+        bad = np.flatnonzero(~np.isfinite(numbers).all(axis=1))
+        if len(bad):
+            i = bad[0]
+            raise ValueError(
+                f"{name}: non-finite value in row {i + 1} {tuple(numbers[i].tolist())}"
+            )
+        if not self.labels:
+            lead = numbers[:, 0]
+            bad = np.flatnonzero(~(np.diff(lead) > 0))
             if len(bad):
                 i = bad[0]
                 raise ValueError(
-                    f"{name}: non-finite value in row {i + 1} {tuple(table[i].tolist())}"
+                    f"{name}: first column must increase strictly "
+                    f"({lead[i + 1]} after {lead[i]}, row {i + 2})"
                 )
-            if j == 0:
-                bad = np.flatnonzero(~(np.diff(values) > 0))
-                if len(bad):
-                    i = bad[0]
-                    raise ValueError(
-                        f"{name}: first column must increase strictly "
-                        f"({values[i + 1]} after {values[i]}, row {i + 2})"
-                    )
-        return numbers, {j: table[:, j].tolist() for j in range(width) if text[j]}
-
-
-def _stem(config: RunConfig, default: str, tag: str) -> str:
-    return f"{config.output_path or default}{tag}"
+        return numbers
 
 
 def _build_pdet(config: RunConfig, out_dir: Path, tag: str) -> list[CsvArtifact]:
@@ -551,7 +529,7 @@ def _build_pdet(config: RunConfig, out_dir: Path, tag: str) -> list[CsvArtifact]
         if times is None:
             times = series.times
     artifact = CsvArtifact(
-        out_dir / f"{_stem(config, 'pdet', tag)}.csv",
+        out_dir / f"pdet{tag}.csv",
         tuple(header),
         np.column_stack([times, *columns]),
     )
@@ -569,7 +547,7 @@ def _build_reset_survival(config: RunConfig, out_dir: Path, tag: str) -> list[Cs
     decay = alpha(ModelKind.MODEL2, spec, config.tau, r)
     predicted = survival_prediction(decay, r * config.tau, times)
     artifact = CsvArtifact(
-        out_dir / f"{_stem(config, 'reset_survival', tag)}.csv",
+        out_dir / f"reset_survival{tag}.csv",
         ("T", "P_exact", "P_nh_predicted"),
         np.column_stack((times, trajectory, predicted)),
     )
@@ -579,14 +557,14 @@ def _build_reset_survival(config: RunConfig, out_dir: Path, tag: str) -> list[Cs
 
 def _build_mfdt_sweep(config: RunConfig, out_dir: Path, tag: str) -> list[CsvArtifact]:
     if not config.tr_sweep:
-        raise ConfigError("mfdt-sweep needs tr_sweep (config key or --sweep-tr)")
+        raise ConfigError("mfdt-sweep needs a tr_sweep key")
     spec = config.lattice()
     tau = config.tau
     r_values = [_restart_period(t_r, tau) for t_r in config.tr_sweep]
     base = measured_evolution(spec, tau, max(r_values))
     rows: list[tuple] = []
     artifact = CsvArtifact(
-        out_dir / f"{_stem(config, 'mfdt_sweep', tag)}.csv", ("t_r", "MFDT"), rows
+        out_dir / f"mfdt_sweep{tag}.csv", ("t_r", "MFDT"), rows
     )
     for t_r, r in zip(config.tr_sweep, r_values):
         try:
@@ -602,16 +580,16 @@ def _build_mfdt_sweep(config: RunConfig, out_dir: Path, tag: str) -> list[CsvArt
 
 def _build_optimal_tr(config: RunConfig, out_dir: Path, tag: str) -> list[CsvArtifact]:
     if not config.tr_sweep:
-        raise ConfigError("optimal-tr needs tr_sweep (config key or --sweep-tr)")
+        raise ConfigError("optimal-tr needs a tr_sweep key")
     kinds = config.dissipative_kinds()
     if not kinds:
         raise ConfigError("optimal-tr needs a dissipative model: model1, model2, or all")
     spec = config.lattice()
     r_values = [_restart_period(t_r, config.tau) for t_r in config.tr_sweep]
     _check_bulk_window(spec, config.tau, max(r_values))
-    stem = _stem(config, "optimal_tr", tag)
+    stem = f"optimal_tr{tag}"
     artifacts = []
-    summary_rows: list[tuple] = []
+    t_stars = []
     for kind in kinds:
         result = optimal_tr_nh(kind, spec, config.tau, r_values)
         # Fully absorbed grid points carry no objective; leave them out.
@@ -623,10 +601,9 @@ def _build_optimal_tr(config: RunConfig, out_dir: Path, tag: str) -> list[CsvArt
         )
         artifact.write()
         artifacts.append(artifact)
-        summary_rows.append((kind.value, result.t_star))
-    summary = CsvArtifact(
-        out_dir / f"{stem}_summary.csv", ("model", "t_star"), summary_rows
-    )
+        t_stars.append((result.t_star,))
+    labels = tuple(kind.value for kind in kinds)
+    summary = CsvArtifact(out_dir / f"{stem}_summary.csv", ("model", "t_star"), t_stars, labels)
     summary.write()
     artifacts.append(summary)
     return artifacts
@@ -654,7 +631,7 @@ def _build_delta_pr(config: RunConfig, out_dir: Path, tag: str) -> list[CsvArtif
         header.append(f"delta_pr_{kind.value}")
         columns.append(delta_p_r(exact_curve, reset_pdet(nh_base, r, needed), r, R_max))
     artifact = CsvArtifact(
-        out_dir / f"{_stem(config, 'delta_pr', tag)}.csv",
+        out_dir / f"delta_pr{tag}.csv",
         tuple(header),
         np.column_stack([np.arange(1, R_max + 1), *columns]),
     )
@@ -734,7 +711,7 @@ def sweep(
         if axis == "tau":
             derived = replace(config, tau=value)
         else:
-            derived = replace(config, r=None, t_r=value)
+            derived = replace(config, t_r=value)
         return run_experiment(derived, recipe, out_path, tag=f"{prefix}{value:g}")
 
     outcomes: list[list[CsvArtifact] | Exception] = [None] * len(values)  # type: ignore[list-item]
@@ -787,8 +764,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("recipe", choices=RECIPES, help="experiment to run")
     parser.add_argument("--config", required=True, metavar="PATH", help="key = value config file")
     parser.add_argument("--out", default=".", metavar="DIR", help="artifact directory")
-    parser.add_argument("--sweep-tau", metavar="VALUES", help="override tau_sweep")
-    parser.add_argument("--sweep-tr", metavar="VALUES", help="override tr_sweep")
     parser.add_argument("--workers", type=int, default=1, help="parallel grid points")
 
     try:
@@ -798,10 +773,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         except OSError as err:
             raise ConfigError(f"cannot read config {args.config}: {err}") from err
         config = parse_config(text)
-        if args.sweep_tau:
-            config = replace(config, tau_sweep=parse_values(args.sweep_tau))
-        if args.sweep_tr:
-            config = replace(config, tr_sweep=parse_values(args.sweep_tr))
         if args.workers < 1:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
 

@@ -95,19 +95,6 @@ class DetectionSeries:
         """Measurement instants n * tau, n = 1..n_max."""
         return self.tau * np.arange(1, len(self.p) + 1)
 
-    @classmethod
-    def from_pmf(cls, tau: float, p: np.ndarray) -> "DetectionSeries":
-        """Build a series from a bare first-detection PMF (mostly for tests)."""
-        p = np.asarray(p, dtype=np.float64)
-        if p.ndim != 1 or len(p) == 0:
-            raise ValueError("p must be a non-empty 1-d array")
-        if np.any(p < 0):
-            raise ValueError("detection probabilities must be non-negative")
-        pdet = np.cumsum(p)
-        if pdet[-1] > 1 + 1e-10:
-            raise ValueError(f"PMF sums to {pdet[-1]}, above 1")
-        return cls(tau=tau, p=p, P=1.0 - pdet, Pdet=pdet)
-
 
 @dataclass
 class RenewalSeries:

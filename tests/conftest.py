@@ -8,16 +8,40 @@ the band the engine builds without one.  The restart oracles
 ``mfdt_direct`` and ``build_reset_heff`` (moved here from
 ``qreset.restart``, which no longer exports them) check the closed-form
 mean detection time against a truncated sum, and the scalar window
-factorization against its operator-level form.
+factorization against its operator-level form.  ``dense_step`` keeps
+every dense step matrix a test builds for the whole session, and
+``series_from_pmf`` builds a detection series from a bare PMF.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from qreset import DetectionSeries, NeverDetectedError, restart_pmf
+from qreset import DetectionSeries, NeverDetectedError, lattice, restart_pmf
 from qreset.dynamics import BAND_CUTOFF
 from qreset.restart import _check_window
+
+
+# The library's step cache keeps one matrix per model kind, so tests that
+# share a geometry but interleave with others would rebuild it; this one
+# keeps each (spec, kind, tau) it sees.  The matrices are read-only, so
+# every test can be handed the same one.
+dense_step = functools.cache(lattice.step_propagator.__wrapped__)
+
+
+def series_from_pmf(tau: float, p: np.ndarray) -> DetectionSeries:
+    """A detection series from a bare first-detection PMF."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1 or len(p) == 0:
+        raise ValueError("p must be a non-empty 1-d array")
+    if np.any(p < 0):
+        raise ValueError("detection probabilities must be non-negative")
+    pdet = np.cumsum(p)
+    if pdet[-1] > 1 + 1e-10:
+        raise ValueError(f"PMF sums to {pdet[-1]}, above 1")
+    return DetectionSeries(tau=tau, p=p, P=1.0 - pdet, Pdet=pdet)
 
 
 def taylor_expm(matrix: np.ndarray, t: float, terms: int = 60) -> np.ndarray:

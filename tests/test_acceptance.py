@@ -37,11 +37,10 @@ from qreset import (
     reset_pdet,
     reset_survival,
     restart_pmf,
-    step_propagator,
 )
 from qreset.dynamics import FRONT_SPEED
 
-from conftest import build_reset_heff, mfdt_direct, record_acceptance
+from conftest import build_reset_heff, dense_step, mfdt_direct, record_acceptance
 
 
 OPERATING_POINT = LatticeSpec(L=500, detector_index=260, initial_index=250)
@@ -229,7 +228,7 @@ class TestAcceptance:
         checks = {}
 
         spec = LatticeSpec(L=20, detector_index=14, initial_index=10)
-        u = step_propagator(spec, ModelKind.EXACT, 0.3)
+        u = dense_step(spec, ModelKind.EXACT, 0.3)
         checks["unitarity"] = float(np.max(np.abs(u.conj().T @ u - np.eye(20)))) <= 1e-12
 
         mono_spec = LatticeSpec(L=16, detector_index=12, initial_index=8)

@@ -1,6 +1,7 @@
 """Config parsing, CSV contracts, recipe smoke runs, and sweep semantics."""
 
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -50,7 +51,7 @@ class TestParseConfig:
         assert config.detector_index == 260
         assert config.initial_index == 250
         assert config.model == "all"
-        assert config.r is None and config.t_r is None
+        assert config.t_r is None and config.n_max is None
 
     def test_grid_aligned_restart_time(self):
         config = parse_config("tau = 0.25\nt_r = 6.5\n")
@@ -66,8 +67,11 @@ class TestParseConfig:
             parse_config("tau = 0.3\nt_r = 1.0\nmodel = model2\n")
 
     def test_seed_is_not_a_config_key(self):
-        with pytest.raises(ConfigError, match="unknown key 'seed'"):
-            parse_config("tau = 0.25\nseed = 1\n")
+        # Nor are the count and stem keys: t_r and horizon are the one form of
+        # the restart period and the run length, and file names are fixed.
+        for key, value in (("seed", "1"), ("r", "4"), ("n_max", "8"), ("output_path", "x")):
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                parse_config(f"tau = 0.25\n{key} = {value}\n")
 
     def test_comments_and_blank_lines(self):
         config = parse_config(
@@ -86,9 +90,11 @@ class TestParseConfig:
             "tau = abc\n",  # malformed number
             "tau 0.25\n",  # no '='
             "tau =\n",  # empty value
-            "tau = 0.25\nr = 4\nt_r = 1.0\n",  # r and t_r conflict
-            "tau = 0.25\nn_max = 10\nhorizon = 5.0\n",  # n_max and horizon conflict
+            "tau = 0.25\nr = 4\nt_r = 1.0\n",  # r is no key; t_r is the restart period
+            "tau = 0.25\nn_max = 10\nhorizon = 5.0\n",  # n_max is no key; horizon is the run length
             "tau = 0.25\nhorizon = 0.1\n",  # horizon under one interval
+            "tau = 1e-300\nhorizon = 1e10\n",  # horizon / tau overflows
+            "tau = 0.25\nhorizon = 1e308\n",
             "tau = -0.25\n",
             "tau = inf\n",
         ],
@@ -124,18 +130,12 @@ class TestRestartPeriod:
             with pytest.raises(ConfigError, match=f"t_r={t_r:g} is not"):
                 _restart_period(t_r, 0.5)
 
-    @pytest.mark.parametrize(
-        "recipe, option",
-        [("reset-survival", []), ("mfdt-sweep", []), ("optimal-tr", []),
-         ("reset-survival", ["--sweep-tr", "0.5, 0.6"])],
-        ids=["reset-survival", "mfdt-sweep", "optimal-tr", "sweep-tr-option"],
-    )
-    def test_off_grid_tr_sweep_rejected_before_any_run(self, tmp_path, capsys, recipe, option):
+    @pytest.mark.parametrize("recipe", ["reset-survival", "mfdt-sweep", "optimal-tr"])
+    def test_off_grid_tr_sweep_rejected_before_any_run(self, tmp_path, capsys, recipe):
         cfg = tmp_path / "run.cfg"
-        grid = "" if option else "tr_sweep = 0.5, 0.6\n"
-        cfg.write_text("L = 40\ntau = 0.25\nhorizon = 2\n" + grid)
+        cfg.write_text("L = 40\ntau = 0.25\nhorizon = 2\ntr_sweep = 0.5, 0.6\n")
         out = tmp_path / "out"
-        assert main([recipe, "--config", str(cfg), "--out", str(out), *option]) == 1
+        assert main([recipe, "--config", str(cfg), "--out", str(out)]) == 1
         assert "t_r=0.6 is not a positive integer multiple of tau=0.25" in capsys.readouterr().err
         assert not out.exists()
 
@@ -150,7 +150,7 @@ class TestRestartPeriod:
     def test_t_r_is_checked_against_swept_tau_only(self, tmp_path):
         # The base tau = 0.3 never runs; t_r = 1.0 is 4 and 2 steps of the swept ones.
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(SMALL + "tau = 0.3\nt_r = 1.0\nn_max = 8\ntau_sweep = 0.25, 0.5\n")
+        cfg.write_text(SMALL + "tau = 0.3\nt_r = 1.0\nhorizon = 2.4\ntau_sweep = 0.25, 0.5\n")
         assert main(["delta-pr", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "delta_pr_tau0.25.csv").exists()
         assert (tmp_path / "delta_pr_tau0.5.csv").exists()
@@ -158,7 +158,7 @@ class TestRestartPeriod:
 
     def test_off_grid_t_r_of_a_tau_sweep_fails_as_its_grid_point(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(SMALL + "tau = 0.25\nt_r = 1.0\nn_max = 8\ntau_sweep = 0.25, 0.3\n")
+        cfg.write_text(SMALL + "tau = 0.25\nt_r = 1.0\nhorizon = 2.0\ntau_sweep = 0.25, 0.3\n")
         assert main(["delta-pr", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert (tmp_path / "delta_pr_tau0.25.csv").exists()
         assert "tau=0.3: t_r=1 is not" in (tmp_path / "errors.log").read_text()
@@ -200,9 +200,7 @@ class TestCsvArtifact:
 
     def test_string_first_column_skips_monotonicity(self, tmp_path):
         artifact = CsvArtifact(
-            tmp_path / "s.csv",
-            ("model", "t_star"),
-            [("model1", 2.0), ("model2", 1.0)],
+            tmp_path / "s.csv", ("model", "t_star"), [(2.0,), (1.0,)], ("model1", "model2")
         )
         artifact.write()
         header, rows = read_csv(tmp_path / "s.csv")
@@ -221,9 +219,10 @@ class TestCsvArtifact:
             artifact.write()
 
     def test_row_width_mismatch_rejected(self, tmp_path):
-        artifact = CsvArtifact(tmp_path / "x.csv", ("T", "v"), [(1.0,)])
-        with pytest.raises(ValueError):
-            artifact.write()
+        for rows in ([(1.0,)], [(1.0, 2.0), (2.0,)], np.zeros(3)):
+            with pytest.raises(ValueError):
+                CsvArtifact(tmp_path / "x.csv", ("T", "v"), rows).write()
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_keeps_previous_file_and_no_temp(self, tmp_path):
         target = tmp_path / "x.csv"
@@ -289,21 +288,26 @@ class TestCsvArtifact:
 
     def test_text_first_column_renders_as_is(self, tmp_path):
         header = ("model", "hostile")
-        rows = [
-            (f"m{i % 3}", value)
-            for i, value in enumerate(self.HOSTILE * (_CHUNK_ROWS // 6))
-        ]
-        artifact = CsvArtifact(tmp_path / "s.csv", header, rows)
-        assert len(artifact.rows) == len(rows) > _CHUNK_ROWS
-        expected = self.per_cell_reference(header, rows)
+        values = self.HOSTILE * (_CHUNK_ROWS // 6)
+        labels = tuple(f"m{i % 3}" for i in range(len(values)))
+        artifact = CsvArtifact(tmp_path / "s.csv", header, [(v,) for v in values], labels)
+        assert len(artifact.rows) == len(values) > _CHUNK_ROWS
+        expected = self.per_cell_reference(header, list(zip(labels, values)))
         assert artifact.write().read_text(encoding="utf-8") == expected
 
     @pytest.mark.parametrize(
         "rows", [[(1.0, "a"), (2.0, 3.0)], [(1.0, 2.0), (2.0, "3.5")]]
     )
     def test_column_mixing_text_and_numbers_rejected(self, tmp_path, rows):
-        with pytest.raises(ValueError, match="mixes text and numbers"):
+        with pytest.raises(ValueError, match="rows must be numbers"):
             CsvArtifact(tmp_path / "x.csv", ("T", "v"), rows).write()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("labels", [("model1",), ("model1", "model2", "model3")])
+    def test_label_count_must_match_rows(self, tmp_path, labels):
+        rows = [(2.0,), (1.0,)]
+        with pytest.raises(ValueError, match=f"{len(labels)} labels for 2 rows"):
+            CsvArtifact(tmp_path / "s.csv", ("model", "t_star"), rows, labels).write()
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("as_array", [False, True])
@@ -328,7 +332,7 @@ class TestCsvArtifact:
 def render_column(values):
     """The kernel's text for ``values`` as one numeric column, one cell a line."""
     column = np.asarray(values, dtype=np.float64).reshape(-1, 1)
-    return _render_rows(column, {}).decode("utf-8").splitlines()
+    return _render_rows(column).decode("utf-8").splitlines()
 
 
 def with_neighbours(values):
@@ -446,27 +450,9 @@ class TestRecipes:
             assert "front travels 40.0 sites, room for 14" in capsys.readouterr().err
             assert list(out.glob("*.csv")) == []
 
-    def test_output_path_names_a_single_run(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(SMALL + "tau = 0.25\nhorizon = 2.0\noutput_path = curves\n")
-        assert main(["pdet", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["curves.csv"]
-
-    def test_output_path_names_a_tau_sweep(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            SMALL + "tau = 0.25\nmodel = model1\ntr_sweep = 0.5, 1.0\n"
-            "tau_sweep = 0.5\noutput_path = scan\n"
-        )
-        assert main(["optimal-tr", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
-            "scan_tau0.5_model1.csv",
-            "scan_tau0.5_summary.csv",
-        ]
-
     def test_delta_pr_smoke(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(SMALL + "tau = 0.25\nr = 4\nn_max = 20\n")
+        cfg.write_text(SMALL + "tau = 0.25\nt_r = 1.0\nhorizon = 5.0\n")
         assert main(["delta-pr", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         header, rows = read_csv(tmp_path / "delta_pr.csv")
         assert header == ["R", "delta_pr_model1", "delta_pr_model2"]
@@ -498,24 +484,12 @@ class TestDeterminism:
             assert (seq / name).read_bytes() == (par / name).read_bytes()
 
     def test_singleton_sweep_matches_single_run(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
+        cfg, grid = tmp_path / "run.cfg", tmp_path / "grid.cfg"
         cfg.write_text(SMALL + "tau = 0.25\nhorizon = 2.0\n")
+        grid.write_text(SMALL + "tau = 0.25\nhorizon = 2.0\ntau_sweep = 0.25\n")
         single, swept = tmp_path / "one", tmp_path / "grid"
         assert main(["pdet", "--config", str(cfg), "--out", str(single)]) == 0
-        assert (
-            main(
-                [
-                    "pdet",
-                    "--config",
-                    str(cfg),
-                    "--out",
-                    str(swept),
-                    "--sweep-tau",
-                    "0.25",
-                ]
-            )
-            == 0
-        )
+        assert main(["pdet", "--config", str(grid), "--out", str(swept)]) == 0
         assert (single / "pdet.csv").read_bytes() == (
             swept / "pdet_tau0.25.csv"
         ).read_bytes()
@@ -544,7 +518,7 @@ class TestSweepSemantics:
     def test_partial_failure_keeps_good_points_and_logs_bad(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
-            SMALL + "tau = 0.25\nt_r = 1.0\nn_max = 20\ntau_sweep = 0.25, 0.3\n"
+            SMALL + "tau = 0.25\nt_r = 1.0\nhorizon = 5.0\ntau_sweep = 0.25, 0.3\n"
         )
         code = main(["delta-pr", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
@@ -654,6 +628,34 @@ class TestMainErrorPaths:
         cfg.write_text(SMALL + "tau = 0.25\n")
         assert main(["pdet", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
+    def test_horizon_beyond_the_float_range(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL + "tau = 0.25\nhorizon = 1e308\n")
+        out = tmp_path / "out"
+        assert main(["pdet", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: horizon 1e+308 ")
+        assert "tau=0.25" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--sweep-tau", "--sweep-tr"])
+    def test_sweep_override_options_are_gone(self, tmp_path, capsys, option):
+        # A sweep has one form: the tau_sweep or tr_sweep key.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL + "tau = 0.25\nhorizon = 2.0\n")
+        out = tmp_path / "out"
+        assert main(["pdet", "--config", str(cfg), "--out", str(out), option, "0.25"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: unrecognized arguments: {option}")
+        assert not out.exists()
+
+    def test_help_lists_config_out_and_workers(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert options == {"--help", "--config", "--out", "--workers"}
+
     def test_bulk_guard_error_offers_only_cli_remedies(self, tmp_path, capsys):
         # bulk_guard=False is a library argument; the CLI has no way to pass it.
         cfg = tmp_path / "run.cfg"
@@ -663,13 +665,13 @@ class TestMainErrorPaths:
         assert "chain edge" in err
         assert "bulk_guard" not in err
 
-    @pytest.mark.parametrize("sweep", [[], ["--sweep-tau", "0.25"]], ids=["single", "sweep"])
+    @pytest.mark.parametrize("sweep", ["", "tau_sweep = 0.25\n"], ids=["single", "sweep"])
     def test_output_directory_that_is_a_file(self, tmp_path, capsys, sweep):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(SMALL + "tau = 0.25\nhorizon = 2.0\n")
+        cfg.write_text(SMALL + "tau = 0.25\nhorizon = 2.0\n" + sweep)
         out = tmp_path / "taken"
         out.write_text("")
-        code = main(["pdet", "--config", str(cfg), "--out", str(out), *sweep])
+        code = main(["pdet", "--config", str(cfg), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write to {out}: ")
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from qreset import (
     BoundaryContaminationError,
-    DetectionSeries,
     LatticeSpec,
     ModelKind,
     RenewalSeries,
@@ -20,9 +19,8 @@ from qreset import (
     measured_evolution,
     nh_survival_series,
     renewal_amplitudes,
-    step_propagator,
 )
-from conftest import band_blocks, taylor_expm
+from conftest import band_blocks, dense_step, series_from_pmf, taylor_expm
 
 
 TWO_SITE = LatticeSpec(L=2, detector_index=2, initial_index=1)
@@ -156,7 +154,7 @@ class TestBandedDissipativeStep:
         spec = default_geometry(L)
         for kind in (ModelKind.MODEL1, ModelKind.MODEL2):
             series = nh_survival_series(spec, kind, tau, n)
-            a = step_propagator(spec, kind, tau)
+            a = dense_step(spec, kind, tau)
             phi = initial_state(spec)
             dense = np.empty(n)
             for k in range(n):
@@ -175,7 +173,7 @@ class TestBandedDissipativeStep:
             # Sites k b and k b + 1 end one block of b sites and start the next.
             k = max(1, L // (3 * b))
             starts = sorted({1, L // 2, L, k * b, k * b + 1})
-            a = step_propagator(spec, kind, tau)
+            a = dense_step(spec, kind, tau)
             phi = np.zeros((L, len(starts)), dtype=np.complex128)
             phi[np.array(starts) - 1, np.arange(len(starts))] = 1.0
             dense = np.empty((n, len(starts)))
@@ -188,8 +186,7 @@ class TestBandedDissipativeStep:
                 assert np.max(np.abs(series.P / dense[:, col] - 1.0)) <= 1e-12
 
     # (L, tau) of every shipped config and benchmark workload that runs a
-    # dissipative model: the frequent-measurement pdet run at L = 1000
-    # (first, so it reuses the cached steps of the test above), and
+    # dissipative model: the frequent-measurement pdet run at L = 1000, and
     # tau = 0.25, 0.5, 1.0 at L = 500.
     @pytest.mark.parametrize("L,tau", [(1000, 0.05), (500, 0.25), (500, 0.5), (500, 1.0)])
     def test_dropped_tail_is_below_rounding(self, L, tau):
@@ -197,7 +194,7 @@ class TestBandedDissipativeStep:
         eps = np.finfo(np.float64).eps
         offset = np.abs(np.subtract.outer(np.arange(L), np.arange(L)))
         for kind in (ModelKind.MODEL1, ModelKind.MODEL2):
-            a = step_propagator(spec, kind, tau)
+            a = dense_step(spec, kind, tau)
             blocks = band_blocks(a)
             kept = unpack_band(blocks, L)
             assert np.array_equal(kept, np.where(offset <= blocks.shape[1], a, 0))
@@ -205,10 +202,9 @@ class TestBandedDissipativeStep:
             assert dropped.max() <= eps**2
             assert dropped.sum(axis=0).max() <= L * eps**2
 
-    # The same (L, tau) in reverse, so the first reuses the cached steps of
-    # the test above, and small chains whose band spans both edges.
+    # The same (L, tau), and small chains whose band spans both edges.
     @pytest.mark.parametrize(
-        "L,tau", [(500, 1.0), (500, 0.5), (500, 0.25), (1000, 0.05), (2, 0.7), (4, 0.7), (16, 0.7)]
+        "L,tau", [(1000, 0.05), (500, 0.25), (500, 0.5), (500, 1.0), (2, 0.7), (4, 0.7), (16, 0.7)]
     )
     def test_direct_band_matches_dense_oracle(self, L, tau):
         if L >= 100:
@@ -223,7 +219,7 @@ class TestBandedDissipativeStep:
         gauge = np.array([1, 1j, -1, -1j])[np.arange(L) % 4]
         for kind in kinds:
             band = dynamics._step_band(spec, kind, tau)
-            step = step_propagator(spec, kind, tau)
+            step = dense_step(spec, kind, tau)
             oracle = band_blocks(gauge[:, None] * step * gauge.conj()[None, :])
             assert not np.any(oracle.imag)
             assert band.shape == oracle.shape
@@ -316,7 +312,7 @@ class TestSeriesBookkeeping:
         spec = LatticeSpec(L=4, detector_index=3, initial_index=2)
         tau, n = 0.7, 400
         series = measured_evolution(spec, tau, n, bulk_guard=False)
-        u = step_propagator(spec, ModelKind.EXACT, tau)
+        u = dense_step(spec, ModelKind.EXACT, tau)
         phi = initial_state(spec)
         for _ in range(n):
             phi = u @ phi
@@ -357,15 +353,15 @@ class TestSeriesBookkeeping:
 
 class TestFromPmf:
     def test_builds_consistent_series(self):
-        series = DetectionSeries.from_pmf(1.0, np.array([0.3, 0.2, 0.1]))
+        series = series_from_pmf(1.0, np.array([0.3, 0.2, 0.1]))
         assert np.allclose(series.Pdet, [0.3, 0.5, 0.6])
         assert np.allclose(series.P, [0.7, 0.5, 0.4])
         assert series.n_max == 3
 
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError):
-            DetectionSeries.from_pmf(1.0, np.array([0.5, -0.1]))
+            series_from_pmf(1.0, np.array([0.5, -0.1]))
 
     def test_rejects_excess_mass(self):
         with pytest.raises(ValueError):
-            DetectionSeries.from_pmf(1.0, np.array([0.8, 0.5]))
+            series_from_pmf(1.0, np.array([0.8, 0.5]))

@@ -13,8 +13,9 @@ from qreset import (
     nh_survival_series,
     propagator,
     restart_pmf,
-    step_propagator,
 )
+
+from conftest import dense_step
 
 
 def draw_spec(data, half_l_min=1, half_l_max=10, interior_detector=False):
@@ -33,7 +34,7 @@ class TestUnitarity:
     @given(tau=st.floats(min_value=0.05, max_value=2.0), data=st.data())
     def test_free_step_is_unitary(self, tau, data):
         spec = draw_spec(data)
-        u = step_propagator(spec, ModelKind.EXACT, tau)
+        u = dense_step(spec, ModelKind.EXACT, tau)
         gap = np.max(np.abs(u.conj().T @ u - np.eye(spec.L)))
         assert gap <= 1e-12
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qreset import (
-    DetectionSeries,
     LatticeSpec,
     ModelKind,
     NeverDetectedError,
@@ -17,7 +16,7 @@ from qreset import (
     restart_pmf,
 )
 
-from conftest import build_reset_heff, mfdt_direct
+from conftest import build_reset_heff, mfdt_direct, series_from_pmf
 
 
 TWO_SITE = LatticeSpec(L=2, detector_index=2, initial_index=1)
@@ -26,7 +25,7 @@ TWO_SITE = LatticeSpec(L=2, detector_index=2, initial_index=1)
 def geometric_series(q_step, n):
     """Detection series for a memoryless single-step detector."""
     p = (1.0 - q_step) ** np.arange(n) * q_step
-    return DetectionSeries.from_pmf(1.0, p)
+    return series_from_pmf(1.0, p)
 
 
 class TestRestartPmf:
@@ -42,7 +41,7 @@ class TestRestartPmf:
         assert np.max(np.abs(restarted[1:])) < 1e-12
 
     def test_single_step_window_is_geometric(self):
-        base = DetectionSeries.from_pmf(1.0, np.array([0.3, 0.0, 0.0, 0.0, 0.0]))
+        base = series_from_pmf(1.0, np.array([0.3, 0.0, 0.0, 0.0, 0.0]))
         restarted = restart_pmf(base, 1, 5)
         expected = 0.7 ** np.arange(5) * 0.3
         assert np.max(np.abs(restarted - expected)) < 1e-14
@@ -77,12 +76,12 @@ class TestMeanDetectionTime:
             assert abs(mfdt(base, r, tau) - tau / 0.25) < 1e-12
 
     def test_undetectable_window_raises(self):
-        base = DetectionSeries.from_pmf(1.0, np.array([0.0, 0.0]))
+        base = series_from_pmf(1.0, np.array([0.0, 0.0]))
         with pytest.raises(NeverDetectedError):
             mfdt(base, 2, 1.0)
 
     def test_direct_summation_halving_case(self):
-        base = DetectionSeries.from_pmf(1.0, np.array([0.5]))
+        base = series_from_pmf(1.0, np.array([0.5]))
         # q = 1/2 each window, window length 1: mean = sum k / 2^k = 2.
         assert abs(mfdt_direct(base, 1, 1.0, k_windows=60) - 2.0) < 1e-12
 
