@@ -20,8 +20,8 @@ output, rendered to 12 significant digits.  Sweeps fan grid points out
 to a thread pool; engine calls are pure, so results are merged back in
 value order and the output is byte-identical to a sequential run.
 
-Exit codes: 0 success, 1 validation error or an unwritable output
-directory, 2 partial sweep failure.
+Exit codes: 0 success, 1 a failed single run (out of memory included),
+which writes no CSV, 2 a sweep with failed grid points (``errors.log``).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "RECIPES",
     "RunConfig",
     "CsvArtifact",
-    "PartialSweepError",
     "parse_config",
     "parse_values",
     "run_experiment",
@@ -65,10 +64,6 @@ _FLOAT_KEYS = frozenset({"tau", "t_r", "horizon"})
 _LIST_KEYS = frozenset({"tau_sweep", "tr_sweep"})
 _STR_KEYS = frozenset({"model"})
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _LIST_KEYS | _STR_KEYS
-
-
-class PartialSweepError(QresetError):
-    """A grid finished only partially; completed rows were already written."""
 
 
 @dataclass
@@ -446,16 +441,17 @@ class CsvArtifact:
     text as ``f"{float(cell):.12g}"``.  ``labels``, when given, is a
     leading text column with one UTF-8 label per row, and the header
     names it first.  Without labels the first column must increase
-    strictly row to row.  Every value must be finite, and a table that
-    holds text or does not match the header's width is rejected.  The
-    whole table is checked before anything is written.  Rows then
-    render, a block of ``_CHUNK_ROWS`` per call, through the kernel
-    above: cells as ``float64`` (exactly ``float(cell)``) by a float
-    estimate of their 12 digits, with the cells it cannot settle taken
-    from ``"%.11e"``; labels encoded into the same byte matrix.  Blocks
-    go to a temporary file beside the target, which replaces the target
-    only once every block is out, so a failed or killed write never
-    leaves a partial CSV under the final name.
+    strictly row to row.  Every cell must be a finite int or float; text,
+    an int past 64 bits (numpy holds that table as objects) or a row
+    width other than the header's is rejected.  The whole table is
+    checked before anything is written.  Rows then render, a block of
+    ``_CHUNK_ROWS`` per call, through the kernel above: cells as
+    ``float64`` (exactly ``float(cell)``) by a float estimate of their
+    12 digits, with the cells it cannot settle taken from ``"%.11e"``;
+    labels encoded into the same byte matrix.  Blocks go to a temporary
+    file beside the target, which replaces the target only once every
+    block is out, so a failed or killed write never leaves a partial
+    CSV under the final name.
     """
 
     path: Path
@@ -484,9 +480,9 @@ class CsvArtifact:
         """The rows as one validated float64 array."""
         name, columns = self.path.name, len(self.header) - bool(self.labels)
         table = np.asarray(self.rows)
-        # Text anywhere promotes the table to a string dtype.  Python ints
-        # past int64 leave an object table, whose cells convert one by one.
-        if table.dtype.kind not in "biufO":
+        # Text anywhere promotes the table to a string dtype; Python ints
+        # past int64, alone or beside text, leave an object table.
+        if table.dtype.kind not in "biuf":
             raise ValueError(f"{name}: rows must be numbers, got {table.dtype} cells")
         numbers = table.astype(np.float64, copy=False) if len(table) else np.empty((0, columns))
         if numbers.ndim != 2 or numbers.shape[1] != columns:
@@ -562,18 +558,8 @@ def _build_mfdt_sweep(config: RunConfig, out_dir: Path, tag: str) -> list[CsvArt
     tau = config.tau
     r_values = [_restart_period(t_r, tau) for t_r in config.tr_sweep]
     base = measured_evolution(spec, tau, max(r_values))
-    rows: list[tuple] = []
-    artifact = CsvArtifact(
-        out_dir / f"mfdt_sweep{tag}.csv", ("t_r", "MFDT"), rows
-    )
-    for t_r, r in zip(config.tr_sweep, r_values):
-        try:
-            rows.append((t_r, mfdt(base, r, tau)))
-        except QresetError as err:
-            artifact.write()
-            raise PartialSweepError(
-                f"mfdt-sweep failed at t_r={t_r:g}: {err}"
-            ) from err
+    rows = [(t_r, mfdt(base, r, tau)) for t_r, r in zip(config.tr_sweep, r_values)]
+    artifact = CsvArtifact(out_dir / f"mfdt_sweep{tag}.csv", ("t_r", "MFDT"), rows)
     artifact.write()
     return [artifact]
 
@@ -619,7 +605,8 @@ def _build_delta_pr(config: RunConfig, out_dir: Path, tag: str) -> list[CsvArtif
     R_max = n // r
     if R_max < 1:
         raise ConfigError(
-            f"run length n_max={n} is shorter than one restart window of r={r}"
+            f"horizon spans {n} measurements of tau={config.tau:g}, fewer than "
+            f"the {r} of one restart window t_r={config.t_r:g}"
         )
     needed = r * R_max
     base = measured_evolution(spec, config.tau, r)
@@ -751,7 +738,7 @@ def sweep(
 
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage, which would collide with
-    # the partial-sweep exit code; route usage errors through ConfigError.
+    # the failed-sweep exit code; route usage errors through ConfigError.
     def error(self, message: str):  # type: ignore[override]
         raise ConfigError(message)
 
@@ -803,13 +790,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 print(f"error: {line}", file=sys.stderr)
             return 2
         return 0
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except PartialSweepError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (QresetError, ValueError) as err:
+    except (QresetError, ValueError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except OSError as err:

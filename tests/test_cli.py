@@ -295,8 +295,16 @@ class TestCsvArtifact:
         expected = self.per_cell_reference(header, list(zip(labels, values)))
         assert artifact.write().read_text(encoding="utf-8") == expected
 
+    # An int past int64 leaves an object table, where "3.5" would parse
+    # as a number; such a table is rejected whole.
     @pytest.mark.parametrize(
-        "rows", [[(1.0, "a"), (2.0, 3.0)], [(1.0, 2.0), (2.0, "3.5")]]
+        "rows",
+        [
+            [(1.0, "a"), (2.0, 3.0)],
+            [(1.0, 2.0), (2.0, "3.5")],
+            [(1, 2**70)],
+            [(1, 2**70), (3, "3.5")],
+        ],
     )
     def test_column_mixing_text_and_numbers_rejected(self, tmp_path, rows):
         with pytest.raises(ValueError, match="rows must be numbers"):
@@ -373,7 +381,7 @@ class TestNumericKernel:
         assert "10" in text and "1e+12" in text
 
     def test_ints_and_float32_render_as_float_of_the_cell(self, tmp_path):
-        cells = [7, -3, 2**60 + 1, 2**70, np.int64(-3), np.float32(0.1), np.float32(3.4e38), True]
+        cells = [7, -3, 2**60 + 1, np.int64(-3), np.float32(0.1), np.float32(3.4e38), True]
         rows = [(i, cell) for i, cell in enumerate(cells)]
         text = CsvArtifact(tmp_path / "c.csv", ("i", "v"), rows).write().read_text("utf-8")
         assert text.splitlines()[1:] == [f"{i},{float(c):.12g}" for i, c in rows]
@@ -458,6 +466,15 @@ class TestRecipes:
         assert header == ["R", "delta_pr_model1", "delta_pr_model2"]
         assert [row[0] for row in rows] == ["1", "2", "3", "4", "5"]
         assert all(float(cell) >= 0 for row in rows for cell in row[1:])
+
+    def test_delta_pr_horizon_shorter_than_one_window(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL + "tau = 0.25\nt_r = 1.0\nhorizon = 0.75\n")
+        assert main(["delta-pr", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"horizon spans 3 .* the 4 of one restart window t_r=1", err)
+        assert "n_max" not in err
+        assert list(tmp_path.glob("*.csv")) == []
 
 
 class TestDeterminism:
@@ -682,6 +699,31 @@ class TestMainErrorPaths:
         assert main(["pdet", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write to {tmp_path}: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pdet.csv", "run.cfg"]
+
+    @pytest.mark.parametrize("recipe", ["reset-survival", "delta-pr"])
+    def test_horizon_too_long_to_allocate(self, tmp_path, capsys, recipe):
+        # 4e15 measurements; the allocation fails at once, touching no memory.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL + "tau = 0.25\nt_r = 1.0\nhorizon = 1e15\n")
+        out = tmp_path / "out"
+        assert main([recipe, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Unable to allocate ")
+        assert list(out.glob("*.csv")) == []
+
+    def test_failed_mfdt_scan_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # A grid point that raises ends the single run: no partial table.
+        def mfdt(base, r, tau):
+            if r > 2:
+                raise qreset.NeverDetectedError(f"no detection in r={r}")
+            return 1.0
+
+        monkeypatch.setattr(qreset.cli, "mfdt", mfdt)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL + "tau = 0.25\ntr_sweep = 0.25, 0.5, 0.75, 1.0\n")
+        assert main(["mfdt-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: no detection in r=3"]
+        assert list(tmp_path.glob("*.csv")) == []
 
     def test_run_experiment_rejects_unknown_recipe(self, tmp_path):
         config = RunConfig(tau=0.5, L=20, detector_index=14, initial_index=10)

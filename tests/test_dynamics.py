@@ -20,7 +20,14 @@ from qreset import (
     nh_survival_series,
     renewal_amplitudes,
 )
-from conftest import band_blocks, dense_step, series_from_pmf, taylor_expm
+from conftest import (
+    band_blocks,
+    bessel_j,
+    bessel_renewal,
+    dense_step,
+    series_from_pmf,
+    taylor_expm,
+)
 
 
 TWO_SITE = LatticeSpec(L=2, detector_index=2, initial_index=1)
@@ -100,6 +107,53 @@ class TestRenewalRecursion:
         assert isinstance(ren, RenewalSeries)
         assert ren.n_max == 7
         assert ren.amplitudes.shape == (7,)
+
+
+def relative_gap(p: np.ndarray, oracle: np.ndarray, floor: float = 0.0) -> float:
+    """Largest |p - oracle| / oracle over the cells where the oracle exceeds ``floor``."""
+    kept = oracle > floor
+    return float(np.max(np.abs(p[kept] - oracle[kept]) / oracle[kept]))
+
+
+class TestBesselRenewalOracle:
+    """The infinite-chain oracle of ``conftest.bessel_renewal``, and the engines against it.
+
+    The engines are held only where p > 1e-10: before the front arrives
+    the exact engine's absolute floor of about 1e-17 on the amplitude
+    leaves p with no relative accuracy.
+    """
+
+    def test_bessel_values_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        x = np.array([0.1, 0.5, 3.0, 40.0, 400.0])
+        j = bessel_j(12, x)
+        with mpmath.workdps(30):
+            exact = np.array([[float(mpmath.besselj(k, v)) for v in x] for k in range(13)])
+        assert np.max(np.abs(j - exact) / np.abs(exact)) < 1e-12
+
+    def test_recursion_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        d, tau, n = 10, 0.25, 60
+        with mpmath.workdps(50):
+            transition = [(-1j) ** d * mpmath.besselj(d, 2 * k * tau) for k in range(1, n + 1)]
+            ret = [mpmath.besselj(0, 2 * k * tau) for k in range(1, n + 1)]
+            phi = []
+            for i in range(n):
+                phi.append(transition[i] - mpmath.fsum(ret[i - 1 - m] * phi[m] for m in range(i)))
+            exact = np.array([float(abs(v) ** 2) for v in phi])
+        assert relative_gap(np.abs(bessel_renewal(d, tau, n)) ** 2, exact) < 1e-11
+
+    @pytest.mark.parametrize("L, tau, n", [(1000, 0.05, 4000), (200, 0.25, 160)])
+    def test_measured_evolution_in_relative_terms(self, L, tau, n):
+        spec = LatticeSpec(L=L, detector_index=L // 2 + 10, initial_index=L // 2)
+        oracle = np.abs(bessel_renewal(10, tau, n)) ** 2
+        assert relative_gap(measured_evolution(spec, tau, n).p, oracle, 1e-10) < 1e-9
+
+    def test_renewal_amplitudes_in_relative_terms(self):
+        spec = LatticeSpec(L=200, detector_index=110, initial_index=100)
+        oracle = np.abs(bessel_renewal(10, 0.25, 160)) ** 2
+        p = np.abs(renewal_amplitudes(spec, 0.25, 160).amplitudes) ** 2
+        assert relative_gap(p, oracle, 1e-10) < 1e-9
 
 
 class TestDissipativeSeries:
