@@ -193,7 +193,10 @@ def parse_values(text: str) -> tuple[float, ...]:
             raise ConfigError(f"range step must be positive, got {step}")
         if stop < start:
             raise ConfigError(f"range stop {stop} is below start {start}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        count = (stop - start) / step + 1e-9
+        if not math.isfinite(count):
+            raise ConfigError(f"range {start}:{stop} spans too many steps of {step}")
+        count = int(math.floor(count)) + 1
         values = tuple(start + i * step for i in range(count))
     else:
         values = tuple(_as_float("sweep value", p.strip()) for p in text.split(","))

@@ -22,10 +22,16 @@ Three routes to the same bookkeeping:
   side and step, and a newly reached block whose norm is at or below
   eps^2 times the state's is dropped.  The band is built once per run
   straight from the generator's diagonals, by applying the exponential
-  to a block of probe vectors: O(L b) memory, no L x L matrix and no
-  dense exponential.  Both models have real hops and imaginary entries
-  on even diagonals only, so in the gauge D = diag(i^x) band and state
-  are real: float64, half the memory of complex, with the same norms.
+  to a block of probe vectors: no L x L matrix and no dense exponential.
+  The generators differ from the free chain only at the detector, so
+  the probes run on feature segments alone (each chain end and the
+  detector, reaching 2B past it, B the probe half-width) plus one free
+  segment whose centre row is the bulk row; every block row away from
+  the features is that one bulk block.  The probes cost O(B^2) work
+  instead of O(L B), and memory stays O(L b), the band itself.  Both
+  models have real hops and imaginary entries on even diagonals only,
+  so in the gauge D = diag(i^x) band and state are real: float64, half
+  the memory of complex, with the same norms.
 
 No matrix powers are stored.  Measurements happen at t = tau, 2 tau,
 ...; there is no measurement at t = 0.
@@ -231,47 +237,28 @@ def _probe_half_width(a: dict[int, np.ndarray], L: int) -> int:
     return h + skipped
 
 
-def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> np.ndarray:
-    """Band of the step, as the block rows of a block-tridiagonal matrix, in float64.
+def _gauge_diagonals(spec: LatticeSpec, kind: ModelKind, tau: float) -> dict[int, np.ndarray]:
+    """Diagonals of ``A = D (-i tau H) D*``, D = diag(i^x), as float64 arrays.
 
-    The step is taken in the gauge D = diag(i^x), as ``e^A`` with A real:
-    diagonal k of ``-i tau H`` times the exact phase ``(-i)^k``.  An entry
-    that stays complex (an imaginary hop, say) raises.  The half-width b
-    is the largest ``|i - j|`` of an entry above ``BAND_CUTOFF``; every
-    entry farther out is dropped.  With blocks of b sites, block row k
-    holds rows ``k b .. k b + b - 1`` against columns ``(k - 1) b ..
-    (k + 2) b - 1``, zero past the chain ends, so the product with a state
-    zero-padded by one block on each side is one stacked
-    ``(n_blocks, b, 3 b) @ (n_blocks, 3 b, 1)`` matmul.
-
-    The entries come from probing: columns whose indices agree mod
-    ``P = 2 B + 1`` share a probe vector, with B from
-    :func:`_probe_half_width`, so one application of the exponential to
-    the L x P block of probes gives every entry with ``|i - j| <= B``.
-    The other columns of its probe lie more than B away, where the bound
-    holds each entry below the cutoff, so they shift it by about eps^2 at
-    most.  (A chain with ``L <= 2 B + 1`` gives each column its own
-    probe.)  The exponential is applied by Taylor stages on the diagonals
-    of H, O(L P) work per term, and no L x L array is formed.  An entry
-    above the cutoff at distance B means the bound failed, and raises.
+    Diagonal k of ``-i tau H`` picks up the phase ``(-i)^k``; an entry
+    that stays complex (an imaginary hop, say) raises.
     """
-    L = spec.L
     a = {}
     for k, d in hamiltonian_diagonals(spec, kind, tau).items():
         # (-i)^k from a table: a float power would round the zero parts.
         g = -1j * tau * d * (1, -1j, -1, 1j)[k % 4]
         if np.any(g.imag):
             raise ValueError(f"{kind.value}: diagonal {k} is not real in the gauge diag(i^x)")
-        a[k] = g.real
-    site = np.arange(L)
-    B = _probe_half_width(a, L)
-    P = min(2 * B + 1, L)
-    if P < L:
-        # Column c of the probed block holds, on row i, the entry of the
-        # column j = c mod P with |i - j| <= B: offset j - i = (c - i + B) mod P - B.
-        offset = (np.arange(P)[None, :] - site[:, None] + B) % P - B
-    else:
-        offset = site[None, :] - site[:, None]
+        # A copy: the view g.real would keep the complex array alive.
+        a[k] = g.real.copy()
+    return a
+
+
+def _probe_block(a: dict[int, np.ndarray], L: int, P: int) -> np.ndarray:
+    """``e^A`` applied to the L x P probe block: row i holds a 1 in column i mod P.
+
+    Scaled Taylor stages on the diagonals of A, O(L P) work per term.
+    """
     norm = _abs_row_sums(a, L).max()
     # Stages of norm at most 4: at this tolerance fewer, longer stages cost
     # fewer terms in all, and the largest term, 4^4/4! ~ 11, costs at most
@@ -286,6 +273,7 @@ def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> np.ndarray:
             lo, hi, r0, c0 = nz[0], nz[-1] + 1, max(0, -k), max(0, k)
             rows, cols = slice(r0 + lo, r0 + hi), slice(c0 + lo, c0 + hi)
             slabs.append((rows, cols, d[lo:hi, None] / stages))
+    site = np.arange(L)
     f = np.zeros((L, P))
     f[site, site % P] = 1.0
     tol = BAND_CUTOFF * np.finfo(np.float64).eps
@@ -301,8 +289,121 @@ def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> np.ndarray:
                 nxt[rows] += (d / n) * term[cols]
             term = nxt
             f += term
-    j = site[:, None] + offset
-    above = (j >= 0) & (j < L) & (np.abs(f) > BAND_CUTOFF)
+    return f
+
+
+def _feature_chain(
+    spec: LatticeSpec, tau: float, a: dict[int, np.ndarray], B: int
+) -> tuple[list[int], list[tuple[int, int]], dict[int, np.ndarray]] | None:
+    """Features, segments and diagonals of the reduced chain, or None if it is no shorter.
+
+    A feature is a chain end or a row where A differs from the free
+    chain's.  Each feature's segment reaches 2B past it, clipped to the
+    chain; overlapping or touching segments merge.  The reduced chain
+    is the segments end to end, then a free segment of 2B + 3 sites,
+    with zero couplings at the joins.
+    """
+    L = spec.L
+    free = _gauge_diagonals(spec, ModelKind.EXACT, tau)
+    features = {0, L - 1}
+    for k in a.keys() | free.keys():
+        features.update((np.flatnonzero(a.get(k, 0.0) != free.get(k, 0.0)) + max(0, -k)).tolist())
+    features = sorted(features)
+    segments = []
+    for x in features:
+        lo, hi = max(0, x - 2 * B), min(L, x + 2 * B + 1)
+        if segments and lo <= segments[-1][1]:
+            segments[-1] = (segments[-1][0], hi)
+        else:
+            segments.append((lo, hi))
+    if sum(hi - lo for lo, hi in segments) + 2 * B + 3 >= L:
+        return None
+    pieces = [(a, lo, hi) for lo, hi in segments] + [(free, 0, 2 * B + 3)]
+    chain = {}
+    for k in a:
+        parts = []
+        for src, lo, hi in pieces:
+            d = src.get(k)
+            parts.append(d[lo : hi - abs(k)] if d is not None else np.zeros(hi - lo - abs(k)))
+            parts.append(np.zeros(abs(k)))
+        chain[k] = np.concatenate(parts[:-1])
+    return features, segments, chain
+
+
+def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> np.ndarray:
+    """Band of the step, as the block rows of a block-tridiagonal matrix, in float64.
+
+    The step is taken in the gauge D = diag(i^x), as ``e^A`` with A real
+    (:func:`_gauge_diagonals`).  The half-width b is the largest
+    ``|i - j|`` of an entry above ``BAND_CUTOFF``; every entry farther out
+    is dropped.  With blocks of b sites, block row k holds rows ``k b ..
+    k b + b - 1`` against columns ``(k - 1) b .. (k + 2) b - 1``, zero
+    past the chain ends, so the product with a state zero-padded by one
+    block on each side is one stacked ``(n_blocks, b, 3 b) @ (n_blocks,
+    3 b, 1)`` matmul.
+
+    The entries come from probing: columns whose indices agree mod
+    ``P = 2 B + 1`` share a probe vector, with B from
+    :func:`_probe_half_width`, so one application of the exponential to
+    a block of P probe columns gives every entry with ``|i - j| <= B``.
+    The other columns of its probe lie more than B away, where the bound
+    holds each entry below the cutoff, so they shift it by about eps^2 at
+    most.  (A chain with ``L <= 2 B + 1`` gives each column its own
+    probe.)  An entry above the cutoff at distance B means the bound
+    failed, and raises.
+
+    Only rows within B of a feature (a chain end, or a row where A
+    differs from the free chain's) can differ from the bulk row, so the
+    probes run on a reduced chain (:func:`_feature_chain`): each
+    feature's segment reaching 2B past it, and one free segment of
+    2B + 3 sites whose centre row is the bulk row, about 10 B rows
+    instead of L.  A row within B of a feature is read from its segment,
+    whose cut ends lie at least B away; every other row is the bulk row,
+    and a block row holding only such rows is one shared block.  The
+    probes cost O(B^2) work instead of O(L B).  When the reduced chain
+    would be no shorter, the chain itself is probed.
+    """
+    L = spec.L
+    a = _gauge_diagonals(spec, kind, tau)
+    B = _probe_half_width(a, L)
+    P = min(2 * B + 1, L)
+    # The reduced chain holds two end segments and the free one: 6B + 5 rows at least.
+    reduced = _feature_chain(spec, tau, a, B) if L > 6 * B + 5 else None
+    if reduced is None:
+        # Every row is read in place from the probed chain itself.
+        f = _probe_block(a, L, P)
+        near, centre = np.ones(L, dtype=bool), None
+        distinct = np.arange(L)
+
+        def to_chain(r):
+            return r
+
+    else:
+        features, segments, chain = reduced
+        n = sum(hi - lo for lo, hi in segments) + 2 * B + 3
+        f = _probe_block(chain, n, P)
+        near = np.zeros(L, dtype=bool)
+        for x in features:
+            near[max(0, x - B) : x + B + 1] = True
+        starts = np.array([lo for lo, _ in segments])
+        # Row r of segment s is row r + shifts[s] of the reduced chain.
+        shifts = np.cumsum([0] + [hi - lo for lo, hi in segments[:-1]]) - starts
+        centre = n - (B + 2)
+
+        def to_chain(r):
+            seg = np.searchsorted(starts, r, side="right") - 1
+            return np.where(near[r], r + shifts[seg], centre)
+
+        # The distinct band rows: those near a feature and one bulk row, here
+        # the first row past the first segment, 2B or more from every feature.
+        distinct = np.append(np.flatnonzero(near), segments[0][1])
+    mapped = to_chain(distinct)
+    # Column c of the probed block holds, on row i, the entry of the
+    # column j = c mod P with |i - j| <= B: offset j - i = (c - i + B) mod P - B.
+    c = np.arange(P)[None, :]
+    offset = (c - mapped[:, None] + B) % P - B if P < L else c - mapped[:, None]
+    j = distinct[:, None] + offset
+    above = (j >= 0) & (j < L) & (np.abs(f[mapped]) > BAND_CUTOFF)
     b = max(1, int(np.max(np.abs(offset[above]), initial=0)))
     if P < L and b >= B:
         raise RuntimeError(
@@ -310,11 +411,19 @@ def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> np.ndarray:
             f"lies {b} sites off the diagonal, at the probe half-width {B}"
         )
     n_blocks = -(-L // b)
-    rows = np.arange(n_blocks)[:, None, None] * b + np.arange(b)[None, :, None]
-    cols = (np.arange(n_blocks)[:, None, None] - 1) * b + np.arange(3 * b)[None, None, :]
-    keep = (rows < L) & (cols >= 0) & (cols < L) & (np.abs(rows - cols) <= b)
-    entries = f[np.minimum(rows, L - 1), np.clip(cols, 0, L - 1) % P]
-    return np.where(keep, entries, 0.0)
+    # Offsets col - row across one block row.
+    o = np.arange(3 * b)[None, :] - b - np.arange(b)[:, None]
+    band = np.empty((n_blocks, b, 3 * b))
+    if centre is not None:
+        band[:] = np.where(np.abs(o) <= b, f[centre, (centre + o) % P], 0.0)
+    # Block rows holding a row near a feature are gathered row by row.
+    gathered = np.flatnonzero(np.logical_or.reduceat(near, np.arange(0, L, b)))
+    rows = gathered[:, None, None] * b + np.arange(b)[:, None]
+    cols = rows + o
+    keep = (rows < L) & (cols >= 0) & (cols < L) & (np.abs(o) <= b)
+    r = to_chain(np.minimum(rows, L - 1))
+    band[gathered] = np.where(keep, f[r, (r + o) % P], 0.0)
+    return band
 
 
 def nh_survival_series(

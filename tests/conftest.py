@@ -4,7 +4,9 @@ The Taylor-series exponential here is deliberately naive: it is the
 independent check for the production propagators, so it must not share
 any code path with them.  ``band_blocks`` cuts a dense step matrix to
 the band layout the dissipative engine steps with, the reference for
-the band the engine builds without one.  The restart oracles
+the band the engine builds without one; ``full_chain_band`` builds that
+band by probing every row of the chain, the reference the engine's
+feature-segment build must match bit for bit.  The restart oracles
 ``mfdt_direct`` and ``build_reset_heff`` (moved here from
 ``qreset.restart``, which no longer exports them) check the closed-form
 mean detection time against a truncated sum, and the scalar window
@@ -23,7 +25,7 @@ import functools
 import numpy as np
 
 from qreset import DetectionSeries, NeverDetectedError, lattice, restart_pmf
-from qreset.dynamics import BAND_CUTOFF
+from qreset.dynamics import BAND_CUTOFF, _abs_row_sums, _probe_half_width
 from qreset.restart import _check_window
 
 
@@ -75,6 +77,59 @@ def band_blocks(a: np.ndarray) -> np.ndarray:
     inside = (rows < L) & (cols >= 0) & (cols < L) & (np.abs(rows - cols) <= b)
     entries = a[np.minimum(rows, L - 1), np.clip(cols, 0, L - 1)]
     return np.where(inside, entries, 0.0)
+
+
+def full_chain_band(spec: lattice.LatticeSpec, kind: lattice.ModelKind, tau: float) -> np.ndarray:
+    """The dissipative step's band, probed over all L rows of the chain.
+
+    The same probes and Taylor stages as ``dynamics._step_band``, in the
+    same floating-point order, applied to the whole L x (2B+1) probe
+    block instead of the feature segments and one bulk row.
+    """
+    L = spec.L
+    a = {}
+    for k, d in lattice.hamiltonian_diagonals(spec, kind, tau).items():
+        g = -1j * tau * d * (1, -1j, -1, 1j)[k % 4]
+        assert not np.any(g.imag)
+        a[k] = g.real
+    site = np.arange(L)
+    B = _probe_half_width(a, L)
+    P = min(2 * B + 1, L)
+    if P < L:
+        offset = (np.arange(P)[None, :] - site[:, None] + B) % P - B
+    else:
+        offset = site[None, :] - site[:, None]
+    norm = _abs_row_sums(a, L).max()
+    stages = max(1, int(np.ceil(norm / 4)))
+    slabs = []
+    for k, d in a.items():
+        nz = np.flatnonzero(d)
+        if len(nz):
+            lo, hi, r0, c0 = nz[0], nz[-1] + 1, max(0, -k), max(0, k)
+            rows, cols = slice(r0 + lo, r0 + hi), slice(c0 + lo, c0 + hi)
+            slabs.append((rows, cols, d[lo:hi, None] / stages))
+    f = np.zeros((L, P))
+    f[site, site % P] = 1.0
+    tol = BAND_CUTOFF * np.finfo(np.float64).eps
+    for _ in range(stages):
+        term, n = f, 0
+        while n + 1 < 2 * norm / stages or np.abs(term).max() > tol:
+            n += 1
+            nxt = np.zeros_like(term)
+            for rows, cols, d in slabs:
+                nxt[rows] += (d / n) * term[cols]
+            term = nxt
+            f += term
+    j = site[:, None] + offset
+    above = (j >= 0) & (j < L) & (np.abs(f) > BAND_CUTOFF)
+    b = max(1, int(np.max(np.abs(offset[above]), initial=0)))
+    assert P == L or b < B
+    n_blocks = -(-L // b)
+    rows = np.arange(n_blocks)[:, None, None] * b + np.arange(b)[None, :, None]
+    cols = (np.arange(n_blocks)[:, None, None] - 1) * b + np.arange(3 * b)[None, None, :]
+    keep = (rows < L) & (cols >= 0) & (cols < L) & (np.abs(rows - cols) <= b)
+    entries = f[np.minimum(rows, L - 1), np.clip(cols, 0, L - 1) % P]
+    return np.where(keep, entries, 0.0)
 
 
 def mfdt_direct(base: DetectionSeries, r: int, tau: float, k_windows: int) -> float:

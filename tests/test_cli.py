@@ -655,6 +655,16 @@ class TestMainErrorPaths:
         assert "tau=0.25" in err[0]
         assert not out.exists()
 
+    def test_range_beyond_the_float_range(self, tmp_path, capsys):
+        # (stop - start) / step overflows to inf: no step count exists.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL + "tau = 0.25\ntr_sweep = 0.5:1e308:1e-300\n")
+        out = tmp_path / "out"
+        assert main(["mfdt-sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: range 0.5:1e+308 spans too many steps of 1e-300"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("option", ["--sweep-tau", "--sweep-tr"])
     def test_sweep_override_options_are_gone(self, tmp_path, capsys, option):
         # A sweep has one form: the tau_sweep or tr_sweep key.

@@ -25,6 +25,7 @@ from conftest import (
     bessel_j,
     bessel_renewal,
     dense_step,
+    full_chain_band,
     series_from_pmf,
     taylor_expm,
 )
@@ -278,6 +279,41 @@ class TestBandedDissipativeStep:
             assert not np.any(oracle.imag)
             assert band.shape == oracle.shape
             assert np.max(np.abs(band - oracle.real)) <= 1e-15
+
+    # Detectors at the default site and next to either end, where the
+    # detector's segment merges with an end's.
+    @pytest.mark.parametrize("tau", [0.05, 0.25, 1.0])
+    @pytest.mark.parametrize("L", [4, 16, 40, 100, 200, 500, 1000, 5000])
+    def test_feature_band_matches_full_chain_build(self, L, tau):
+        middle = L // 2 + 10 if L >= 20 else L // 2 + 1
+        sites = {ModelKind.MODEL1: (middle, 2, L - 1), ModelKind.MODEL2: (middle, 1, L)}
+        for kind, detectors in sites.items():
+            for s in detectors:
+                spec = LatticeSpec(L=L, detector_index=s, initial_index=L // 2)
+                band = dynamics._step_band(spec, kind, tau)
+                assert np.array_equal(band, full_chain_band(spec, kind, tau))
+                # Block rows farther than B + b from the chain ends and the
+                # rows the model changes are all one bulk block.
+                b = band.shape[1]
+                B = dynamics._probe_half_width(dynamics._gauge_diagonals(spec, kind, tau), L)
+                changed = [s - 1] if kind is ModelKind.MODEL2 else [s - 2, s - 1, s]
+                features = np.array([0, L - 1, *changed])
+                first = np.arange(len(band))[:, None] * b
+                gap = np.maximum(first - features, features - (first + b - 1))
+                far = band[(gap > B + b).all(axis=1)]
+                assert np.array_equal(far, np.broadcast_to(far[:1], far.shape))
+
+    @pytest.mark.parametrize("kind", [ModelKind.MODEL1, ModelKind.MODEL2])
+    def test_band_build_memory_stays_near_the_band(self, kind):
+        # The band alone is 9.6 MB; the full-chain probe block and its
+        # index arrays would add about five times that.
+        tracemalloc.start()
+        try:
+            band = dynamics._step_band(default_geometry(20000), kind, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * band.nbytes
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_band_is_real(self, kind):
