@@ -17,18 +17,19 @@ Three routes to the same bookkeeping:
   and reads survival off the decaying norm.  It applies the single-step
   contraction through its band, b the band half-width (14 to 30 sites
   for tau from 0.05 to 1), and only on the active window of w blocks of
-  b sites that the light cone has reached: O(w b) per step, plus one
-  O(L) dot product for the norm.  The window grows by one block per
-  side and step, and a newly reached block whose norm is at or below
-  eps^2 times the state's is dropped.  The band is built once per run
-  straight from the generator's diagonals, by applying the exponential
-  to a block of probe vectors: no L x L matrix and no dense exponential.
-  The generators differ from the free chain only at the detector, so
-  the probes run on feature segments alone (each chain end and the
-  detector, reaching 2B past it, B the probe half-width) plus one free
-  segment whose centre row is the bulk row; every block row away from
-  the features is that one bulk block.  The probes cost O(B^2) work
-  instead of O(L B), and memory stays O(L b), the band itself.  Both
+  b sites that the light cone has reached.  The generators differ from
+  the free chain only at the detector, so all block rows of the band
+  but those near the detector and the chain ends are one shared
+  ``(b, 3 b)`` bulk block: a step is one GEMM of the window against
+  it, one dense slab product per run of feature block rows the window
+  has reached, and a norm over the window, O(w b^2) whatever L.  The
+  window grows by one block per side and step, and a newly reached
+  block whose norm is at or below eps^2 times the state's is dropped.
+  Bulk block and slabs are built once per run from the generator's
+  diagonals, by applying the exponential to probe vectors on feature
+  segments (each chain end and the detector, reaching 2B past it, B
+  the probe half-width) and one free segment whose centre row is the
+  bulk row: no L x L matrix, no dense exponential, O(B^2) work.  Both
   models have real hops and imaginary entries on even diagonals only,
   so in the gauge D = diag(i^x) band and state are real: float64, half
   the memory of complex, with the same norms.
@@ -330,17 +331,18 @@ def _feature_chain(
     return features, segments, chain
 
 
-def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> np.ndarray:
-    """Band of the step, as the block rows of a block-tridiagonal matrix, in float64.
+def _step_band(
+    spec: LatticeSpec, kind: ModelKind, tau: float
+) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+    """Band of the step in float64: the shared bulk block and the feature slabs.
 
     The step is taken in the gauge D = diag(i^x), as ``e^A`` with A real
     (:func:`_gauge_diagonals`).  The half-width b is the largest
     ``|i - j|`` of an entry above ``BAND_CUTOFF``; every entry farther out
     is dropped.  With blocks of b sites, block row k holds rows ``k b ..
     k b + b - 1`` against columns ``(k - 1) b .. (k + 2) b - 1``, zero
-    past the chain ends, so the product with a state zero-padded by one
-    block on each side is one stacked ``(n_blocks, b, 3 b) @ (n_blocks,
-    3 b, 1)`` matmul.
+    past the chain ends; against the state zero-padded by one block on
+    each side, those columns are the window ``k b .. (k + 3) b - 1``.
 
     The entries come from probing: columns whose indices agree mod
     ``P = 2 B + 1`` share a probe vector, with B from
@@ -358,10 +360,18 @@ def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> np.ndarray:
     feature's segment reaching 2B past it, and one free segment of
     2B + 3 sites whose centre row is the bulk row, about 10 B rows
     instead of L.  A row within B of a feature is read from its segment,
-    whose cut ends lie at least B away; every other row is the bulk row,
-    and a block row holding only such rows is one shared block.  The
-    probes cost O(B^2) work instead of O(L B).  When the reduced chain
-    would be no shorter, the chain itself is probed.
+    whose cut ends lie at least B away; every other row is the bulk row.
+    When the reduced chain would be no shorter, the chain itself is
+    probed and every row counts as near a feature.
+
+    Returns ``(bulk, runs)``.  ``bulk`` is the ``(b, 3 b)`` block shared
+    by every block row that holds no row near a feature (zero when there
+    is none).  The other block rows, the feature block rows, come in
+    runs of consecutive ones, each run ``k0 .. k1 - 1`` as ``(k0, slab)``
+    with ``slab`` the dense ``((k1 - k0) b, (k1 - k0 + 2) b)`` rows of
+    the run against the padded state's sites ``k0 b .. (k1 + 2) b - 1``.
+    Nothing here grows with ``L b``: the probes cost O(B^2), the bulk
+    block and slabs hold O(B^2) entries.
     """
     L = spec.L
     a = _gauge_diagonals(spec, kind, tau)
@@ -410,20 +420,22 @@ def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> np.ndarray:
             f"{kind.value} step at L={L}, tau={tau}: an entry above the cutoff "
             f"lies {b} sites off the diagonal, at the probe half-width {B}"
         )
-    n_blocks = -(-L // b)
-    # Offsets col - row across one block row.
-    o = np.arange(3 * b)[None, :] - b - np.arange(b)[:, None]
-    band = np.empty((n_blocks, b, 3 * b))
+    bulk = np.zeros((b, 3 * b))
     if centre is not None:
-        band[:] = np.where(np.abs(o) <= b, f[centre, (centre + o) % P], 0.0)
-    # Block rows holding a row near a feature are gathered row by row.
+        # Offsets col - row across one block row.
+        o = np.arange(3 * b)[None, :] - b - np.arange(b)[:, None]
+        bulk[:] = np.where(np.abs(o) <= b, f[centre, (centre + o) % P], 0.0)
+    # Block rows holding a row near a feature, split into runs of consecutive ones.
     gathered = np.flatnonzero(np.logical_or.reduceat(near, np.arange(0, L, b)))
-    rows = gathered[:, None, None] * b + np.arange(b)[:, None]
-    cols = rows + o
-    keep = (rows < L) & (cols >= 0) & (cols < L) & (np.abs(o) <= b)
-    r = to_chain(np.minimum(rows, L - 1))
-    band[gathered] = np.where(keep, f[r, (r + o) % P], 0.0)
-    return band
+    runs = []
+    for run in np.split(gathered, np.flatnonzero(np.diff(gathered) > 1) + 1):
+        k0, k1 = int(run[0]), int(run[-1]) + 1
+        rows = np.arange(k0 * b, k1 * b)[:, None]
+        cols = np.arange((k0 - 1) * b, (k1 + 1) * b)[None, :]
+        keep = (rows < L) & (cols >= 0) & (cols < L) & (np.abs(cols - rows) <= b)
+        r = to_chain(np.minimum(rows, L - 1))
+        runs.append((k0, np.where(keep, f[r, (r + cols - rows) % P], 0.0)))
+    return bulk, runs
 
 
 def nh_survival_series(
@@ -442,8 +454,9 @@ def nh_survival_series(
     diagonals), in the gauge where it and the initial state are real; a
     diagonal unitary changes no norm.  The entries beyond the band are
     each at most ``BAND_CUTOFF`` = eps^2, far below the rounding error of
-    a step.  No dense step matrix is built, so memory stays O(L b) at any
-    chain length.
+    a step.  No dense step matrix and no copy of the band per block row
+    is built: besides the state, memory holds the shared bulk block and
+    the feature slabs, O(B^2) at any chain length.
 
     Only the block rows of the light cone are stepped.  The state lives
     on a contiguous range of w blocks, starting at the initial site's
@@ -453,45 +466,61 @@ def nh_survival_series(
     sqrt(P_{n-1})``, the band's own eps^2 rule applied to the state, in
     which case it is dropped and stays zero.  The step is a contraction,
     so the dropped amplitudes shift P_n by at most about
-    ``4 n eps^2 sqrt(P_n)`` (8e-28 after 4000 steps).  A step costs
-    O(w b), plus one dot product over all L sites for the norm, and no
-    work or subnormal arithmetic is spent on the blocks the front has
-    not reached.
+    ``4 n eps^2 sqrt(P_n)`` (8e-28 after 4000 steps).
+
+    A step is one ``(w, 3 b) @ (3 b, b)`` GEMM of the range's windows of
+    the padded state against the bulk block, which treats every block
+    row as a bulk row; each feature run the range reaches then rewrites
+    its rows with one product of its slab.  P_n is the squared norm of
+    the range alone, the only blocks that can be nonzero.  A step costs
+    O(w b^2), and no work or subnormal arithmetic is spent on the blocks
+    the front has not reached.
     """
     if kind is ModelKind.EXACT:
         raise ValueError("kind must be one of the dissipative models")
     _check_run_args(tau, n_max)
     if bulk_guard:
         _check_bulk_window(spec, tau, n_max)
-    blocks = _step_band(spec, kind, tau)
-    n_blocks, b, _ = blocks.shape
+    bulk, runs = _step_band(spec, kind, tau)
+    b = len(bulk)
+    n_blocks = -(-spec.L // b)
     # The state zero-padded by one block on each side; window k is what
     # block row k multiplies, and state block k sits at padded[(k + 1) b:].
     padded = np.zeros((n_blocks + 2) * b)
     padded[b + spec.initial_index - 1] = 1.0
-    windows = sliding_window_view(padded, 3 * b)[::b, :, None]
-    # The norm is summed over the whole chain, zeros included, so its
-    # rounding does not depend on where the window stands.
-    state = padded[b:-b]
-    phi = np.empty((n_blocks, b, 1))
+    windows = sliding_window_view(padded, 3 * b)[::b]
+    bulk_t = bulk.T
+    phi = np.empty((n_blocks, b))
+    flat = phi.ravel()
+    # Each feature run k0 .. k1 - 1 with the padded state it reads and the
+    # rows of phi it writes: views, so the loop slices nothing for them.
+    features = []
+    for k0, slab in runs:
+        k1 = k0 + len(slab) // b
+        features.append((k0, k1, slab, padded[k0 * b : (k1 + 2) * b], flat[k0 * b : k1 * b]))
     lo = (spec.initial_index - 1) // b
     hi = lo + 1
-    p = np.empty(n_max)
     surv = np.empty(n_max)
     prev = 1.0
+    # ndarray.dot rather than np.dot: the same product without the
+    # per-call dispatch, which costs as much as a small product here.
     for k in range(n_max):
         start, stop = max(lo - 1, 0), min(hi + 1, n_blocks)
-        np.matmul(blocks[start:stop], windows[start:stop], out=phi[start:stop])
+        # Every block row of the range as a bulk row, in one GEMM; then the
+        # feature runs the range reaches overwrite theirs.
+        windows[start:stop].dot(bulk_t, out=phi[start:stop])
+        for k0, k1, slab, cols, rows in features:
+            if k0 < stop and start < k1:
+                slab.dot(cols, out=rows)
         # A block the step has just reached joins the range unless its mass
         # is at most eps^4 P_{n-1}; if not, padded still holds zeros there.
         floor = BAND_CUTOFF**2 * prev
-        if start < lo and np.dot(phi[start, :, 0], phi[start, :, 0]) > floor:
+        if start < lo and phi[start].dot(phi[start]) > floor:
             lo = start
-        if stop > hi and np.dot(phi[stop - 1, :, 0], phi[stop - 1, :, 0]) > floor:
+        if stop > hi and phi[stop - 1].dot(phi[stop - 1]) > floor:
             hi = stop
-        padded[(lo + 1) * b : (hi + 1) * b] = phi[lo:hi].ravel()
-        pk = np.dot(state, state)
-        surv[k] = pk
-        p[k] = prev - pk
-        prev = pk
+        state = padded[(lo + 1) * b : (hi + 1) * b]
+        state[:] = flat[lo * b : hi * b]
+        prev = surv[k] = state.dot(state)
+    p = np.append(1.0, surv[:-1]) - surv
     return DetectionSeries(tau=tau, p=p, P=surv, Pdet=1.0 - surv)

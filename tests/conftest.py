@@ -3,14 +3,15 @@
 The Taylor-series exponential here is deliberately naive: it is the
 independent check for the production propagators, so it must not share
 any code path with them.  ``band_blocks`` cuts a dense step matrix to
-the band layout the dissipative engine steps with, the reference for
-the band the engine builds without one; ``full_chain_band`` builds that
-band by probing every row of the chain, the reference the engine's
-feature-segment build must match bit for bit.  The restart oracles
-``mfdt_direct`` and ``build_reset_heff`` (moved here from
-``qreset.restart``, which no longer exports them) check the closed-form
-mean detection time against a truncated sum, and the scalar window
-factorization against its operator-level form.  ``dense_step`` keeps
+the block layout of the dissipative engine's band, the reference for
+the band the engine builds without one; ``block_rows`` expands the
+engine's bulk block and feature slabs to that layout, and
+``full_chain_band`` builds it by probing every row of the chain, the
+reference the engine's feature-segment build must match bit for bit.
+The restart oracles ``mfdt_direct`` and ``build_reset_heff`` (moved
+here from ``qreset.restart``, which no longer exports them) check the
+closed-form mean detection time against a truncated sum, and the scalar
+window factorization against its operator-level form.  ``dense_step`` keeps
 every dense step matrix a test builds for the whole session, and
 ``series_from_pmf`` builds a detection series from a bare PMF.
 ``bessel_renewal`` gives the first-detection amplitudes of the infinite
@@ -77,6 +78,26 @@ def band_blocks(a: np.ndarray) -> np.ndarray:
     inside = (rows < L) & (cols >= 0) & (cols < L) & (np.abs(rows - cols) <= b)
     entries = a[np.minimum(rows, L - 1), np.clip(cols, 0, L - 1)]
     return np.where(inside, entries, 0.0)
+
+
+def block_rows(bulk: np.ndarray, runs: list[tuple[int, np.ndarray]], L: int) -> np.ndarray:
+    """``dynamics._step_band``'s bulk block and feature slabs in the layout of ``band_blocks``.
+
+    Every block row is the bulk block except those of a run, which are
+    cut from its slab.  Raises if a slab holds an entry outside the
+    windows of its block rows, which the expansion would drop.
+    """
+    b = len(bulk)
+    blocks = np.repeat(bulk[None], -(-L // b), axis=0)
+    for k0, slab in runs:
+        m = len(slab) // b
+        assert slab.shape == (m * b, (m + 2) * b)
+        outside = slab.copy()
+        for i in range(m):
+            blocks[k0 + i] = slab[i * b : (i + 1) * b, i * b : (i + 3) * b]
+            outside[i * b : (i + 1) * b, i * b : (i + 3) * b] = 0.0
+        assert not outside.any()
+    return blocks
 
 
 def full_chain_band(spec: lattice.LatticeSpec, kind: lattice.ModelKind, tau: float) -> np.ndarray:

@@ -24,6 +24,7 @@ from conftest import (
     band_blocks,
     bessel_j,
     bessel_renewal,
+    block_rows,
     dense_step,
     full_chain_band,
     series_from_pmf,
@@ -224,7 +225,7 @@ class TestBandedDissipativeStep:
     def test_window_matches_dense_step_loop_through_reflections(self, L, tau, n):
         spec = default_geometry(L)
         for kind in (ModelKind.MODEL1, ModelKind.MODEL2):
-            b = dynamics._step_band(spec, kind, tau).shape[1]
+            b = len(dynamics._step_band(spec, kind, tau)[0])
             # Sites k b and k b + 1 end one block of b sites and start the next.
             k = max(1, L // (3 * b))
             starts = sorted({1, L // 2, L, k * b, k * b + 1})
@@ -273,7 +274,7 @@ class TestBandedDissipativeStep:
         # from an exact table, since 1j ** x is off by up to 8.6e-14 at L = 500.
         gauge = np.array([1, 1j, -1, -1j])[np.arange(L) % 4]
         for kind in kinds:
-            band = dynamics._step_band(spec, kind, tau)
+            band = block_rows(*dynamics._step_band(spec, kind, tau), L)
             step = dense_step(spec, kind, tau)
             oracle = band_blocks(gauge[:, None] * step * gauge.conj()[None, :])
             assert not np.any(oracle.imag)
@@ -290,34 +291,57 @@ class TestBandedDissipativeStep:
         for kind, detectors in sites.items():
             for s in detectors:
                 spec = LatticeSpec(L=L, detector_index=s, initial_index=L // 2)
-                band = dynamics._step_band(spec, kind, tau)
+                bulk, runs = dynamics._step_band(spec, kind, tau)
+                band = block_rows(bulk, runs, L)
                 assert np.array_equal(band, full_chain_band(spec, kind, tau))
-                # Block rows farther than B + b from the chain ends and the
-                # rows the model changes are all one bulk block.
-                b = band.shape[1]
+                # Only block rows within B + b of the chain ends and the rows
+                # the model changes get a slab, unless no row is a bulk row.
+                b = len(bulk)
                 B = dynamics._probe_half_width(dynamics._gauge_diagonals(spec, kind, tau), L)
                 changed = [s - 1] if kind is ModelKind.MODEL2 else [s - 2, s - 1, s]
                 features = np.array([0, L - 1, *changed])
                 first = np.arange(len(band))[:, None] * b
                 gap = np.maximum(first - features, features - (first + b - 1))
-                far = band[(gap > B + b).all(axis=1)]
-                assert np.array_equal(far, np.broadcast_to(far[:1], far.shape))
+                slabbed = np.zeros(len(band), dtype=bool)
+                for k0, slab in runs:
+                    assert not slabbed[max(k0 - 1, 0) : k0 + len(slab) // b].any()
+                    slabbed[k0 : k0 + len(slab) // b] = True
+                if bulk.any():
+                    assert not np.any(slabbed & (gap > B + b).all(axis=1))
+                else:
+                    assert slabbed.all()
 
+    # The build keeps the generator's diagonals, O(L), and nothing of size
+    # L b: at most 20 float64 per site, where a band stored as n_blocks
+    # (b, 3b) blocks alone takes 3b = 60 (9.6 MB at L = 20000, 38 MB at 80000).
     @pytest.mark.parametrize("kind", [ModelKind.MODEL1, ModelKind.MODEL2])
     def test_band_build_memory_stays_near_the_band(self, kind):
-        # The band alone is 9.6 MB; the full-chain probe block and its
-        # index arrays would add about five times that.
+        for L in (20000, 80000):
+            tracemalloc.start()
+            try:
+                dynamics._step_band(default_geometry(L), kind, 0.25)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 160 * L
+
+    # A whole run adds the padded state and one step's output, O(L) as well.
+    @pytest.mark.parametrize("kind", [ModelKind.MODEL1, ModelKind.MODEL2])
+    def test_run_memory_does_not_grow_with_the_band(self, kind):
+        L = 80000
         tracemalloc.start()
         try:
-            band = dynamics._step_band(default_geometry(20000), kind, 0.25)
+            nh_survival_series(default_geometry(L), kind, 0.25, 10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * band.nbytes
+        assert peak < 160 * L
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_band_is_real(self, kind):
-        assert dynamics._step_band(default_geometry(100), kind, 0.25).dtype == np.float64
+        bulk, runs = dynamics._step_band(default_geometry(100), kind, 0.25)
+        assert bulk.dtype == np.float64
+        assert all(slab.dtype == np.float64 for _, slab in runs)
 
     def test_imaginary_hop_raises(self, monkeypatch):
         real_diagonals = dynamics.hamiltonian_diagonals
