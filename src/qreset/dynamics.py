@@ -1,38 +1,35 @@
 """Stroboscopic evolution engines, without restart.
 
-Three routes to the same bookkeeping:
+Two routes to the same bookkeeping:
 
-* ``measured_evolution`` runs the projected dynamics: a unitary step of
-  length ``tau`` followed by recording and zeroing the amplitude at the
-  detector site.  The state stays unnormalized, so its squared norm is
-  the survival probability.  It runs in the closed-form eigenbasis of
-  the open chain, where a step is one phase per mode and the projection
-  a rank-one update: O(L) per step, no matrix.
+* ``measured_evolution`` (projected dynamics: a unitary step, then the
+  detector amplitude recorded and zeroed) and ``nh_survival_series``
+  (a dissipative generator instead of the projection) share one
+  stepper.  The state stays unnormalized, so its squared norm is the
+  survival probability.  The stepper applies the single-step operator
+  through its band, b the band half-width (14 to 30 sites for tau from
+  0.05 to 1), and only on the active window of w blocks of b sites that
+  the light cone has reached.  The generators differ from the free
+  chain only at the detector, so all block rows of the band but those
+  near the detector and the chain ends are one shared ``(b, 3 b)`` bulk
+  block: a step is one GEMM of the window against it, one dense slab
+  product per run of feature block rows the window has reached, and a
+  norm over the window, O(w b^2) whatever L.  The window grows by one
+  block per side and step, and a newly reached block whose norm is at
+  or below eps^2 times the state's is dropped.  Bulk block and slabs
+  are built once per run from the generator's diagonals, by applying
+  the exponential to probe vectors on feature segments (each chain end
+  and the detector, reaching 2B past it, B the probe half-width) and
+  one free segment whose centre row is the bulk row: no L x L matrix,
+  no dense exponential, O(B^2) work.  All generators have real hops and
+  imaginary entries on even diagonals only, so in the gauge
+  D = diag(i^x) band and state are real: float64, half the memory of
+  complex, with the same norms.
 * ``renewal_amplitudes`` computes first-detection amplitudes from the
   recursion that subtracts, from the free transition amplitude, every
   earlier first-arrival propagated back to the detector.  It is the
   independent cross-check for the projected route and keeps the dense
   cached step matrix (O(n_max L^2)).
-* ``nh_survival_series`` replaces projection by a dissipative generator
-  and reads survival off the decaying norm.  It applies the single-step
-  contraction through its band, b the band half-width (14 to 30 sites
-  for tau from 0.05 to 1), and only on the active window of w blocks of
-  b sites that the light cone has reached.  The generators differ from
-  the free chain only at the detector, so all block rows of the band
-  but those near the detector and the chain ends are one shared
-  ``(b, 3 b)`` bulk block: a step is one GEMM of the window against
-  it, one dense slab product per run of feature block rows the window
-  has reached, and a norm over the window, O(w b^2) whatever L.  The
-  window grows by one block per side and step, and a newly reached
-  block whose norm is at or below eps^2 times the state's is dropped.
-  Bulk block and slabs are built once per run from the generator's
-  diagonals, by applying the exponential to probe vectors on feature
-  segments (each chain end and the detector, reaching 2B past it, B
-  the probe half-width) and one free segment whose centre row is the
-  bulk row: no L x L matrix, no dense exponential, O(B^2) work.  Both
-  models have real hops and imaginary entries on even diagonals only,
-  so in the gauge D = diag(i^x) band and state are real: float64, half
-  the memory of complex, with the same norms.
 
 No matrix powers are stored.  Measurements happen at t = tau, 2 tau,
 ...; there is no measurement at t = 0.
@@ -136,43 +133,23 @@ def _check_bulk_window(spec: LatticeSpec, tau: float, n_max: int) -> None:
         )
 
 
-def _mode_row(L: int, site: int) -> np.ndarray:
-    """Amplitudes sqrt(2/(L+1)) sin(pi site k/(L+1)) of open-chain modes k = 1..L on ``site``."""
-    k = np.arange(1, L + 1)
-    # Reduce site * k mod 2(L+1) in integers, so the sine argument stays below 2 pi.
-    return np.sqrt(2.0 / (L + 1)) * np.sin(np.pi * ((site * k) % (2 * (L + 1))) / (L + 1))
-
-
 def measured_evolution(
     spec: LatticeSpec, tau: float, n_max: int, bulk_guard: bool = True
 ) -> DetectionSeries:
     """Projected dynamics: unitary step, record detector amplitude, zero it.
 
-    The state is held in the eigenbasis of the open chain, whose modes k
-    have energies ``2 cos(pi k/(L+1))``.  A step multiplies mode k by
-    ``exp(-i tau E_k)``; the detector amplitude is the dot product with
-    the detector's mode row ``v``, and zeroing it subtracts ``amp v``.
-    The detection probability of step ``n`` is ``|amp|^2``; the survival
-    is the squared norm of the unnormalized survivor.  ``bulk_guard=False``
-    permits runs whose ballistic front reaches the boundary (small
-    chains, reflection studies).
+    Each step goes through the band of ``e^{-i tau H}`` (:func:`_band_series`)
+    and ends by squaring the detector amplitude into ``p_n`` and zeroing
+    it.  ``P_n`` is the squared norm of the unnormalized survivor.  The
+    band and window drop entries of at most eps^2 times the state's norm,
+    so ``p_n`` below about ``eps^4 P_n`` has no relative accuracy: it is
+    exactly 0 until the window reaches the detector's block, and with the
+    detector 50 sites away (tau = 0.25) ``p_3`` is 1.5e-144 where the
+    Bessel renewal gives 3.4e-142.  ``bulk_guard=False`` permits runs
+    whose ballistic front reaches the boundary (small chains, reflection
+    studies).
     """
-    _check_run_args(tau, n_max)
-    if bulk_guard:
-        _check_bulk_window(spec, tau, n_max)
-    L = spec.L
-    phases = np.exp(-2j * tau * np.cos(np.pi * np.arange(1, L + 1) / (L + 1)))
-    v = _mode_row(L, spec.detector_index).astype(np.complex128)
-    phi = _mode_row(L, spec.initial_index).astype(np.complex128)
-    p = np.empty(n_max)
-    surv = np.empty(n_max)
-    for k in range(n_max):
-        phi *= phases
-        amp = v @ phi
-        p[k] = amp.real**2 + amp.imag**2
-        phi -= amp * v
-        surv[k] = np.vdot(phi, phi).real
-    return DetectionSeries(tau=tau, p=p, P=surv, Pdet=np.cumsum(p))
+    return _band_series(spec, ModelKind.EXACT, tau, n_max, bulk_guard)
 
 
 def renewal_amplitudes(spec: LatticeSpec, tau: float, n_max: int) -> RenewalSeries:
@@ -448,15 +425,26 @@ def nh_survival_series(
     """Survival under a dissipative generator, read off the decaying norm.
 
     P_n is the squared norm after n applications of the single-step
-    contraction; p_n and Pdet_n follow from the same bookkeeping as the
-    projected engine.  Each application goes through the band of the
-    step (:func:`_step_band`, built once per run from the generator's
-    diagonals), in the gauge where it and the initial state are real; a
-    diagonal unitary changes no norm.  The entries beyond the band are
-    each at most ``BAND_CUTOFF`` = eps^2, far below the rounding error of
-    a step.  No dense step matrix and no copy of the band per block row
-    is built: besides the state, memory holds the shared bulk block and
-    the feature slabs, O(B^2) at any chain length.
+    contraction, stepped through its band (:func:`_band_series`); p_n and
+    Pdet_n follow from the same bookkeeping as the projected engine.
+    """
+    if kind is ModelKind.EXACT:
+        raise ValueError("kind must be one of the dissipative models")
+    return _band_series(spec, kind, tau, n_max, bulk_guard)
+
+
+def _band_series(
+    spec: LatticeSpec, kind: ModelKind, tau: float, n_max: int, bulk_guard: bool
+) -> DetectionSeries:
+    """Step the initial state ``n_max`` times through the band of ``kind``'s step.
+
+    The band (:func:`_step_band`, built once per run) and the initial
+    state are real in the gauge D = diag(i^x), which changes no norm.
+    Its dropped entries are each at most ``BAND_CUTOFF`` = eps^2, far
+    below the rounding error of a step.  Besides the state, memory holds
+    the bulk block and the feature slabs, O(B^2) at any chain length.
+    For the exact kind each step ends with the projection: the detector
+    amplitude is squared into ``p_n`` and zeroed.
 
     Only the block rows of the light cone are stepped.  The state lives
     on a contiguous range of w blocks, starting at the initial site's
@@ -476,8 +464,6 @@ def nh_survival_series(
     O(w b^2), and no work or subnormal arithmetic is spent on the blocks
     the front has not reached.
     """
-    if kind is ModelKind.EXACT:
-        raise ValueError("kind must be one of the dissipative models")
     _check_run_args(tau, n_max)
     if bulk_guard:
         _check_bulk_window(spec, tau, n_max)
@@ -498,8 +484,11 @@ def nh_survival_series(
     for k0, slab in runs:
         k1 = k0 + len(slab) // b
         features.append((k0, k1, slab, padded[k0 * b : (k1 + 2) * b], flat[k0 * b : k1 * b]))
+    project = kind is ModelKind.EXACT
+    detector = spec.detector_index - 1
     lo = (spec.initial_index - 1) // b
     hi = lo + 1
+    p = np.zeros(n_max)
     surv = np.empty(n_max)
     prev = 1.0
     # ndarray.dot rather than np.dot: the same product without the
@@ -512,6 +501,10 @@ def nh_survival_series(
         for k0, k1, slab, cols, rows in features:
             if k0 < stop and start < k1:
                 slab.dot(cols, out=rows)
+        # Outside the stepped blocks phi is stale and the amplitude zero.
+        if project and start * b <= detector < stop * b:
+            p[k] = flat[detector] ** 2
+            flat[detector] = 0.0
         # A block the step has just reached joins the range unless its mass
         # is at most eps^4 P_{n-1}; if not, padded still holds zeros there.
         floor = BAND_CUTOFF**2 * prev
@@ -522,5 +515,7 @@ def nh_survival_series(
         state = padded[(lo + 1) * b : (hi + 1) * b]
         state[:] = flat[lo * b : hi * b]
         prev = surv[k] = state.dot(state)
+    if project:
+        return DetectionSeries(tau=tau, p=p, P=surv, Pdet=np.cumsum(p))
     p = np.append(1.0, surv[:-1]) - surv
     return DetectionSeries(tau=tau, p=p, P=surv, Pdet=1.0 - surv)

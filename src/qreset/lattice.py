@@ -22,10 +22,10 @@ Dense propagators ``e^{-iMt}`` use a spectral decomposition when the
 generator is Hermitian and scaling-and-squaring with a degree-13 Pade
 approximant otherwise; the dissipative generators are non-normal, so
 their eigenbasis is not a safe route.  Both return the bare read-only
-matrix.  The engines in ``dynamics`` build no L x L matrix: the exact
-one works in the closed-form eigenbasis, and the dissipative one builds
+matrix.  The engines in ``dynamics`` build no L x L matrix: each builds
 the band of its step from the diagonals.  The dense matrices here are
-the reference both are tested against, and the renewal oracle's step.
+the reference the engines are tested against, and the renewal oracle's
+step.
 """
 
 from __future__ import annotations
@@ -248,11 +248,9 @@ def propagator(matrix: np.ndarray, t: float, hermitian: bool) -> np.ndarray:
 def step_propagator(spec: LatticeSpec, kind: ModelKind, tau: float) -> np.ndarray:
     """Dense single-measurement-step propagator, cached per (spec, kind, tau).
 
-    No engine steps with this matrix: the exact engine works in the
-    closed-form eigenbasis, and the dissipative engine builds the band
-    of its step straight from the generator's diagonals.  It serves the
-    renewal oracle (exact kind) and the tests, which hold both engines
-    to it.  The cache holds one entry per model kind: enough for a grid
+    No engine steps with this matrix: each builds the band of its step
+    straight from the generator's diagonals.  It serves the renewal
+    oracle (exact kind) and the tests, which hold the engines to it.  The cache holds one entry per model kind: enough for a grid
     point to reuse each kind's matrix, few enough that a tau sweep stays
     bounded.
     """

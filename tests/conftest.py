@@ -3,11 +3,11 @@
 The Taylor-series exponential here is deliberately naive: it is the
 independent check for the production propagators, so it must not share
 any code path with them.  ``band_blocks`` cuts a dense step matrix to
-the block layout of the dissipative engine's band, the reference for
-the band the engine builds without one; ``block_rows`` expands the
-engine's bulk block and feature slabs to that layout, and
-``full_chain_band`` builds it by probing every row of the chain, the
-reference the engine's feature-segment build must match bit for bit.
+the block layout of the engines' band, the reference for the band they
+build without one; ``block_rows`` expands the engine's bulk block and
+feature slabs to that layout, and ``full_chain_band`` builds it by
+probing every row of the chain, the reference the engine's
+feature-segment build must match bit for bit.
 The restart oracles ``mfdt_direct`` and ``build_reset_heff`` (moved
 here from ``qreset.restart``, which no longer exports them) check the
 closed-form mean detection time against a truncated sum, and the scalar
@@ -16,7 +16,8 @@ every dense step matrix a test builds for the whole session, and
 ``series_from_pmf`` builds a detection series from a bare PMF.
 ``bessel_renewal`` gives the first-detection amplitudes of the infinite
 chain from closed-form Bessel amplitudes, accurate in relative terms
-where the engines have an absolute floor.
+before the front arrives, where the renewal recursion's dense step has
+an absolute floor.
 """
 
 from __future__ import annotations

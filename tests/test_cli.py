@@ -527,10 +527,10 @@ class TestSweepSemantics:
         step_propagator.cache_clear()
         before = step_propagator.cache_info()
         assert main(["delta-pr", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        # No engine builds a dense step matrix; each dissipative kind builds
-        # its band once per grid point (t_r = 0.5, 1.0), not once per step.
+        # No engine builds a dense step matrix; each kind builds its band
+        # once per grid point (t_r = 0.5, 1.0), not once per step.
         assert step_propagator.cache_info() == before
-        assert Counter(builds) == {ModelKind.MODEL1: 2, ModelKind.MODEL2: 2}
+        assert Counter(builds) == {ModelKind.EXACT: 2, ModelKind.MODEL1: 2, ModelKind.MODEL2: 2}
 
     def test_partial_failure_keeps_good_points_and_logs_bad(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -664,6 +664,19 @@ class TestMainErrorPaths:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: range 0.5:1e+308 spans too many steps of 1e-300"]
         assert not out.exists()
+
+    def test_detector_beyond_the_front_is_never_detected(self, tmp_path, capsys):
+        # 50 sites away, one measurement detects J_50(0.5)^2 ~ 7e-190: far
+        # below the engine's floor, so it reads 0 and no mean time exists.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "L = 500\ndetector_index = 300\ninitial_index = 250\ntau = 0.25\ntr_sweep = 0.25\n"
+        )
+        out = tmp_path / "out"
+        assert main(["mfdt-sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: no detection probability in a window of r=1 measurements"]
+        assert not list(out.glob("**/*.csv"))
 
     @pytest.mark.parametrize("option", ["--sweep-tau", "--sweep-tr"])
     def test_sweep_override_options_are_gone(self, tmp_path, capsys, option):
