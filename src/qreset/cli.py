@@ -464,6 +464,9 @@ class CsvArtifact:
 
     def write(self) -> Path:
         numbers = self._checked_table()
+        # The directory appears with its first file, so a run that fails
+        # before writing anything leaves none behind.
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_name(
             f".{self.path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
         )
@@ -643,16 +646,15 @@ def run_experiment(
 ) -> list[CsvArtifact]:
     """Run one recipe and write its artifacts under ``out_dir``.
 
-    ``tag`` is appended to every filename stem; sweeps use it to embed
-    the swept value.
+    ``out_dir`` is created with the first artifact, so a recipe that
+    fails before writing leaves no directory.  ``tag`` is appended to
+    every filename stem; sweeps use it to embed the swept value.
     """
     if recipe not in _RECIPE_BUILDERS:
         raise ConfigError(
             f"unknown recipe {recipe!r}; choose from {', '.join(RECIPES)}"
         )
-    out_path = Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
-    return _RECIPE_BUILDERS[recipe](config, out_path, tag)
+    return _RECIPE_BUILDERS[recipe](config, Path(out_dir), tag)
 
 
 def sweep(

@@ -36,10 +36,10 @@ __all__ = [
 ]
 
 
-def _window_split(n_max: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """(R, index of ntilde) for n = 1..n_max."""
-    n = np.arange(n_max)
-    return n // r, n % r
+def _per_window(values: np.ndarray, q: float, r: int, n_max: int) -> np.ndarray:
+    """``q^R values[ntilde - 1]`` for n = 1..n_max: one row of ``values[:r]`` per window."""
+    decay = q ** np.arange(-(-n_max // r))
+    return np.multiply.outer(decay, values[:r]).ravel()[:n_max]
 
 
 def _check_window(base: DetectionSeries, r: int) -> None:
@@ -57,9 +57,7 @@ def restart_pmf(base: DetectionSeries, r: int, n_max: int) -> np.ndarray:
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     # q = P_r, the probability the whole window passes undetected
-    q = base.P[r - 1]
-    windows, offsets = _window_split(n_max, r)
-    return q**windows.astype(np.float64) * base.p[offsets]
+    return _per_window(base.p, base.P[r - 1], r, n_max)
 
 
 def mfdt(base: DetectionSeries, r: int, tau: float) -> float:
@@ -90,9 +88,7 @@ def reset_survival(base: DetectionSeries, r: int, n_max: int) -> np.ndarray:
     _check_window(base, r)
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    q = base.P[r - 1]
-    windows, offsets = _window_split(n_max, r)
-    return base.P[offsets] * q**windows.astype(np.float64)
+    return _per_window(base.P, base.P[r - 1], r, n_max)
 
 
 def reset_pdet(base: DetectionSeries, r: int, n_max: int) -> np.ndarray:

@@ -387,6 +387,127 @@ class TestBandedDissipativeStep:
             assert peak < 50e6
 
 
+def stepped_series(spec: LatticeSpec, kind: ModelKind, tau: float, n: int, bulk_guard: bool = True):
+    """The engine's series for any kind: projected for exact, dissipative otherwise."""
+    if kind is ModelKind.EXACT:
+        return measured_evolution(spec, tau, n, bulk_guard)
+    return nh_survival_series(spec, kind, tau, n, bulk_guard)
+
+
+def dense_survival(spec: LatticeSpec, kind: ModelKind, tau: float, n: int) -> np.ndarray:
+    """P_1..P_n by the dense step matrix, zeroing the detector site for the exact kind."""
+    a = dense_step(spec, kind, tau)
+    phi = initial_state(spec)
+    survival = np.empty(n)
+    for k in range(n):
+        phi = a @ phi
+        if kind is ModelKind.EXACT:
+            phi[spec.detector_index - 1] = 0.0
+        survival[k] = np.vdot(phi, phi).real
+    return survival
+
+
+def first_stepped(spec: LatticeSpec, tau: float, n: int) -> int:
+    """Index of the first step that reaches the detector's block.
+
+    The exact engine reads p = 0 exactly until its window steps the
+    detector's block, which happens one step after the block next to it
+    (on the initial site's side) joins the window.
+    """
+    return int(np.flatnonzero(measured_evolution(spec, tau, n).p)[0])
+
+
+def per_step_band_series(spec: LatticeSpec, kind: ModelKind, tau: float, n: int) -> tuple:
+    """(P, p) of the band loop with every view and test redone each step.
+
+    The reference for the loop that sets them up once per range: the
+    same products in the same order, so the results agree bit for bit.
+    """
+    bulk, runs = dynamics._step_band(spec, kind, tau)
+    b = len(bulk)
+    n_blocks = -(-spec.L // b)
+    padded = np.zeros((n_blocks + 2) * b)
+    padded[b + spec.initial_index - 1] = 1.0
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 3 * b)[::b]
+    phi = np.empty((n_blocks, b))
+    flat = phi.ravel()
+    detector = spec.detector_index - 1
+    lo = (spec.initial_index - 1) // b
+    hi = lo + 1
+    p, survival, prev = np.zeros(n), np.empty(n), 1.0
+    for k in range(n):
+        start, stop = max(lo - 1, 0), min(hi + 1, n_blocks)
+        windows[start:stop].dot(bulk.T, out=phi[start:stop])
+        for k0, slab in runs:
+            k1 = k0 + len(slab) // b
+            if k0 < stop and start < k1:
+                slab.dot(padded[k0 * b : (k1 + 2) * b], out=flat[k0 * b : k1 * b])
+        if kind is ModelKind.EXACT and start * b <= detector < stop * b:
+            p[k] = flat[detector] ** 2
+            flat[detector] = 0.0
+        floor = dynamics.BAND_CUTOFF**2 * prev
+        if start < lo and phi[start].dot(phi[start]) > floor:
+            lo = start
+        if stop > hi and phi[stop - 1].dot(phi[stop - 1]) > floor:
+            hi = stop
+        state = padded[(lo + 1) * b : (hi + 1) * b]
+        state[:] = flat[lo * b : hi * b]
+        prev = survival[k] = state.dot(state)
+    return survival, p
+
+
+class TestWindowSetup:
+    """The step loop sets up its window once per range and steps it until a block joins.
+
+    All runs start at site 90 of 200 with the detector at site 170, at
+    tau = 0.25, where b = 20 for every kind.  The window grows at steps
+    1, 5, 19, 20, 40, 41 and 66; each test ends a range in its own way
+    and holds P to the dense step loop.
+    """
+
+    SPEC = LatticeSpec(L=200, detector_index=170, initial_index=90)
+
+    def assert_matches_dense(self, kind, n, bulk_guard=True):
+        series = stepped_series(self.SPEC, kind, 0.25, n, bulk_guard)
+        dense = dense_survival(self.SPEC, kind, 0.25, n)
+        assert np.max(np.abs(series.P / dense - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_run_ending_on_a_growth_step(self, kind):
+        # Block 7 (sites 141-160) joins at step 20, the run's last: the
+        # detector's block 8 is stepped from step 21 on.
+        assert first_stepped(self.SPEC, 0.25, 21) == 20
+        self.assert_matches_dense(kind, 20)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_both_edges_join_in_one_step(self, kind):
+        # Blocks 2 and 6 join together at step 5: detectors in blocks 1
+        # and 7 are first stepped at step 6.
+        for detector in (30, 150):
+            assert first_stepped(replace(self.SPEC, detector_index=detector), 0.25, 12) == 5
+        self.assert_matches_dense(kind, 12)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_window_spanning_the_chain_mid_run(self, kind):
+        # The window reaches site 1 at step 40 and site 200 at step 66;
+        # from then on no block can join, and the state reflects off both
+        # ends for the remaining 54 steps.
+        self.assert_matches_dense(kind, 120, bulk_guard=False)
+
+    # A block joins with a mass near eps^4 P, far below what the dense
+    # oracle resolves; the per-step loop sees every such amplitude.  The
+    # last run puts the detector's slab next to the chain end's.
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("detector,initial,n", [(170, 90, 20), (170, 90, 120), (2, 100, 300)])
+    def test_matches_the_per_step_loop_bit_for_bit(self, kind, detector, initial, n):
+        spec = LatticeSpec(L=200, detector_index=detector, initial_index=initial)
+        series = stepped_series(spec, kind, 0.25, n, bulk_guard=False)
+        survival, p = per_step_band_series(spec, kind, 0.25, n)
+        assert np.array_equal(series.P, survival)
+        if kind is ModelKind.EXACT:
+            assert np.array_equal(series.p, p)
+
+
 class TestBulkGuard:
     def test_contaminated_horizon_rejected(self):
         spec = LatticeSpec(L=20, detector_index=14, initial_index=10)
