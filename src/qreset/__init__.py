@@ -13,12 +13,9 @@ its config parser, artifact writer and sweep runner stay in
 """
 
 from .analysis import (
-    FitResult,
     OptimalTr,
     alpha,
     delta_p_r,
-    fit_exponential,
-    optimal_tr_exact,
     optimal_tr_nh,
     survival_prediction,
 )
@@ -42,11 +39,10 @@ from .lattice import (
     LatticeSpec,
     ModelKind,
     build_hamiltonian,
-    initial_state,
     propagator,
     step_propagator,
 )
-from .restart import mfdt, reset_pdet, reset_survival, restart_pmf
+from .restart import mfdt, reset_pdet, reset_survival
 
 __version__ = "0.1.0"
 
@@ -58,7 +54,6 @@ __all__ = [
     "build_hamiltonian",
     "propagator",
     "step_propagator",
-    "initial_state",
     # dynamics
     "DetectionSeries",
     "RenewalSeries",
@@ -66,19 +61,15 @@ __all__ = [
     "renewal_amplitudes",
     "nh_survival_series",
     # restart
-    "restart_pmf",
     "mfdt",
     "reset_survival",
     "reset_pdet",
     # analysis
     "OptimalTr",
-    "FitResult",
     "alpha",
     "survival_prediction",
     "optimal_tr_nh",
-    "optimal_tr_exact",
     "delta_p_r",
-    "fit_exponential",
     # cli
     "main",
     # errors

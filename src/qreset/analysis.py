@@ -7,31 +7,34 @@ as ``e^{-alpha R}`` across windows, one number per window.  Routines here
 extract ``alpha``, scan restart periods for the one minimizing the mean
 detection time (equivalently maximizing ``alpha / t_r``), and quantify
 how far each dissipative engine drifts from the projective reference.
+The exact counterpart of the scan is the ``mfdt-sweep`` recipe, which
+evaluates ``qreset.restart.mfdt`` on one projective run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dynamics import measured_evolution, nh_survival_series
-from .errors import InstantAbsorptionError, NeverDetectedError, QresetError
-# Unused here, but perfbench/tracing.py:137-138 wraps these two names on this module.
-from .lattice import LatticeSpec, ModelKind, build_hamiltonian, propagator  # noqa: F401
-from .restart import mfdt
+from .dynamics import nh_survival_series
+from .errors import InstantAbsorptionError, QresetError
+from .lattice import LatticeSpec, ModelKind
+
+# Unused here, but perfbench/tracing.py:137-140 wraps these four names on
+# this module: propagator, build_hamiltonian, measured_evolution and mfdt.
+from .dynamics import measured_evolution  # noqa: F401
+from .lattice import build_hamiltonian, propagator  # noqa: F401
+from .restart import mfdt  # noqa: F401
 
 __all__ = [
     "OptimalTr",
-    "FitResult",
     "alpha",
     "survival_prediction",
     "optimal_tr_nh",
-    "optimal_tr_exact",
     "delta_p_r",
-    "fit_exponential",
 ]
 
 
@@ -42,11 +45,6 @@ class OptimalTr:
     grid: np.ndarray
     objective: np.ndarray
     t_star: float
-
-
-class FitResult(NamedTuple):
-    T_s_fit: float
-    residual: float
 
 
 def _period_grid(r_grid: Sequence[int], tau: float) -> tuple[list[int], np.ndarray]:
@@ -105,11 +103,12 @@ def optimal_tr_nh(
 
     Minimizing ``-alpha / t_r`` maximizes the decay per unit time, the
     dissipative stand-in for minimizing the mean detection time.  The
-    result's ``grid`` and ``t_star`` are window lengths ``r tau``, as in
-    :func:`optimal_tr_exact`.  Periods whose window absorbs everything
-    are skipped (their mean detection time is not improved by
-    information the model no longer carries).  Ties resolve toward the
-    shortest period.  The bulk guard is not applied.
+    result's ``grid`` and ``t_star`` are window lengths ``r tau``, the
+    restart times over which the ``mfdt-sweep`` recipe evaluates the
+    exact mean with :func:`qreset.restart.mfdt`.  Periods whose window
+    absorbs everything are skipped (their mean detection time is not
+    improved by information the model no longer carries).  Ties resolve
+    toward the shortest period.  The bulk guard is not applied.
     """
     r_values, grid_arr = _period_grid(r_grid, tau)
     survival = nh_survival_series(spec, kind, tau, max(r_values), bulk_guard=False).P
@@ -124,33 +123,6 @@ def optimal_tr_nh(
             "every grid point fully absorbs within one window"
         )
     best = float(np.nanmin(objective))
-    t_star = float(grid_arr[np.nonzero(objective == best)[0][0]])
-    return OptimalTr(grid=grid_arr, objective=objective, t_star=t_star)
-
-
-def optimal_tr_exact(
-    spec: LatticeSpec,
-    tau: float,
-    r_grid: Sequence[int],
-    bulk_guard: bool = True,
-) -> OptimalTr:
-    """Restart period minimizing the projective mean detection time.
-
-    Runs the projective dynamics once out to the largest period in the
-    grid and evaluates the closed-form mean for each candidate.  Periods
-    with no detection probability at all get an infinite mean.
-    """
-    r_values, grid_arr = _period_grid(r_grid, tau)
-    base = measured_evolution(spec, tau, max(r_values), bulk_guard=bulk_guard)
-    objective = np.empty(grid_arr.size)
-    for i, r in enumerate(r_values):
-        try:
-            objective[i] = mfdt(base, r, tau)
-        except NeverDetectedError:
-            objective[i] = np.inf
-    if np.all(np.isinf(objective)):
-        raise NeverDetectedError("no restart period in the grid ever detects")
-    best = float(np.min(objective))
     t_star = float(grid_arr[np.nonzero(objective == best)[0][0]])
     return OptimalTr(grid=grid_arr, objective=objective, t_star=t_star)
 
@@ -185,38 +157,3 @@ def delta_p_r(
         )
     gaps = np.abs(exact_arr[:needed] - eff_arr[:needed])
     return gaps.reshape(R_max, r).mean(axis=1)
-
-
-def fit_exponential(
-    trajectory: np.ndarray, times: np.ndarray, window: tuple[float, float]
-) -> FitResult:
-    """Least-squares exponential timescale of a survival trajectory.
-
-    Fits ``ln P = a - T / T_s`` over the samples whose times fall in the
-    closed window.  Needs at least five samples there, all positive; the
-    residual is the RMS misfit of the log curve.
-    """
-    trajectory = np.asarray(trajectory, dtype=np.float64)
-    times = np.asarray(times, dtype=np.float64)
-    if trajectory.shape != times.shape:
-        raise ValueError(
-            f"trajectory and times disagree in shape: {trajectory.shape} vs {times.shape}"
-        )
-    lo, hi = window
-    if not lo < hi:
-        raise ValueError(f"fit window is empty: [{lo}, {hi}]")
-    mask = (times >= lo) & (times <= hi)
-    if int(mask.sum()) < 5:
-        raise ValueError(
-            f"fit window [{lo}, {hi}] holds {int(mask.sum())} samples, need at least 5"
-        )
-    t_w = times[mask]
-    p_w = trajectory[mask]
-    if np.any(p_w <= 0):
-        raise ValueError("survival must stay positive inside the fit window")
-    log_p = np.log(p_w)
-    slope, intercept = np.polyfit(t_w, log_p, 1)
-    if slope >= 0:
-        raise ValueError(f"survival does not decay over the window (slope {slope})")
-    resid = float(np.sqrt(np.mean((intercept + slope * t_w - log_p) ** 2)))
-    return FitResult(T_s_fit=-1.0 / slope, residual=resid)

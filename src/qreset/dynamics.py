@@ -43,13 +43,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BoundaryContaminationError
-from .lattice import (
-    LatticeSpec,
-    ModelKind,
-    hamiltonian_diagonals,
-    initial_state,
-    step_propagator,
-)
+from .lattice import LatticeSpec, ModelKind, hamiltonian_diagonals, step_propagator
 
 __all__ = [
     "DetectionSeries",
@@ -164,7 +158,8 @@ def renewal_amplitudes(spec: LatticeSpec, tau: float, n_max: int) -> RenewalSeri
     _check_run_args(tau, n_max)
     u = step_propagator(spec, ModelKind.EXACT, tau)
     s0 = spec.detector_index - 1
-    v = initial_state(spec)
+    v = np.zeros(spec.L, dtype=np.complex128)
+    v[spec.initial_index - 1] = 1.0
     w = np.zeros(spec.L, dtype=np.complex128)
     w[s0] = 1.0
     transition = np.empty(n_max, dtype=np.complex128)
@@ -272,14 +267,16 @@ def _probe_block(a: dict[int, np.ndarray], L: int, P: int) -> np.ndarray:
 
 def _feature_chain(
     spec: LatticeSpec, tau: float, a: dict[int, np.ndarray], B: int
-) -> tuple[list[int], list[tuple[int, int]], dict[int, np.ndarray]] | None:
-    """Features, segments and diagonals of the reduced chain, or None if it is no shorter.
+) -> tuple[list[int], list[tuple[int, int]], dict[int, np.ndarray], bool]:
+    """Features, segments and diagonals of the reduced chain, and whether it has a free segment.
 
     A feature is a chain end or a row where A differs from the free
     chain's.  Each feature's segment reaches 2B past it, clipped to the
     chain; overlapping or touching segments merge.  The reduced chain
     is the segments end to end, then a free segment of 2B + 3 sites,
-    with zero couplings at the joins.
+    with zero couplings at the joins.  When one segment covers the
+    whole chain, the reduced chain is the chain itself, with no free
+    segment.
     """
     L = spec.L
     free = _gauge_diagonals(spec, ModelKind.EXACT, tau)
@@ -294,9 +291,10 @@ def _feature_chain(
             segments[-1] = (segments[-1][0], hi)
         else:
             segments.append((lo, hi))
-    if sum(hi - lo for lo, hi in segments) + 2 * B + 3 >= L:
-        return None
-    pieces = [(a, lo, hi) for lo, hi in segments] + [(free, 0, 2 * B + 3)]
+    has_free = segments != [(0, L)]
+    pieces = [(a, lo, hi) for lo, hi in segments]
+    if has_free:
+        pieces.append((free, 0, 2 * B + 3))
     chain = {}
     for k in a:
         parts = []
@@ -305,7 +303,7 @@ def _feature_chain(
             parts.append(d[lo : hi - abs(k)] if d is not None else np.zeros(hi - lo - abs(k)))
             parts.append(np.zeros(abs(k)))
         chain[k] = np.concatenate(parts[:-1])
-    return features, segments, chain
+    return features, segments, chain, has_free
 
 
 def _step_band(
@@ -338,8 +336,8 @@ def _step_band(
     2B + 3 sites whose centre row is the bulk row, about 10 B rows
     instead of L.  A row within B of a feature is read from its segment,
     whose cut ends lie at least B away; every other row is the bulk row.
-    When the reduced chain would be no shorter, the chain itself is
-    probed and every row counts as near a feature.
+    When one segment covers the chain, the reduced chain is the chain
+    itself and every row is read in place.
 
     Returns ``(bulk, runs)``.  ``bulk`` is the ``(b, 3 b)`` block shared
     by every block row that holds no row near a feature (zero when there
@@ -354,36 +352,29 @@ def _step_band(
     a = _gauge_diagonals(spec, kind, tau)
     B = _probe_half_width(a, L)
     P = min(2 * B + 1, L)
-    # The reduced chain holds two end segments and the free one: 6B + 5 rows at least.
-    reduced = _feature_chain(spec, tau, a, B) if L > 6 * B + 5 else None
-    if reduced is None:
-        # Every row is read in place from the probed chain itself.
-        f = _probe_block(a, L, P)
-        near, centre = np.ones(L, dtype=bool), None
-        distinct = np.arange(L)
+    features, segments, chain, has_free = _feature_chain(spec, tau, a, B)
+    n = sum(hi - lo for lo, hi in segments) + (2 * B + 3 if has_free else 0)
+    f = _probe_block(chain, n, P)
+    # Rows read from their segment: those within B of a feature, or every
+    # row when no free segment holds the bulk row.
+    near = np.full(L, not has_free)
+    for x in features:
+        near[max(0, x - B) : x + B + 1] = True
+    starts = np.array([lo for lo, _ in segments])
+    # Row r of segment s is row r + shifts[s] of the reduced chain.
+    shifts = np.cumsum([0] + [hi - lo for lo, hi in segments[:-1]]) - starts
+    # The free segment's centre row; unused when every row is read in place.
+    centre = n - (B + 2)
 
-        def to_chain(r):
-            return r
+    def to_chain(r):
+        seg = np.searchsorted(starts, r, side="right") - 1
+        return np.where(near[r], r + shifts[seg], centre)
 
-    else:
-        features, segments, chain = reduced
-        n = sum(hi - lo for lo, hi in segments) + 2 * B + 3
-        f = _probe_block(chain, n, P)
-        near = np.zeros(L, dtype=bool)
-        for x in features:
-            near[max(0, x - B) : x + B + 1] = True
-        starts = np.array([lo for lo, _ in segments])
-        # Row r of segment s is row r + shifts[s] of the reduced chain.
-        shifts = np.cumsum([0] + [hi - lo for lo, hi in segments[:-1]]) - starts
-        centre = n - (B + 2)
-
-        def to_chain(r):
-            seg = np.searchsorted(starts, r, side="right") - 1
-            return np.where(near[r], r + shifts[seg], centre)
-
-        # The distinct band rows: those near a feature and one bulk row, here
-        # the first row past the first segment, 2B or more from every feature.
-        distinct = np.append(np.flatnonzero(near), segments[0][1])
+    # The distinct band rows: those near a feature and one bulk row, here
+    # the first row past the first segment, 2B or more from every feature.
+    distinct = np.flatnonzero(near)
+    if has_free:
+        distinct = np.append(distinct, segments[0][1])
     mapped = to_chain(distinct)
     # Column c of the probed block holds, on row i, the entry of the
     # column j = c mod P with |i - j| <= B: offset j - i = (c - i + B) mod P - B.
@@ -398,7 +389,7 @@ def _step_band(
             f"lies {b} sites off the diagonal, at the probe half-width {B}"
         )
     bulk = np.zeros((b, 3 * b))
-    if centre is not None:
+    if has_free:
         # Offsets col - row across one block row.
         o = np.arange(3 * b)[None, :] - b - np.arange(b)[:, None]
         bulk[:] = np.where(np.abs(o) <= b, f[centre, (centre + o) % P], 0.0)

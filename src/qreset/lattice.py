@@ -25,7 +25,8 @@ their eigenbasis is not a safe route.  Both return the bare read-only
 matrix.  The engines in ``dynamics`` build no L x L matrix: each builds
 the band of its step from the diagonals.  The dense matrices here are
 the reference the engines are tested against, and the renewal oracle's
-step.
+step; no recipe uses them, and they stay in the library because the
+benchmark harness (``perfbench/``) binds them by name.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "build_hamiltonian",
     "propagator",
     "step_propagator",
-    "initial_state",
 ]
 
 #: Max-norm tolerance below which a matrix counts as Hermitian.
@@ -105,13 +105,6 @@ class LatticeSpec:
             raise ValueError(
                 f"initial_index {self.initial_index} outside 1..{self.L}"
             )
-
-
-def initial_state(spec: LatticeSpec) -> np.ndarray:
-    """Unit amplitude on the initial site, zero elsewhere."""
-    psi = np.zeros(spec.L, dtype=np.complex128)
-    psi[spec.initial_index - 1] = 1.0
-    return psi
 
 
 def hamiltonian_diagonals(

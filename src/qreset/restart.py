@@ -17,8 +17,11 @@ detection; only the undetected remainder is then reset.  The window
 survival is applied as a scalar factor rather than by propagating
 subnormalized states, which avoids underflow at large ``R``.
 
-Its independent checks, ``mfdt_direct`` (a truncated sum plus its tail)
-and ``build_reset_heff`` (the operator-level form), are in tests/conftest.py.
+The library synthesizes the survival (``reset_survival``, and
+``reset_pdet`` from it) and the closed-form mean (``mfdt``).  The
+independent checks are in tests/conftest.py: ``restart_pmf`` (the PMF
+factorization, written index by index), ``mfdt_direct`` (a truncated
+sum plus its tail) and ``build_reset_heff`` (the operator-level form).
 """
 
 from __future__ import annotations
@@ -29,17 +32,10 @@ from .dynamics import DetectionSeries
 from .errors import NeverDetectedError
 
 __all__ = [
-    "restart_pmf",
     "mfdt",
     "reset_survival",
     "reset_pdet",
 ]
-
-
-def _per_window(values: np.ndarray, q: float, r: int, n_max: int) -> np.ndarray:
-    """``q^R values[ntilde - 1]`` for n = 1..n_max: one row of ``values[:r]`` per window."""
-    decay = q ** np.arange(-(-n_max // r))
-    return np.multiply.outer(decay, values[:r]).ravel()[:n_max]
 
 
 def _check_window(base: DetectionSeries, r: int) -> None:
@@ -49,15 +45,6 @@ def _check_window(base: DetectionSeries, r: int) -> None:
         raise ValueError(
             f"restart period r={r} exceeds the base series length {base.n_max}"
         )
-
-
-def restart_pmf(base: DetectionSeries, r: int, n_max: int) -> np.ndarray:
-    """Restarted first-detection PMF from the first ``r`` entries of ``base``."""
-    _check_window(base, r)
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
-    # q = P_r, the probability the whole window passes undetected
-    return _per_window(base.p, base.P[r - 1], r, n_max)
 
 
 def mfdt(base: DetectionSeries, r: int, tau: float) -> float:
@@ -88,7 +75,9 @@ def reset_survival(base: DetectionSeries, r: int, n_max: int) -> np.ndarray:
     _check_window(base, r)
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    return _per_window(base.P, base.P[r - 1], r, n_max)
+    # P_r^R P_ntilde: one row of P[:r] per window, scaled by q^R = P_r^R.
+    decay = base.P[r - 1] ** np.arange(-(-n_max // r))
+    return np.multiply.outer(decay, base.P[:r]).ravel()[:n_max]
 
 
 def reset_pdet(base: DetectionSeries, r: int, n_max: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Shared test oracles.
+"""Shared test oracles, and the routines that no CLI recipe runs.
 
 The Taylor-series exponential here is deliberately naive: it is the
 independent check for the production propagators, so it must not share
@@ -8,12 +8,18 @@ build without one; ``block_rows`` expands the engine's bulk block and
 feature slabs to that layout, and ``full_chain_band`` builds it by
 probing every row of the chain, the reference the engine's
 feature-segment build must match bit for bit.
-The restart oracles ``mfdt_direct`` and ``build_reset_heff`` (moved
-here from ``qreset.restart``, which no longer exports them) check the
+The restart oracles ``restart_pmf``, ``mfdt_direct`` and
+``build_reset_heff`` (moved here from ``qreset.restart``, which no
+longer exports them) give the restarted PMF index by index, check the
 closed-form mean detection time against a truncated sum, and the scalar
-window factorization against its operator-level form.  ``dense_step`` keeps
-every dense step matrix a test builds for the whole session, and
+window factorization against its operator-level form.  ``dense_step``
+keeps every dense step matrix a test builds for the whole session,
+``initial_state`` is the unit vector on the initial site, and
 ``series_from_pmf`` builds a detection series from a bare PMF.
+``fit_exponential`` and ``optimal_tr_exact`` (moved here from
+``qreset.analysis``) fit a survival timescale and scan restart periods
+for the least exact mean detection time, as the acceptance criteria do;
+the ``mfdt-sweep`` recipe is the CLI's route to the same scan.
 ``bessel_renewal`` gives the first-detection amplitudes of the infinite
 chain from closed-form Bessel amplitudes, accurate in relative terms
 before the front arrives, where the renewal recursion's dense step has
@@ -23,10 +29,21 @@ an absolute floor.
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from qreset import DetectionSeries, NeverDetectedError, lattice, restart_pmf
+from qreset import (
+    DetectionSeries,
+    LatticeSpec,
+    ModelKind,
+    NeverDetectedError,
+    OptimalTr,
+    lattice,
+    measured_evolution,
+    mfdt,
+)
+from qreset.analysis import _period_grid
 from qreset.dynamics import BAND_CUTOFF, _abs_row_sums, _probe_half_width
 from qreset.restart import _check_window
 
@@ -35,7 +52,32 @@ from qreset.restart import _check_window
 # share a geometry but interleave with others would rebuild it; this one
 # keeps each (spec, kind, tau) it sees.  The matrices are read-only, so
 # every test can be handed the same one.
-dense_step = functools.cache(lattice.step_propagator.__wrapped__)
+@functools.cache
+def dense_step(spec: LatticeSpec, kind: ModelKind, tau: float) -> np.ndarray:
+    """Dense single-step propagator ``e^{-i tau H}``, read-only.
+
+    ``EXACT`` goes through the library's spectral route.  A dissipative
+    kind is exponentiated in the gauge D = diag(i^x), where
+    ``A = D (-i tau H) D*`` is real: the Pade route on the float64 matrix
+    costs about a third of the complex one, and ``D* e^A D`` is the same
+    step to rounding.
+    """
+    if kind is ModelKind.EXACT:
+        return lattice.step_propagator.__wrapped__(spec, kind, tau)
+    # Exact phases: i^(x - y) from a table, so the imaginary parts cancel to 0.
+    gauge = np.array([1, 1j, -1, -1j])[np.arange(spec.L) % 4]
+    a = gauge[:, None] * (-1j * tau * lattice.build_hamiltonian(spec, kind, tau)) * gauge.conj()
+    assert not np.any(a.imag)
+    u = gauge.conj()[:, None] * lattice._expm(a.real) * gauge
+    u.flags.writeable = False
+    return u
+
+
+def initial_state(spec: LatticeSpec) -> np.ndarray:
+    """Unit amplitude on the initial site, zero elsewhere."""
+    psi = np.zeros(spec.L, dtype=np.complex128)
+    psi[spec.initial_index - 1] = 1.0
+    return psi
 
 
 def series_from_pmf(tau: float, p: np.ndarray) -> DetectionSeries:
@@ -154,6 +196,21 @@ def full_chain_band(spec: lattice.LatticeSpec, kind: lattice.ModelKind, tau: flo
     return np.where(keep, entries, 0.0)
 
 
+def restart_pmf(base: DetectionSeries, r: int, n_max: int) -> np.ndarray:
+    """Restarted first-detection PMF ``p_n^(r) = q^R p_ntilde``, n = 1..n_max.
+
+    Written index by index, with ``R = (n-1) // r``, ``ntilde = 1 +
+    (n-1) % r`` and ``q = P_r``, so it shares no code with the window
+    synthesis of ``qreset.restart.reset_survival``.
+    """
+    _check_window(base, r)
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    n = np.arange(1, n_max + 1)
+    R, ntilde = (n - 1) // r, 1 + (n - 1) % r
+    return base.P[r - 1] ** R * base.p[ntilde - 1]
+
+
 def mfdt_direct(base: DetectionSeries, r: int, tau: float, k_windows: int) -> float:
     """Mean first-detection time as a truncated sum plus its geometric tail.
 
@@ -200,6 +257,73 @@ def build_reset_heff(
         raise ValueError(f"completed-window count must be non-negative, got {R}")
     shift = -1j * R * alpha / (2.0 * t)
     return h0.astype(np.complex128) + shift * np.eye(h0.shape[0])
+
+
+def optimal_tr_exact(
+    spec: LatticeSpec,
+    tau: float,
+    r_grid: Sequence[int],
+    bulk_guard: bool = True,
+) -> OptimalTr:
+    """Restart period minimizing the projective mean detection time.
+
+    Runs the projective dynamics once out to the largest period in the
+    grid and evaluates the closed-form mean for each candidate.  Periods
+    with no detection probability at all get an infinite mean.
+    """
+    r_values, grid_arr = _period_grid(r_grid, tau)
+    base = measured_evolution(spec, tau, max(r_values), bulk_guard=bulk_guard)
+    objective = np.empty(grid_arr.size)
+    for i, r in enumerate(r_values):
+        try:
+            objective[i] = mfdt(base, r, tau)
+        except NeverDetectedError:
+            objective[i] = np.inf
+    if np.all(np.isinf(objective)):
+        raise NeverDetectedError("no restart period in the grid ever detects")
+    best = float(np.min(objective))
+    t_star = float(grid_arr[np.nonzero(objective == best)[0][0]])
+    return OptimalTr(grid=grid_arr, objective=objective, t_star=t_star)
+
+
+class FitResult(NamedTuple):
+    T_s_fit: float
+    residual: float
+
+
+def fit_exponential(
+    trajectory: np.ndarray, times: np.ndarray, window: tuple[float, float]
+) -> FitResult:
+    """Least-squares exponential timescale of a survival trajectory.
+
+    Fits ``ln P = a - T / T_s`` over the samples whose times fall in the
+    closed window.  Needs at least five samples there, all positive; the
+    residual is the RMS misfit of the log curve.
+    """
+    trajectory = np.asarray(trajectory, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
+    if trajectory.shape != times.shape:
+        raise ValueError(
+            f"trajectory and times disagree in shape: {trajectory.shape} vs {times.shape}"
+        )
+    lo, hi = window
+    if not lo < hi:
+        raise ValueError(f"fit window is empty: [{lo}, {hi}]")
+    mask = (times >= lo) & (times <= hi)
+    if int(mask.sum()) < 5:
+        raise ValueError(
+            f"fit window [{lo}, {hi}] holds {int(mask.sum())} samples, need at least 5"
+        )
+    t_w = times[mask]
+    p_w = trajectory[mask]
+    if np.any(p_w <= 0):
+        raise ValueError("survival must stay positive inside the fit window")
+    log_p = np.log(p_w)
+    slope, intercept = np.polyfit(t_w, log_p, 1)
+    if slope >= 0:
+        raise ValueError(f"survival does not decay over the window (slope {slope})")
+    resid = float(np.sqrt(np.mean((intercept + slope * t_w - log_p) ** 2)))
+    return FitResult(T_s_fit=-1.0 / slope, residual=resid)
 
 
 def bessel_j(d: int, x: np.ndarray) -> np.ndarray:

@@ -25,22 +25,27 @@ from qreset import (
     alpha,
     build_hamiltonian,
     delta_p_r,
-    fit_exponential,
-    initial_state,
     measured_evolution,
     mfdt,
     nh_survival_series,
-    optimal_tr_exact,
     optimal_tr_nh,
     propagator,
     renewal_amplitudes,
     reset_pdet,
     reset_survival,
-    restart_pmf,
 )
 from qreset.dynamics import FRONT_SPEED
 
-from conftest import build_reset_heff, dense_step, mfdt_direct, record_acceptance
+from conftest import (
+    build_reset_heff,
+    dense_step,
+    fit_exponential,
+    initial_state,
+    mfdt_direct,
+    optimal_tr_exact,
+    record_acceptance,
+    restart_pmf,
+)
 
 
 OPERATING_POINT = LatticeSpec(L=500, detector_index=260, initial_index=250)

@@ -10,16 +10,13 @@ from qreset import (
     alpha,
     build_hamiltonian,
     delta_p_r,
-    fit_exponential,
-    initial_state,
     measured_evolution,
     mfdt,
-    optimal_tr_exact,
     optimal_tr_nh,
     survival_prediction,
 )
 
-from conftest import taylor_expm
+from conftest import fit_exponential, initial_state, optimal_tr_exact, taylor_expm
 
 
 TWO_SITE = LatticeSpec(L=2, detector_index=2, initial_index=1)

@@ -15,7 +15,6 @@ from qreset import (
     RenewalSeries,
     build_hamiltonian,
     dynamics,
-    initial_state,
     measured_evolution,
     nh_survival_series,
     renewal_amplitudes,
@@ -27,6 +26,7 @@ from conftest import (
     block_rows,
     dense_step,
     full_chain_band,
+    initial_state,
     series_from_pmf,
     taylor_expm,
 )

@@ -8,7 +8,6 @@ from qreset import (
     LatticeSpec,
     ModelKind,
     build_hamiltonian,
-    initial_state,
     propagator,
     step_propagator,
 )
@@ -35,13 +34,6 @@ class TestLatticeSpec:
     def test_invalid_spec(self, kwargs):
         with pytest.raises(ValueError):
             LatticeSpec(**kwargs)
-
-    def test_initial_state_is_unit_basis_vector(self):
-        spec = LatticeSpec(L=8, detector_index=6, initial_index=4)
-        psi = initial_state(spec)
-        assert psi.shape == (8,)
-        assert psi[3] == 1.0
-        assert np.count_nonzero(psi) == 1
 
 
 class TestTightBinding:

@@ -12,10 +12,9 @@ from qreset import (
     measured_evolution,
     nh_survival_series,
     propagator,
-    restart_pmf,
 )
 
-from conftest import dense_step
+from conftest import dense_step, restart_pmf
 
 
 def draw_spec(data, half_l_min=1, half_l_max=10, interior_detector=False):

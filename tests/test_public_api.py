@@ -13,7 +13,8 @@ from qreset import LatticeSpec, analysis, cli, dynamics, lattice, restart
 SUBMODULES = (lattice, dynamics, restart, analysis, cli)
 
 # Duplicate builders, echo-only dataclasses, the unused bundle, the test
-# oracles and the CLI internals: none of them is part of the top level.
+# oracles, the routines no recipe runs (now in tests/conftest.py) and the
+# CLI internals: none of them is part of the top level.
 NOT_EXPORTED = (
     "EvolutionOperator",
     "build_tb_hamiltonian",
@@ -26,6 +27,11 @@ NOT_EXPORTED = (
     "AlphaResult",
     "mfdt_direct",
     "build_reset_heff",
+    "fit_exponential",
+    "FitResult",
+    "optimal_tr_exact",
+    "restart_pmf",
+    "initial_state",
     "RunConfig",
     "CsvArtifact",
     "parse_config",

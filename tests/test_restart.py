@@ -13,10 +13,9 @@ from qreset import (
     nh_survival_series,
     propagator,
     reset_survival,
-    restart_pmf,
 )
 
-from conftest import build_reset_heff, mfdt_direct, series_from_pmf
+from conftest import build_reset_heff, mfdt_direct, restart_pmf, series_from_pmf
 
 
 TWO_SITE = LatticeSpec(L=2, detector_index=2, initial_index=1)
