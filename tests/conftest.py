@@ -13,9 +13,11 @@ The restart oracles ``restart_pmf``, ``mfdt_direct`` and
 longer exports them) give the restarted PMF index by index, check the
 closed-form mean detection time against a truncated sum, and the scalar
 window factorization against its operator-level form.  ``dense_step``
-keeps every dense step matrix a test builds for the whole session,
-``initial_state`` is the unit vector on the initial site, and
-``series_from_pmf`` builds a detection series from a bare PMF.
+keeps every dense step matrix a test builds for the whole session;
+``real_dense_step`` is a dissipative kind's step in the real gauge,
+which ``dense_step`` conjugates back.  ``initial_state`` is the unit
+vector on the initial site, and ``series_from_pmf`` builds a detection
+series from a bare PMF.
 ``fit_exponential`` and ``optimal_tr_exact`` (moved here from
 ``qreset.analysis``) fit a survival timescale and scan restart periods
 for the least exact mean detection time, as the acceptance criteria do;
@@ -64,13 +66,28 @@ def dense_step(spec: LatticeSpec, kind: ModelKind, tau: float) -> np.ndarray:
     """
     if kind is ModelKind.EXACT:
         return lattice.step_propagator.__wrapped__(spec, kind, tau)
-    # Exact phases: i^(x - y) from a table, so the imaginary parts cancel to 0.
-    gauge = np.array([1, 1j, -1, -1j])[np.arange(spec.L) % 4]
-    a = gauge[:, None] * (-1j * tau * lattice.build_hamiltonian(spec, kind, tau)) * gauge.conj()
-    assert not np.any(a.imag)
-    u = gauge.conj()[:, None] * lattice._expm(a.real) * gauge
+    gauge = _gauge(spec.L)
+    u = gauge.conj()[:, None] * real_dense_step(spec, kind, tau) * gauge
     u.flags.writeable = False
     return u
+
+
+def _gauge(L: int) -> np.ndarray:
+    """The diagonal of D = diag(i^x), exact phases from a table."""
+    return np.array([1, 1j, -1, -1j])[np.arange(L) % 4]
+
+
+def real_dense_step(spec: LatticeSpec, kind: ModelKind, tau: float) -> np.ndarray:
+    """The real step ``e^A``, ``A = D (-i tau H) D*``, of a dissipative kind.
+
+    D is diagonal with unit phases, so it changes no norm: a loop of real
+    unit vectors under ``e^A`` gives the survival of the complex step.
+    """
+    gauge = _gauge(spec.L)
+    # The phases i^(x - y) cancel the imaginary parts to exactly 0.
+    a = gauge[:, None] * (-1j * tau * lattice.build_hamiltonian(spec, kind, tau)) * gauge.conj()
+    assert not np.any(a.imag)
+    return lattice._expm(a.real)
 
 
 def initial_state(spec: LatticeSpec) -> np.ndarray:

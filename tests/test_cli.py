@@ -6,7 +6,6 @@ import runpy
 import subprocess
 import sys
 import threading
-import time
 from collections import Counter
 from pathlib import Path
 
@@ -336,6 +335,57 @@ class TestCsvArtifact:
         assert target.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
+    @staticmethod
+    def three_blocks_and_a_part(path):
+        """A labelled table of more than three blocks: negatives, zeros and unsure cells."""
+        n_rows = 3 * _CHUNK_ROWS + 17
+        rng = np.random.default_rng(3)
+        table = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-320, 300, (n_rows, 3))
+        table[::5, 0] = 0.0
+        table[::7, 1] = -0.0
+        # Cells the float estimate leaves to "%.11e": a tie, a cell below
+        # 1e-300 and one ulp below a decade.
+        table[::11, 2] = 1234567890125.0
+        table[::13, 1] = -1e-305
+        table[::17, 0] = np.nextafter(1e-4, 0.0)
+        labels = tuple(f"row{i}" for i in range(n_rows))
+        return CsvArtifact(path, ("label", "a", "b", "c"), table, labels)
+
+    def test_threaded_blocks_match_one_thread(self, tmp_path, monkeypatch):
+        threads = []
+        render = qreset.cli._render_rows
+        monkeypatch.setattr(
+            qreset.cli,
+            "_render_rows",
+            lambda *args: threads.append(threading.get_ident()) or render(*args),
+        )
+        one = self.three_blocks_and_a_part(tmp_path / "one.csv")
+        expected = self.per_cell_reference(
+            one.header, [(label, *row) for label, row in zip(one.labels, one.rows.tolist())]
+        )
+        assert one.write(workers=1).read_text(encoding="utf-8") == expected
+        assert threads == [threading.get_ident()] * 4
+        threads.clear()
+        two = self.three_blocks_and_a_part(tmp_path / "two.csv")
+        assert two.write(workers=2).read_bytes() == (tmp_path / "one.csv").read_bytes()
+        # Every block rendered on the pool's threads.
+        assert len(threads) == 4 and threading.get_ident() not in threads
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_block_leaves_no_file(self, tmp_path, monkeypatch, workers):
+        render = qreset.cli._render_rows
+
+        def second_block_fails(numbers, labels=()):
+            if labels[0] == f"row{_CHUNK_ROWS}":
+                raise MemoryError("second block")
+            return render(numbers, labels)
+
+        monkeypatch.setattr(qreset.cli, "_render_rows", second_block_fails)
+        artifact = self.three_blocks_and_a_part(tmp_path / "x.csv")
+        with pytest.raises(MemoryError, match="second block"):
+            artifact.write(workers=workers)
+        assert list(tmp_path.iterdir()) == []
+
 
 def render_column(values):
     """The kernel's text for ``values`` as one numeric column, one cell a line."""
@@ -594,26 +644,22 @@ class TestSweepSemantics:
         assert calls == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("workers, most", [(1, 1), (2, 5)])
-    def test_interrupt_stops_the_grid(self, tmp_path, monkeypatch, workers, most):
+    # Grid points run in order under any --workers, so an interrupt in
+    # the first one leaves the rest unstarted.
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_interrupt_stops_the_grid(self, tmp_path, monkeypatch, workers):
         calls = []
-        lock = threading.Lock()
 
-        def interrupted_first(config, recipe, out_dir, tag=""):
-            with lock:
-                calls.append(tag)
-                first = len(calls) == 1
-            if first:
-                raise KeyboardInterrupt
-            time.sleep(0.2)
-            return []
+        def interrupted(config, recipe, out_dir, tag="", workers=1):
+            calls.append(tag)
+            raise KeyboardInterrupt
 
-        monkeypatch.setattr(qreset.cli, "run_experiment", interrupted_first)
+        monkeypatch.setattr(qreset.cli, "run_experiment", interrupted)
         config = RunConfig(tau=0.5, L=20, detector_index=14, initial_index=10)
         values = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
         with pytest.raises(KeyboardInterrupt):
             sweep(config, "pdet", "tau", values, tmp_path, workers=workers)
-        assert 1 <= len(calls) <= most
+        assert calls == ["_tau0.1"]
 
     def test_sweep_rejects_unknown_axis(self):
         config = RunConfig(tau=0.5, L=20, detector_index=14, initial_index=10)
@@ -747,6 +793,24 @@ class TestMainErrorPaths:
         assert main(["mfdt-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: no detection in r=3"]
         assert list(tmp_path.glob("*.csv")) == []
+
+    def test_failed_optimal_tr_scan_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # model1's table is built before model2's scan raises; a failed
+        # single run writes none of its files.
+        scan = qreset.cli.optimal_tr_nh
+
+        def optimal_tr_nh(kind, spec, tau, r_grid):
+            if kind is ModelKind.MODEL2:
+                raise qreset.InstantAbsorptionError("model2 survival underflowed")
+            return scan(kind, spec, tau, r_grid)
+
+        monkeypatch.setattr(qreset.cli, "optimal_tr_nh", optimal_tr_nh)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL + "tau = 0.25\ntr_sweep = 0.5, 1.0, 1.5\n")
+        out = tmp_path / "out"
+        assert main(["optimal-tr", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: model2 survival underflowed"]
+        assert not out.exists()
 
     def test_run_experiment_rejects_unknown_recipe(self, tmp_path):
         config = RunConfig(tau=0.5, L=20, detector_index=14, initial_index=10)

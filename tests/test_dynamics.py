@@ -27,6 +27,7 @@ from conftest import (
     dense_step,
     full_chain_band,
     initial_state,
+    real_dense_step,
     series_from_pmf,
     taylor_expm,
 )
@@ -237,13 +238,15 @@ class TestBandedDissipativeStep:
             # Sites k b and k b + 1 end one block of b sites and start the next.
             k = max(1, L // (3 * b))
             starts = sorted({1, L // 2, L, k * b, k * b + 1})
-            a = dense_step(spec, kind, tau)
-            phi = np.zeros((L, len(starts)), dtype=np.complex128)
+            # In the real gauge: D takes each unit start to a phase of itself
+            # and changes no norm.
+            a = real_dense_step(spec, kind, tau)
+            phi = np.zeros((L, len(starts)))
             phi[np.array(starts) - 1, np.arange(len(starts))] = 1.0
             dense = np.empty((n, len(starts)))
             for m in range(n):
                 phi = a @ phi
-                dense[m] = np.sum(np.abs(phi) ** 2, axis=0)
+                dense[m] = np.sum(phi**2, axis=0)
             for col, start in enumerate(starts):
                 moved = replace(spec, initial_index=start)
                 series = nh_survival_series(moved, kind, tau, n, bulk_guard=False)
