@@ -514,9 +514,9 @@ class CsvArtifact:
             )
         if self.labels and len(self.labels) != len(numbers):
             raise ValueError(f"{name}: {len(self.labels)} labels for {len(numbers)} rows")
-        bad = np.flatnonzero(~np.isfinite(numbers).all(axis=1))
-        if len(bad):
-            i = bad[0]
+        # One pass over the whole table; the row is looked up only on failure.
+        if not np.isfinite(numbers).all():
+            i = np.flatnonzero(~np.isfinite(numbers).all(axis=1))[0]
             raise ValueError(
                 f"{name}: non-finite value in row {i + 1} {tuple(numbers[i].tolist())}"
             )
@@ -680,14 +680,14 @@ def sweep(
     values: Sequence[float],
     out_dir: Path | str = ".",
     workers: int = 1,
-) -> tuple[list[CsvArtifact], list[str]]:
-    """Run a recipe once per value of ``axis`` (``tau`` or ``t_r``).
+) -> tuple[list[Path], list[str]]:
+    """Run a recipe once per value of ``axis`` (``tau`` or ``t_r``); returns paths and failures.
 
-    Grid points run one after another, in value order, so one grid
-    point's tables are alive at a time; ``workers`` threads render each
-    file's blocks (:meth:`CsvArtifact.write`).  A failed grid point is
-    recorded and the next one runs: failures go to ``errors.log`` in
-    ``out_dir``, one line per failed value; completed artifacts stay.
+    Grid points run one after another, in value order, and only their
+    paths are kept, so one grid point's tables are alive at a time;
+    ``workers`` threads render each file's blocks (:meth:`CsvArtifact.write`).
+    A failed grid point is recorded and the next one runs: failures go to
+    ``errors.log`` in ``out_dir``, one line per failed value; files stay.
     Files carry each value's ``%g`` tag (``_tau0.25``); a repeated value
     would run twice and write its file twice, and distinct values sharing
     a tag would overwrite each other, so both are a ConfigError, raised
@@ -716,19 +716,19 @@ def sweep(
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
 
-    artifacts: list[CsvArtifact] = []
+    paths: list[Path] = []
     failures: list[str] = []
     for tag, value in tags.items():  # every value once, in value order
         try:
             derived = replace(config, **{axis: value})
-            artifacts.extend(run_experiment(derived, recipe, out_path, tag, workers))
+            paths += [a.path for a in run_experiment(derived, recipe, out_path, tag, workers)]
         except Exception as err:  # recorded per grid point, run continues
             failures.append(f"{axis}={value:g}: {err}")
     if failures:
         (out_path / "errors.log").write_text(
             "\n".join(failures) + "\n", encoding="utf-8"
         )
-    return artifacts, failures
+    return paths, failures
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -17,14 +17,13 @@ Two routes to the same bookkeeping:
   norm over the window, O(w b^2) whatever L.  The window grows by one
   block per side and step, and a newly reached block whose norm is at
   or below eps^2 times the state's is dropped.  Bulk block and slabs
-  are built once per run from the generator's diagonals, by applying
-  the exponential to probe vectors on feature segments (each chain end
-  and the detector, reaching 2B past it, B the probe half-width) and
-  one free segment whose centre row is the bulk row: no L x L matrix,
-  no dense exponential, O(B^2) work.  All generators have real hops and
-  imaginary entries on even diagonals only, so in the gauge
-  D = diag(i^x) band and state are real: float64, half the memory of
-  complex, with the same norms.
+  come from the exponential applied to probe vectors on feature segments
+  (the detector, or a chain end once the window reaches it, reaching 2B
+  past it, B the probe half-width) and a free stretch centred on the
+  bulk row: no L x L matrix, no dense exponential, O(B^2) work.  All
+  generators have real hops and imaginary entries on even diagonals
+  only, so in the gauge D = diag(i^x) band and state are real: float64,
+  half the memory of complex, with the same norms.
 * ``renewal_amplitudes`` computes first-detection amplitudes from the
   recursion that subtracts, from the free transition amplitude, every
   earlier first-arrival propagated back to the detector.  It is the
@@ -227,16 +226,18 @@ def _gauge_diagonals(spec: LatticeSpec, kind: ModelKind, tau: float) -> dict[int
     return a
 
 
-def _probe_block(a: dict[int, np.ndarray], L: int, P: int) -> np.ndarray:
+def _probe_block(a: dict, L: int, P: int, terms: list | None = None) -> tuple[np.ndarray, list]:
     """``e^A`` applied to the L x P probe block: row i holds a 1 in column i mod P.
 
     Scaled Taylor stages on the diagonals of A, O(L P) work per term.
+    Returns the block and each stage's term count; ``terms`` replays an
+    earlier probe's counts: as many stages, each of at least as many terms.
     """
     norm = _abs_row_sums(a, L).max()
     # Stages of norm at most 4: at this tolerance fewer, longer stages cost
     # fewer terms in all, and the largest term, 4^4/4! ~ 11, costs at most
     # one digit to cancellation.
-    stages = max(1, int(np.ceil(norm / 4)))
+    stages = len(terms) if terms else max(1, int(np.ceil(norm / 4)))
     # Each diagonal as (rows, cols, entries) over the span of its nonzero
     # entries: the model-specific diagonals hold one or two.
     slabs = []
@@ -250,65 +251,46 @@ def _probe_block(a: dict[int, np.ndarray], L: int, P: int) -> np.ndarray:
     f = np.zeros((L, P))
     f[site, site % P] = 1.0
     tol = BAND_CUTOFF * np.finfo(np.float64).eps
-    for _ in range(stages):
+    taken = []
+    for least in terms or [0] * stages:
         term, n = f, 0
         # Term n has its largest entry at most (norm / stages) / n times
         # that of term n - 1.  Stop at a term below tol once that ratio is
         # at most 1/2, so the dropped tail stays below tol as well.
-        while n + 1 < 2 * norm / stages or np.abs(term).max() > tol:
+        while n < least or n + 1 < 2 * norm / stages or np.abs(term).max() > tol:
             n += 1
             nxt = np.zeros_like(term)
             for rows, cols, d in slabs:
                 nxt[rows] += (d / n) * term[cols]
             term = nxt
             f += term
-    return f
+        taken.append(n)
+    return f, taken
 
 
-def _feature_chain(
-    spec: LatticeSpec, tau: float, a: dict[int, np.ndarray], B: int
-) -> tuple[list[int], list[tuple[int, int]], dict[int, np.ndarray], bool]:
-    """Features, segments and diagonals of the reduced chain, and whether it has a free segment.
+def _feature_chain(spec: LatticeSpec, tau: float, a: dict, B: int) -> list:
+    """The feature segments, each as ``(lo, hi, features)``.
 
     A feature is a chain end or a row where A differs from the free
     chain's.  Each feature's segment reaches 2B past it, clipped to the
-    chain; overlapping or touching segments merge.  The reduced chain
-    is the segments end to end, then a free segment of 2B + 3 sites,
-    with zero couplings at the joins.  When one segment covers the
-    whole chain, the reduced chain is the chain itself, with no free
-    segment.
+    chain; overlapping or touching segments merge.
     """
     L = spec.L
     free = _gauge_diagonals(spec, ModelKind.EXACT, tau)
     features = {0, L - 1}
     for k in a.keys() | free.keys():
         features.update((np.flatnonzero(a.get(k, 0.0) != free.get(k, 0.0)) + max(0, -k)).tolist())
-    features = sorted(features)
     segments = []
-    for x in features:
+    for x in sorted(features):
         lo, hi = max(0, x - 2 * B), min(L, x + 2 * B + 1)
         if segments and lo <= segments[-1][1]:
-            segments[-1] = (segments[-1][0], hi)
+            segments[-1] = (segments[-1][0], hi, segments[-1][2] + [x])
         else:
-            segments.append((lo, hi))
-    has_free = segments != [(0, L)]
-    pieces = [(a, lo, hi) for lo, hi in segments]
-    if has_free:
-        pieces.append((free, 0, 2 * B + 3))
-    chain = {}
-    for k in a:
-        parts = []
-        for src, lo, hi in pieces:
-            d = src.get(k)
-            parts.append(d[lo : hi - abs(k)] if d is not None else np.zeros(hi - lo - abs(k)))
-            parts.append(np.zeros(abs(k)))
-        chain[k] = np.concatenate(parts[:-1])
-    return features, segments, chain, has_free
+            segments.append((lo, hi, [x]))
+    return segments
 
 
-def _step_band(
-    spec: LatticeSpec, kind: ModelKind, tau: float
-) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> tuple:
     """Band of the step in float64: the shared bulk block and the feature slabs.
 
     The step is taken in the gauge D = diag(i^x), as ``e^A`` with A real
@@ -331,79 +313,118 @@ def _step_band(
 
     Only rows within B of a feature (a chain end, or a row where A
     differs from the free chain's) can differ from the bulk row, so the
-    probes run on a reduced chain (:func:`_feature_chain`): each
-    feature's segment reaching 2B past it, and one free segment of
-    2B + 3 sites whose centre row is the bulk row, about 10 B rows
-    instead of L.  A row within B of a feature is read from its segment,
-    whose cut ends lie at least B away; every other row is the bulk row.
-    When one segment covers the chain, the reduced chain is the chain
-    itself and every row is read in place.
+    probes run on feature segments (:func:`_feature_chain`) end to end,
+    with zero couplings at the joins.  A row within B of a feature is read
+    from its segment, whose cut ends lie at least B away; every other row
+    is the bulk row.  Here the probe takes the segments that hold a row
+    the model changes and a free stretch of 2B + 3 rows, away from every
+    feature, whose centre row is the bulk row: about 6 B rows instead of
+    L, and b comes from them.  When one segment covers the chain, it is
+    the chain itself and every row is read in place.
 
-    Returns ``(bulk, runs)``.  ``bulk`` is the ``(b, 3 b)`` block shared
-    by every block row that holds no row near a feature (zero when there
-    is none).  The other block rows, the feature block rows, come in
-    runs of consecutive ones, each run ``k0 .. k1 - 1`` as ``(k0, slab)``
-    with ``slab`` the dense ``((k1 - k0) b, (k1 - k0 + 2) b)`` rows of
-    the run against the padded state's sites ``k0 b .. (k1 + 2) b - 1``.
-    Nothing here grows with ``L b``: the probes cost O(B^2), the bulk
-    block and slabs hold O(B^2) entries.
+    Returns ``(bulk, runs, end_spans, end_runs)``: ``bulk`` the ``(b, 3 b)``
+    block of every block row that holds no row near a feature (zero when
+    there is none), and the other block rows in runs of consecutive ones,
+    each run ``k0 .. k1 - 1`` as ``(k0, slab)`` with ``slab`` the dense
+    ``((k1 - k0) b, (k1 - k0 + 2) b)`` rows of the run against the padded
+    state's sites ``k0 b .. (k1 + 2) b - 1``.  The runs ``(k0, k1)`` in
+    ``end_spans`` hold only chain ends, a free-chain piece: ``end_runs()``
+    builds them with one probe that replays the first one's stage and
+    term counts, so each entry is what one probe of every segment gives,
+    and raises on an entry above the cutoff more than b off the diagonal.
+    The probes cost O(B^2); bulk block and slabs hold O(B^2) entries.
     """
     L = spec.L
     a = _gauge_diagonals(spec, kind, tau)
     B = _probe_half_width(a, L)
     P = min(2 * B + 1, L)
-    features, segments, chain, has_free = _feature_chain(spec, tau, a, B)
-    n = sum(hi - lo for lo, hi in segments) + (2 * B + 3 if has_free else 0)
-    f = _probe_block(chain, n, P)
-    # Rows read from their segment: those within B of a feature, or every
-    # row when no free segment holds the bulk row.
-    near = np.full(L, not has_free)
-    for x in features:
-        near[max(0, x - B) : x + B + 1] = True
-    starts = np.array([lo for lo, _ in segments])
-    # Row r of segment s is row r + shifts[s] of the reduced chain.
-    shifts = np.cumsum([0] + [hi - lo for lo, hi in segments[:-1]]) - starts
-    # The free segment's centre row; unused when every row is read in place.
-    centre = n - (B + 2)
+    segments = _feature_chain(spec, tau, a, B)
+    # The first row past the first segment lies over 2B from every feature.
+    s1 = segments[0][1]
+    has_free = s1 < L
+    ends = [s for s in segments if has_free and set(s[2]) <= {0, L - 1}]
 
-    def to_chain(r):
-        seg = np.searchsorted(starts, r, side="right") - 1
-        return np.where(near[r], r + shifts[seg], centre)
+    def probe(segs, terms=None):
+        # The segments end to end, no coupling across a join (pieces never abut),
+        # at first followed by the 2B + 3 rows centred on row s1, the bulk row.
+        pieces = [(lo, hi) for lo, hi, _ in segs]
+        pieces += [(s1 - B - 1, s1 + B + 2)] if has_free and not terms else []
+        r = np.concatenate([np.arange(lo, hi) for lo, hi in pieces])
+        chain, n = {}, len(r)
+        for k, d in a.items():
+            m = abs(k)
+            chain[k] = np.where(r[m:] - r[: n - m] == m, d[np.minimum(r[: n - m], L - 1 - m)], 0.0)
+        return _probe_block(chain, n, P, terms)
 
-    # The distinct band rows: those near a feature and one bulk row, here
-    # the first row past the first segment, 2B or more from every feature.
-    distinct = np.flatnonzero(near)
-    if has_free:
-        distinct = np.append(distinct, segments[0][1])
-    mapped = to_chain(distinct)
-    # Column c of the probed block holds, on row i, the entry of the
-    # column j = c mod P with |i - j| <= B: offset j - i = (c - i + B) mod P - B.
-    c = np.arange(P)[None, :]
-    offset = (c - mapped[:, None] + B) % P - B if P < L else c - mapped[:, None]
-    j = distinct[:, None] + offset
-    above = (j >= 0) & (j < L) & (np.abs(f[mapped]) > BAND_CUTOFF)
-    b = max(1, int(np.max(np.abs(offset[above]), initial=0)))
-    if P < L and b >= B:
-        raise RuntimeError(
-            f"{kind.value} step at L={L}, tau={tau}: an entry above the cutoff "
-            f"lies {b} sites off the diagonal, at the probe half-width {B}"
-        )
-    bulk = np.zeros((b, 3 * b))
-    if has_free:
-        # Offsets col - row across one block row.
-        o = np.arange(3 * b)[None, :] - b - np.arange(b)[:, None]
-        bulk[:] = np.where(np.abs(o) <= b, f[centre, (centre + o) % P], 0.0)
-    # Block rows holding a row near a feature, split into runs of consecutive ones.
-    gathered = np.flatnonzero(np.logical_or.reduceat(near, np.arange(0, L, b)))
-    runs = []
-    for run in np.split(gathered, np.flatnonzero(np.diff(gathered) > 1) + 1):
-        k0, k1 = int(run[0]), int(run[-1]) + 1
-        rows = np.arange(k0 * b, k1 * b)[:, None]
-        cols = np.arange((k0 - 1) * b, (k1 + 1) * b)[None, :]
-        keep = (rows < L) & (cols >= 0) & (cols < L) & (np.abs(cols - rows) <= b)
-        r = to_chain(np.minimum(rows, L - 1))
-        runs.append((k0, np.where(keep, f[r, (r + cols - rows) % P], 0.0)))
-    return bulk, runs
+    def intervals(segs):
+        # Rows within B of a feature as intervals (lo, hi, shift): chain row r
+        # of one is row r + shift of the segments end to end.
+        at, out = 0, []
+        for lo, hi, xs in segs:
+            out += [(max(lo, x - B), min(hi, x + B + 1), at - lo) for x in xs]
+            at += hi - lo
+        return out
+
+    def reach(f, near, limit, where):
+        # The largest |j - i| (at least 1) of an entry above the cutoff on the
+        # rows of near, below limit.  Column c of the probed block holds, on
+        # row i, the entry of column j = c mod P with |i - j| <= B.
+        rows = np.concatenate([np.arange(lo, hi) for lo, hi, _ in near])
+        mapped = np.concatenate([np.arange(lo, hi) + shift for lo, hi, shift in near])
+        c = np.arange(P)[None, :]
+        offset = (c - mapped[:, None] + B) % P - B if P < L else c - mapped[:, None]
+        j = rows[:, None] + offset
+        above = (j >= 0) & (j < L) & (np.abs(f[mapped]) > BAND_CUTOFF)
+        far = max(1, int(np.max(np.abs(offset[above]), initial=0)))
+        if far >= limit:
+            raise RuntimeError(
+                f"{kind.value} step at L={L}, tau={tau}: an entry above the cutoff "
+                f"lies {far} sites off the diagonal, {where}"
+            )
+        return far
+
+    def spans(near):
+        # Runs (k0, k1) of consecutive block rows that hold a row of near.
+        k = np.array(sorted({k for lo, hi, _ in near for k in range(lo // b, (hi - 1) // b + 1)}))
+        runs = np.split(k, np.flatnonzero(np.diff(k) > 1) + 1)
+        return [(int(r[0]), int(r[-1]) + 1) for r in runs if len(r)]
+
+    def slabs(f, near):
+        lo, hi, shift = np.array(near).reshape(-1, 3).T
+        runs = []
+        for k0, k1 in spans(near):
+            rows = np.arange(k0 * b, k1 * b)[:, None]
+            cols = np.arange((k0 - 1) * b, (k1 + 1) * b)[None, :]
+            keep = (rows < L) & (cols >= 0) & (cols < L) & (np.abs(cols - rows) <= b)
+            # Rows near a feature from their segment, the others from the bulk row.
+            r = np.minimum(rows, L - 1)
+            i = np.searchsorted(lo, r, side="right") - 1
+            r = np.where((i >= 0) & (r < hi[i]), r + shift[i], -1)
+            entries = np.where(r >= 0, f[r, (r + cols - rows) % P], line[(cols - rows + B) % P])
+            runs.append((k0, np.where(keep, entries, 0.0)))
+        return runs
+
+    probed = [s for s in segments if s not in ends]
+    f, terms = probe(probed)
+    first = intervals(probed) if has_free else [(0, L, 0)]
+    # The bulk row by offset: line[o + B] is its entry o sites off the diagonal.
+    centre = len(f) - (B + 2)
+    line = f[centre, (centre + np.arange(P) - B) % P] if has_free else np.zeros(P)
+    bulk_row = [(s1, s1 + 1, centre - s1)] if has_free else []
+    b = reach(f, first + bulk_row, B if P < L else L + 1, f"at the probe half-width {B}")
+    # Offsets col - row across one block row.
+    o = np.arange(3 * b)[None, :] - b - np.arange(b)[:, None]
+    bulk = np.where(np.abs(o) <= b, line[(o + B) % P], 0.0)
+    end_near = intervals(ends)
+
+    def end_runs():
+        if not ends:
+            return []
+        g = probe(ends, terms)[0]
+        reach(g, end_near, b + 1, f"past the half-width {b}, at a chain end")
+        return slabs(g, end_near)
+
+    return bulk, slabs(f, first), spans(end_near), end_runs
 
 
 def nh_survival_series(
@@ -429,9 +450,9 @@ def _band_series(
 ) -> DetectionSeries:
     """Step the initial state ``n_max`` times through the band of ``kind``'s step.
 
-    The band (:func:`_step_band`, built once per run) and the initial
-    state are real in the gauge D = diag(i^x), which changes no norm.
-    Its dropped entries are each at most ``BAND_CUTOFF`` = eps^2, far
+    The band (:func:`_step_band`) and the initial state are real in the
+    gauge D = diag(i^x), which changes no norm.  The band's dropped
+    entries are each at most ``BAND_CUTOFF`` = eps^2, far
     below the rounding error of a step.  Besides the state, memory holds
     the bulk block and the feature slabs, O(B^2) at any chain length.
     For the exact kind each step ends with the projection: the detector
@@ -457,18 +478,19 @@ def _band_series(
 
     The range changes only when a block joins it (71 times in 4000 steps
     at L = 1000, tau = 0.05), so the loop is set up once per range: the
-    bound GEMM and its output, the feature runs it reaches, the
-    projection test, the two blocks that may join (None at a chain end)
-    and the state views.  It then steps until a block joins.  A step is
-    the GEMM, one product per reached slab, at most two edge norms, the
-    copy and the norm, with no slicing: 9-15 µs at that point (b = 14,
-    w up to 72 blocks, band build included) on a 2-vCPU box, against
-    14-17 µs when each step set itself up.
+    bound GEMM and its output, the feature runs it reaches with the state
+    each reads and the rows each writes, the projection test, the two
+    blocks that may join (None at a chain end) and the state views; the
+    first range that reaches a chain end's run builds those runs.  It
+    then steps until a block joins.  A step is the GEMM, one product per reached slab, at most two
+    edge norms, the copy and the norm, with no slicing: 9-15 µs at that
+    point (b = 14, w up to 72 blocks, band build included) on a 2-vCPU
+    box, against 14-17 µs when each step set itself up.
     """
     _check_run_args(tau, n_max)
     if bulk_guard:
         _check_bulk_window(spec, tau, n_max)
-    bulk, runs = _step_band(spec, kind, tau)
+    bulk, runs, end_spans, end_runs = _step_band(spec, kind, tau)
     b = len(bulk)
     n_blocks = -(-spec.L // b)
     # The state zero-padded by one block on each side; window k is what
@@ -479,12 +501,6 @@ def _band_series(
     bulk_t = bulk.T
     phi = np.empty((n_blocks, b))
     flat = phi.ravel()
-    # Each feature run k0 .. k1 - 1 with the padded state it reads and the
-    # rows of phi it writes: views, so the loop slices nothing for them.
-    features = []
-    for k0, slab in runs:
-        k1 = k0 + len(slab) // b
-        features.append((k0, k1, slab, padded[k0 * b : (k1 + 2) * b], flat[k0 * b : k1 * b]))
     project = kind is ModelKind.EXACT
     detector = spec.detector_index - 1
     lo = (spec.initial_index - 1) // b
@@ -499,11 +515,15 @@ def _band_series(
         # Set up the stepped blocks start .. stop - 1 once per range: they
         # change only when a block joins it.
         start, stop = max(lo - 1, 0), min(hi + 1, n_blocks)
+        # The chain ends' runs are built the first time the range reaches one.
+        if any(k0 < stop and start < k1 for k0, k1 in end_spans):
+            runs, end_spans = runs + end_runs(), []
         gemm, out = windows[start:stop].dot, phi[start:stop]
+        # The feature runs the range reaches, the state they read, the rows they write.
         reached = [
-            (slab.dot, cols, rows)
-            for k0, k1, slab, cols, rows in features
-            if k0 < stop and start < k1
+            (slab.dot, padded[k0 * b :][: len(slab) + 2 * b], flat[k0 * b :][: len(slab)])
+            for k0, slab in runs
+            if k0 < stop and start < k0 + len(slab) // b
         ]
         # Outside the stepped blocks phi is stale and the amplitude zero.
         detect = project and start * b <= detector < stop * b

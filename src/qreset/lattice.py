@@ -243,9 +243,9 @@ def step_propagator(spec: LatticeSpec, kind: ModelKind, tau: float) -> np.ndarra
 
     No engine steps with this matrix: each builds the band of its step
     straight from the generator's diagonals.  It serves the renewal
-    oracle (exact kind) and the tests, which hold the engines to it.  The cache holds one entry per model kind: enough for a grid
-    point to reuse each kind's matrix, few enough that a tau sweep stays
-    bounded.
+    oracle (exact kind) and the tests, which hold the engines to it.
+    The cache holds one entry per model kind: enough for a grid point to
+    reuse each kind's matrix, few enough that a tau sweep stays bounded.
     """
     h = build_hamiltonian(spec, kind, tau)
     return propagator(h, tau, hermitian=(kind is ModelKind.EXACT))

@@ -4,8 +4,9 @@ The Taylor-series exponential here is deliberately naive: it is the
 independent check for the production propagators, so it must not share
 any code path with them.  ``band_blocks`` cuts a dense step matrix to
 the block layout of the engines' band, the reference for the band they
-build without one; ``block_rows`` expands the engine's bulk block and
-feature slabs to that layout, and ``full_chain_band`` builds it by
+build without one; ``block_rows`` builds the chain ends' runs that the
+engine leaves to its stepper and expands the bulk block and every
+feature slab to that layout, and ``full_chain_band`` builds it by
 probing every row of the chain, the reference the engine's
 feature-segment build must match bit for bit.
 The restart oracles ``restart_pmf``, ``mfdt_direct`` and
@@ -140,16 +141,19 @@ def band_blocks(a: np.ndarray) -> np.ndarray:
     return np.where(inside, entries, 0.0)
 
 
-def block_rows(bulk: np.ndarray, runs: list[tuple[int, np.ndarray]], L: int) -> np.ndarray:
+def block_rows(bulk: np.ndarray, runs: list, end_spans: list, end_runs, L: int) -> np.ndarray:
     """``dynamics._step_band``'s bulk block and feature slabs in the layout of ``band_blocks``.
 
+    The chain ends' runs are built first, and must cover ``end_spans``.
     Every block row is the bulk block except those of a run, which are
     cut from its slab.  Raises if a slab holds an entry outside the
     windows of its block rows, which the expansion would drop.
     """
     b = len(bulk)
+    ends = end_runs()
+    assert [(k0, k0 + len(slab) // b) for k0, slab in ends] == end_spans
     blocks = np.repeat(bulk[None], -(-L // b), axis=0)
-    for k0, slab in runs:
+    for k0, slab in runs + ends:
         m = len(slab) // b
         assert slab.shape == (m * b, (m + 2) * b)
         outside = slab.copy()

@@ -6,6 +6,7 @@ import runpy
 import subprocess
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -660,6 +661,24 @@ class TestSweepSemantics:
         with pytest.raises(KeyboardInterrupt):
             sweep(config, "pdet", "tau", values, tmp_path, workers=workers)
         assert calls == ["_tau0.1"]
+
+    # The sweep keeps only the written paths, so no grid point's table
+    # outlives it: six reset-survival points of 0.96 MB tables (40000 rows
+    # of three float64) peak within one table of the first two.
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path):
+        config = RunConfig(tau=0.25, n_max=40000, t_r=1.0)
+        values = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+        peaks = {}
+        for count in (2, 6):
+            tracemalloc.start()
+            try:
+                paths, failures = sweep(config, "reset-survival", "t_r", values[:count], tmp_path)
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[6] - peaks[2] < 40000 * 3 * 8
+        assert failures == []
+        assert paths == [tmp_path / f"reset_survival_tr{v:g}.csv" for v in values]
 
     def test_sweep_rejects_unknown_axis(self):
         config = RunConfig(tau=0.5, L=20, detector_index=14, initial_index=10)

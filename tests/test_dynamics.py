@@ -302,8 +302,8 @@ class TestBandedDissipativeStep:
         for kind, detectors in sites.items():
             for s in detectors:
                 spec = LatticeSpec(L=L, detector_index=s, initial_index=L // 2)
-                bulk, runs = dynamics._step_band(spec, kind, tau)
-                band = block_rows(bulk, runs, L)
+                bulk, runs, end_spans, end_runs = dynamics._step_band(spec, kind, tau)
+                band = block_rows(bulk, runs, end_spans, end_runs, L)
                 assert np.array_equal(band, full_chain_band(spec, kind, tau))
                 # Only block rows within B + b of the chain ends and the rows
                 # the model changes get a slab, unless no row is a bulk row.
@@ -314,7 +314,7 @@ class TestBandedDissipativeStep:
                 first = np.arange(len(band))[:, None] * b
                 gap = np.maximum(first - features, features - (first + b - 1))
                 slabbed = np.zeros(len(band), dtype=bool)
-                for k0, slab in runs:
+                for k0, slab in sorted(runs + end_runs(), key=lambda run: run[0]):
                     assert not slabbed[max(k0 - 1, 0) : k0 + len(slab) // b].any()
                     slabbed[k0 : k0 + len(slab) // b] = True
                 if bulk.any():
@@ -354,9 +354,9 @@ class TestBandedDissipativeStep:
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_band_is_real(self, kind):
-        bulk, runs = dynamics._step_band(default_geometry(100), kind, 0.25)
+        bulk, runs, _, end_runs = dynamics._step_band(default_geometry(100), kind, 0.25)
         assert bulk.dtype == np.float64
-        assert all(slab.dtype == np.float64 for _, slab in runs)
+        assert all(slab.dtype == np.float64 for _, slab in runs + end_runs())
 
     def test_imaginary_hop_raises(self, monkeypatch):
         real_diagonals = dynamics.hamiltonian_diagonals
@@ -426,7 +426,8 @@ def per_step_band_series(spec: LatticeSpec, kind: ModelKind, tau: float, n: int)
     The reference for the loop that sets them up once per range: the
     same products in the same order, so the results agree bit for bit.
     """
-    bulk, runs = dynamics._step_band(spec, kind, tau)
+    bulk, runs, _, end_runs = dynamics._step_band(spec, kind, tau)
+    runs = runs + end_runs()
     b = len(bulk)
     n_blocks = -(-spec.L // b)
     padded = np.zeros((n_blocks + 2) * b)
@@ -509,6 +510,100 @@ class TestWindowSetup:
         assert np.array_equal(series.P, survival)
         if kind is ModelKind.EXACT:
             assert np.array_equal(series.p, p)
+
+
+class TestLazyEndRuns:
+    """The chain ends' runs are probed only once the stepped window reaches one.
+
+    The first probe covers the segments around the rows the model
+    changes and one free segment; both ends' segments, 2B + 1 rows each
+    here, wait for the stepper and are then probed in one call.
+    """
+
+    OPERATING = LatticeSpec(L=500, detector_index=260, initial_index=250)
+
+    @staticmethod
+    def probed_rows(monkeypatch, taken=None) -> list:
+        """Records the row count of each probe, and its term counts in ``taken``."""
+        rows = []
+        probe = dynamics._probe_block
+
+        def counted(a, L, P, terms=None):
+            rows.append(L)
+            f, counts = probe(a, L, P, terms)
+            if taken is not None:
+                taken.append(counts)
+            return f, counts
+
+        monkeypatch.setattr(dynamics, "_probe_block", counted)
+        return rows
+
+    # The tr-scan point (60 steps reach t_r = 15) for both models, and the
+    # long-restart point, whose exact runs stop at t_r = 10.
+    @pytest.mark.parametrize(
+        "kind,n", [(ModelKind.MODEL1, 60), (ModelKind.MODEL2, 60), (ModelKind.EXACT, 40)]
+    )
+    def test_window_in_the_bulk_probes_no_end(self, monkeypatch, kind, n):
+        rows = self.probed_rows(monkeypatch)
+        stepped_series(self.OPERATING, kind, 0.25, n)
+        B = dynamics._probe_half_width(dynamics._gauge_diagonals(self.OPERATING, kind, 0.25), 500)
+        # The detector's segment (2B past its changed rows on each side) and
+        # the free stretch of 2B + 3 rows; the exact kind changes no row.
+        detector = {ModelKind.EXACT: 0, ModelKind.MODEL1: 4 * B + 3, ModelKind.MODEL2: 4 * B + 1}
+        assert rows == [detector[kind] + 2 * B + 3]
+
+    # At L = 600 the detector's segment touches neither end's.  The end
+    # probe takes the first probe's stages and term counts, though its own
+    # rows would converge in fewer terms, so its entries are those of one
+    # probe of every segment.
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("tau", [0.05, 0.25, 1.0])
+    def test_both_ends_probed_in_one_call_when_reached(self, monkeypatch, kind, tau):
+        taken = []
+        rows = self.probed_rows(monkeypatch, taken)
+        spec = LatticeSpec(L=600, detector_index=300, initial_index=290)
+        stepped_series(spec, kind, tau, int(160 / tau), bulk_guard=False)
+        B = dynamics._probe_half_width(dynamics._gauge_diagonals(spec, kind, tau), 600)
+        assert len(rows) == 2 and rows[1] == 2 * (2 * B + 1)
+        assert taken[1] == taken[0]
+
+    # Runs that reflect off both ends, with both ends' runs left to the
+    # stepper (L = 300) or only the first, the detector's segment holding
+    # the other (L = 200): every run built before stepping gives the same
+    # series bit for bit.
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("L,detector,initial,n", [(300, 150, 140, 400), (200, 170, 90, 300)])
+    def test_every_run_built_before_stepping_gives_the_same_series(
+        self, monkeypatch, kind, L, detector, initial, n
+    ):
+        spec = LatticeSpec(L=L, detector_index=detector, initial_index=initial)
+        lazy = stepped_series(spec, kind, 0.25, n, bulk_guard=False)
+        step_band = dynamics._step_band
+
+        def eager(spec, kind, tau):
+            bulk, runs, _, end_runs = step_band(spec, kind, tau)
+            return bulk, runs + end_runs(), [], lambda: []
+
+        monkeypatch.setattr(dynamics, "_step_band", eager)
+        built = stepped_series(spec, kind, 0.25, n, bulk_guard=False)
+        for name in ("P", "p", "Pdet"):
+            assert np.array_equal(getattr(lazy, name), getattr(built, name))
+
+    # An end row's entry above the cutoff past b raises when the end runs are
+    # built, and not before: the window reaches the first end's run between
+    # steps 5 and 10.
+    def test_end_entry_past_the_half_width_raises(self, monkeypatch):
+        probe = dynamics._probe_block
+
+        def widened(a, L, P, terms=None):
+            f, taken = probe(a, L, P, terms)
+            return (f + 1e-20 if terms else f), taken
+
+        monkeypatch.setattr(dynamics, "_probe_block", widened)
+        spec = LatticeSpec(L=200, detector_index=170, initial_index=90)
+        nh_survival_series(spec, ModelKind.MODEL2, 0.25, 5, bulk_guard=False)
+        with pytest.raises(RuntimeError, match="off the diagonal, past the half-width .* chain end"):
+            nh_survival_series(spec, ModelKind.MODEL2, 0.25, 10, bulk_guard=False)
 
 
 class TestBulkGuard:
