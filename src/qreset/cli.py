@@ -691,10 +691,12 @@ def sweep(
     Files carry each value's ``%g`` tag (``_tau0.25``); a repeated value
     would run twice and write its file twice, and distinct values sharing
     a tag would overwrite each other, so both are a ConfigError, raised
-    before any grid point runs.
+    before any grid point runs, as is a ``t_r`` sweep of a recipe without ``t_r``.
     """
     if axis not in ("tau", "t_r"):
         raise ValueError(f"sweep axis must be 'tau' or 't_r', got {axis!r}")
+    if axis == "t_r" and recipe in ("pdet", "mfdt-sweep", "optimal-tr"):
+        raise ConfigError(f"{recipe} reads no restart time t_r; a t_r sweep repeats one table")
     values = tuple(float(v) for v in values)
     if not values:
         raise ConfigError("sweep needs at least one value")
@@ -759,7 +761,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
 
         # mfdt-sweep and optimal-tr consume tr_sweep as their row grid, so
-        # only tau can fan out into files; other recipes sweep either axis.
+        # only tau can fan out into files; sweep refuses t_r for pdet.
         if args.recipe in ("mfdt-sweep", "optimal-tr"):
             plan = ("tau", config.tau_sweep) if config.tau_sweep else None
         elif config.tau_sweep and config.tr_sweep:

@@ -9,9 +9,9 @@ Two routes to the same bookkeeping:
   survival probability.  The stepper applies the single-step operator
   through its band, b the band half-width (14 to 30 sites for tau from
   0.05 to 1), and only on the active window of w blocks of b sites that
-  the light cone has reached.  The generators differ from the free
-  chain only at the detector, so all block rows of the band but those
-  near the detector and the chain ends are one shared ``(b, 3 b)`` bulk
+  the light cone has reached.  Each generator is the free chain plus a
+  defect at the detector, so all block rows of the band but those near
+  the detector and the chain ends are one shared ``(b, 3 b)`` bulk
   block: a step is one GEMM of the window against it, one dense slab
   product per run of feature block rows the window has reached, and a
   norm over the window, O(w b^2) whatever L.  The window grows by one
@@ -20,7 +20,7 @@ Two routes to the same bookkeeping:
   come from the exponential applied to probe vectors on feature segments
   (the detector, or a chain end once the window reaches it, reaching 2B
   past it, B the probe half-width) and a free stretch centred on the
-  bulk row: no L x L matrix, no dense exponential, O(B^2) work.  All
+  bulk row: no L x L matrix, no length-L array, O(B^2) work.  All
   generators have real hops and imaginary entries on even diagonals
   only, so in the gauge D = diag(i^x) band and state are real: float64,
   half the memory of complex, with the same norms.
@@ -42,7 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BoundaryContaminationError
-from .lattice import LatticeSpec, ModelKind, hamiltonian_diagonals, step_propagator
+from .lattice import LatticeSpec, ModelKind, detector_defect, step_propagator
 
 __all__ = [
     "DetectionSeries",
@@ -186,20 +186,31 @@ def _abs_row_sums(diagonals: dict[int, np.ndarray], L: int) -> np.ndarray:
     return sums
 
 
-def _probe_half_width(a: dict[int, np.ndarray], L: int) -> int:
+def _probe_half_width(a: dict[tuple[int, int], float], tau: float, L: int) -> int:
     """Distance B from which no entry of ``e^A`` can exceed ``BAND_CUTOFF``.
 
-    ``A = D (-i tau H) D*`` (D = diag(i^x)) is given by its real diagonals,
-    H symmetric.  No diagonal entry of H has a positive imaginary part, so
-    A's diagonal only contracts and ``|e^A| <= e^{|N|}`` entrywise, with N
-    the off-diagonal part of A.  Entry (i, j) of ``|N|^k`` is at most x^k,
-    with x the largest row sum of |N|, and vanishes unless a walk of k hops
-    joins j to i; the shortest one uses each bond at most once, so
-    ``k >= |i-j| - S``, where S counts the sites that bonds longer than
-    one skip.  Hence ``|[e^A]_ij| <= sum_{k >= |i-j| - S} x^k / k!``.
+    ``A = D (-i tau H) D*`` (D = diag(i^x), H symmetric) is the free
+    chain plus the real defect ``a``.  No diagonal entry of H has a
+    positive imaginary part, so A's diagonal only contracts and
+    ``|e^A| <= e^{|N|}`` entrywise, with N the off-diagonal part of A.
+    Entry (i, j) of ``|N|^k`` is at most x^k, with x the largest row sum
+    of |N|, and vanishes unless a walk of k hops joins j to i; the
+    shortest one uses each bond at most once, so ``k >= |i-j| - S``,
+    where S counts the sites that bonds longer than one skip.  Hence
+    ``|[e^A]_ij| <= sum_{k >= |i-j| - S} x^k / k!``.
     """
-    x = _abs_row_sums({k: d for k, d in a.items() if k}, L).max()
-    skipped = sum((k - 1) * np.count_nonzero(d) for k, d in a.items() if k > 1)
+    offsets = sorted({-1, 1} | {j - i for i, j in a})
+    rows = {i for i, _ in a}
+    # Every row sums as a row of the defect, a chain end or this free row.
+    free = next((r for r in range(1, L - 1) if r not in rows), 0)
+    x = 0.0
+    for r in rows | {0, L - 1, free}:
+        total = 0.0  # in offset order, as over whole diagonals
+        for k in offsets:
+            if k and 0 <= r + k < L:
+                total += abs(a.get((r, r + k), tau if abs(k) == 1 else 0.0))
+        x = max(x, total)
+    skipped = sum(j - i - 1 for (i, j), v in a.items() if j - i > 1 and v)
     # Smallest h whose tail is at most 2 x^h / h! <= BAND_CUTOFF; the
     # factor 2 holds once successive terms shrink by half (h + 1 >= 2x).
     h, term = 0, 1.0
@@ -209,20 +220,20 @@ def _probe_half_width(a: dict[int, np.ndarray], L: int) -> int:
     return h + skipped
 
 
-def _gauge_diagonals(spec: LatticeSpec, kind: ModelKind, tau: float) -> dict[int, np.ndarray]:
-    """Diagonals of ``A = D (-i tau H) D*``, D = diag(i^x), as float64 arrays.
+def _gauge_defect(spec: LatticeSpec, kind: ModelKind, tau: float) -> dict[tuple[int, int], float]:
+    """The detector defect of ``A = D (-i tau H) D*``, D = diag(i^x), as real entries.
 
-    Diagonal k of ``-i tau H`` picks up the phase ``(-i)^k``; an entry
-    that stays complex (an imaginary hop, say) raises.
+    Entry (i, j) of ``-i tau H`` picks up the phase ``(-i)^(j - i)``: the
+    free hops become exactly ``-tau`` and ``tau``, and a defect entry that
+    stays complex (an imaginary hop, say) raises.
     """
     a = {}
-    for k, d in hamiltonian_diagonals(spec, kind, tau).items():
-        # (-i)^k from a table: a float power would round the zero parts.
-        g = -1j * tau * d * (1, -1j, -1, 1j)[k % 4]
-        if np.any(g.imag):
-            raise ValueError(f"{kind.value}: diagonal {k} is not real in the gauge diag(i^x)")
-        # A copy: the view g.real would keep the complex array alive.
-        a[k] = g.real.copy()
+    for (i, j), h in detector_defect(spec, kind, tau).items():
+        # (-i)^(j - i) from a table: a float power would round the zero parts.
+        g = -1j * tau * h * (1, -1j, -1, 1j)[(j - i) % 4]
+        if g.imag:
+            raise ValueError(f"{kind.value}: diagonal {j - i} is not real in the gauge diag(i^x)")
+        a[i, j] = g.real
     return a
 
 
@@ -268,20 +279,15 @@ def _probe_block(a: dict, L: int, P: int, terms: list | None = None) -> tuple[np
     return f, taken
 
 
-def _feature_chain(spec: LatticeSpec, tau: float, a: dict, B: int) -> list:
+def _feature_chain(L: int, a: dict, B: int) -> list:
     """The feature segments, each as ``(lo, hi, features)``.
 
-    A feature is a chain end or a row where A differs from the free
-    chain's.  Each feature's segment reaches 2B past it, clipped to the
-    chain; overlapping or touching segments merge.
+    A feature is a chain end or a row of the defect ``a``.  Each
+    feature's segment reaches 2B past it, clipped to the chain;
+    overlapping or touching segments merge.
     """
-    L = spec.L
-    free = _gauge_diagonals(spec, ModelKind.EXACT, tau)
-    features = {0, L - 1}
-    for k in a.keys() | free.keys():
-        features.update((np.flatnonzero(a.get(k, 0.0) != free.get(k, 0.0)) + max(0, -k)).tolist())
     segments = []
-    for x in sorted(features):
+    for x in sorted({0, L - 1} | {i for i, _ in a}):
         lo, hi = max(0, x - 2 * B), min(L, x + 2 * B + 1)
         if segments and lo <= segments[-1][1]:
             segments[-1] = (segments[-1][0], hi, segments[-1][2] + [x])
@@ -293,8 +299,8 @@ def _feature_chain(spec: LatticeSpec, tau: float, a: dict, B: int) -> list:
 def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> tuple:
     """Band of the step in float64: the shared bulk block and the feature slabs.
 
-    The step is taken in the gauge D = diag(i^x), as ``e^A`` with A real
-    (:func:`_gauge_diagonals`).  The half-width b is the largest
+    The step is taken in the gauge D = diag(i^x), as ``e^A`` with A real,
+    the free chain plus :func:`_gauge_defect`.  The half-width b is the largest
     ``|i - j|`` of an entry above ``BAND_CUTOFF``; every entry farther out
     is dropped.  With blocks of b sites, block row k holds rows ``k b ..
     k b + b - 1`` against columns ``(k - 1) b .. (k + 2) b - 1``, zero
@@ -311,16 +317,16 @@ def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> tuple:
     probe.)  An entry above the cutoff at distance B means the bound
     failed, and raises.
 
-    Only rows within B of a feature (a chain end, or a row where A
-    differs from the free chain's) can differ from the bulk row, so the
-    probes run on feature segments (:func:`_feature_chain`) end to end,
-    with zero couplings at the joins.  A row within B of a feature is read
-    from its segment, whose cut ends lie at least B away; every other row
-    is the bulk row.  Here the probe takes the segments that hold a row
-    the model changes and a free stretch of 2B + 3 rows, away from every
-    feature, whose centre row is the bulk row: about 6 B rows instead of
-    L, and b comes from them.  When one segment covers the chain, it is
-    the chain itself and every row is read in place.
+    Only rows within B of a feature (a chain end, or a row of the defect)
+    can differ from the bulk row, so the probes run on feature segments
+    (:func:`_feature_chain`) end to end, with zero couplings at the joins.
+    A row within B of a feature is read from its segment, whose cut ends
+    lie at least B away; every other row is the bulk row.  Here the probe
+    takes the segments that hold a row the model changes and a free
+    stretch of 2B + 3 rows, away from every feature, whose centre row is
+    the bulk row: about 6 B rows instead of L, and b comes from them.
+    When one segment covers the chain, it is the chain itself and every
+    row is read in place.
 
     Returns ``(bulk, runs, end_spans, end_runs)``: ``bulk`` the ``(b, 3 b)``
     block of every block row that holds no row near a feature (zero when
@@ -332,13 +338,14 @@ def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> tuple:
     builds them with one probe that replays the first one's stage and
     term counts, so each entry is what one probe of every segment gives,
     and raises on an entry above the cutoff more than b off the diagonal.
-    The probes cost O(B^2); bulk block and slabs hold O(B^2) entries.
+    The probes cost O(B^2); bulk block and slabs hold O(B^2) entries;
+    nothing has the length of the chain.
     """
     L = spec.L
-    a = _gauge_diagonals(spec, kind, tau)
-    B = _probe_half_width(a, L)
+    a = _gauge_defect(spec, kind, tau)
+    B = _probe_half_width(a, tau, L)
     P = min(2 * B + 1, L)
-    segments = _feature_chain(spec, tau, a, B)
+    segments = _feature_chain(L, a, B)
     # The first row past the first segment lies over 2B from every feature.
     s1 = segments[0][1]
     has_free = s1 < L
@@ -351,9 +358,14 @@ def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> tuple:
         pieces += [(s1 - B - 1, s1 + B + 2)] if has_free and not terms else []
         r = np.concatenate([np.arange(lo, hi) for lo, hi in pieces])
         chain, n = {}, len(r)
-        for k, d in a.items():
+        # The full chain's diagonals, in its order: the free hops -tau (k = 1) and
+        # tau (k = -1) within each piece, then the defect where a piece holds it.
+        for k in sorted({-1, 1} | {j - i for i, j in a}):
             m = abs(k)
-            chain[k] = np.where(r[m:] - r[: n - m] == m, d[np.minimum(r[: n - m], L - 1 - m)], 0.0)
+            chain[k] = np.where(r[m:] - r[: n - m] == m, -tau * k if m == 1 else 0.0, 0.0)
+        for (i, j), v in a.items():
+            m = abs(j - i)
+            chain[j - i][(r[: n - m] == min(i, j)) & (r[m:] == max(i, j))] = v
         return _probe_block(chain, n, P, terms)
 
     def intervals(segs):

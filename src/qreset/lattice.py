@@ -1,12 +1,11 @@
 """Tight-binding chain operators and their dense propagators.
 
 Single-particle sector throughout: operators act on site amplitudes.
-Each generator is defined once, by its at most five nonzero diagonals
-(``hamiltonian_diagonals``); ``build_hamiltonian``, the one dense
-builder, assembles the L x L matrix of any kind from them.  The public interface labels sites 1..L; the
-arrays underneath are 0-based.  The hopping amplitude is fixed at 1 and
-hbar = 1, so energies are in hopping units and times in inverse hopping
-units.
+Each generator is the unit-hop chain plus its detector defect
+(``detector_defect``); ``build_hamiltonian``, the one dense builder,
+assembles the two.  The public interface labels sites 1..L; the arrays
+underneath are 0-based.  The hopping amplitude is fixed at 1 and hbar =
+1, so energies are in hopping units and times in inverse hopping units.
 
 Three generators are provided:
 
@@ -23,10 +22,10 @@ generator is Hermitian and scaling-and-squaring with a degree-13 Pade
 approximant otherwise; the dissipative generators are non-normal, so
 their eigenbasis is not a safe route.  Both return the bare read-only
 matrix.  The engines in ``dynamics`` build no L x L matrix: each builds
-the band of its step from the diagonals.  The dense matrices here are
-the reference the engines are tested against, and the renewal oracle's
-step; no recipe uses them, and they stay in the library because the
-benchmark harness (``perfbench/``) binds them by name.
+the band of its step from the free hops and the defect.  The dense
+matrices here are the reference the engines are tested against, and the
+renewal oracle's step; no recipe uses them, and they stay in the library
+because the benchmark harness (``perfbench/``) binds them by name.
 """
 
 from __future__ import annotations
@@ -107,68 +106,54 @@ class LatticeSpec:
             )
 
 
-def hamiltonian_diagonals(
+def detector_defect(
     spec: LatticeSpec, kind: ModelKind, tau: float | None = None
-) -> dict[int, np.ndarray]:
-    """The generator for ``kind`` by its nonzero diagonals: offset k maps to ``H[i, i + k]``.
+) -> dict[tuple[int, int], complex]:
+    """The entries ``{(i, j): H[i, j]}`` (0-based) where ``kind`` differs from the unit-hop chain.
 
-    This is the one definition of each model; ``build_hamiltonian``
-    assembles it, and the dissipative engine exponentiates it as it
-    stands.  Every generator is symmetric (``H^T = H``, diagonals k and
-    -k equal), offsets stay within -2..2, and no diagonal entry has a
-    positive imaginary part, so the dissipative part only contracts.
+    This is the one definition of each model.  Every generator is
+    symmetric, its entries lie within two sites of the diagonal, and no
+    diagonal entry has a positive imaginary part, so the dissipative part
+    only contracts.
 
-    ``EXACT`` ignores ``tau``.  ``MODEL1`` drops the bonds (s-1, s) and
-    (s, s+1) and gives the neighbours the anti-Hermitian block
+    ``EXACT`` has none and ignores ``tau``.  ``MODEL1`` sets the four
+    entries of the bonds (s-1, s) and (s, s+1) to 0 and gives the
+    neighbours the anti-Hermitian block
     ``-(i tau/2) (|s-1><s+1| + |s+1><s-1| + |s-1><s-1| + |s+1><s+1|)``,
     which grows with the step; it needs 2 <= s <= L-1.  ``MODEL2`` keeps
     the hopping and adds ``-2i/tau`` at the detector: the strength is
     tied to ``tau``, not a separate argument.
     """
-    L = spec.L
-    hop = np.ones(L - 1)
     if kind is ModelKind.EXACT:
-        return {-1: hop, 1: hop}
+        return {}
     if tau is None:
         raise ValueError(f"{kind.value} requires the measurement step tau")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    s0 = spec.detector_index - 1
+    s = spec.detector_index - 1
     if kind is ModelKind.MODEL2:
-        diag = np.zeros(L, dtype=np.complex128)
-        diag[s0] = -2.0j / tau
-        return {-1: hop, 0: diag, 1: hop}
+        return {(s, s): -2.0j / tau}
     if kind is not ModelKind.MODEL1:
         raise ValueError(f"unknown model kind: {kind!r}")
-    if not 1 <= s0 <= L - 2:
+    if not 1 <= s <= spec.L - 2:
         raise ValueError(
-            f"detector_index {s0 + 1} is at the chain edge; both neighbours are needed"
+            f"detector_index {s + 1} is at the chain edge; both neighbours are needed"
         )
-    g = -0.5j * tau
-    hop = hop.astype(np.complex128)
-    hop[[s0 - 1, s0]] = 0.0  # the bonds (s-1, s) and (s, s+1)
-    diag = np.zeros(L, dtype=np.complex128)
-    diag[[s0 - 1, s0 + 1]] = g
-    bridge = np.zeros(L - 2, dtype=np.complex128)
-    bridge[s0 - 1] = g
-    return {-2: bridge, -1: hop, 0: diag, 1: hop, 2: bridge}
-
-
-def _assemble(diagonals: dict[int, np.ndarray]) -> np.ndarray:
-    """Dense L x L matrix with the given diagonals."""
-    L = len(diagonals[1]) + 1
-    h = np.zeros((L, L), dtype=np.result_type(*diagonals.values()))
-    for k, d in diagonals.items():
-        i = np.arange(len(d))
-        h[i + max(0, -k), i + max(0, k)] = d
-    return h
+    bridge = {(i, j): -0.5j * tau for i in (s - 1, s + 1) for j in (s - 1, s + 1)}
+    return {(s - 1, s): 0.0, (s, s - 1): 0.0, (s, s + 1): 0.0, (s + 1, s): 0.0, **bridge}
 
 
 def build_hamiltonian(
     spec: LatticeSpec, kind: ModelKind, tau: float | None = None
 ) -> np.ndarray:
-    """Dense generator for ``kind``; dissipative kinds need ``tau``."""
-    return _assemble(hamiltonian_diagonals(spec, kind, tau))
+    """Dense generator for ``kind``, the unit-hop chain plus its defect; models need ``tau``."""
+    defect = detector_defect(spec, kind, tau)
+    h = np.zeros((spec.L, spec.L), dtype=np.complex128 if defect else np.float64)
+    i = np.arange(spec.L - 1)
+    h[i, i + 1] = h[i + 1, i] = 1.0  # the unit hops
+    for ij, value in defect.items():
+        h[ij] = value
+    return h
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -242,8 +227,8 @@ def step_propagator(spec: LatticeSpec, kind: ModelKind, tau: float) -> np.ndarra
     """Dense single-measurement-step propagator, cached per (spec, kind, tau).
 
     No engine steps with this matrix: each builds the band of its step
-    straight from the generator's diagonals.  It serves the renewal
-    oracle (exact kind) and the tests, which hold the engines to it.
+    straight from the free hops and the detector defect.  It serves the
+    renewal oracle (exact kind) and the tests, which hold the engines to it.
     The cache holds one entry per model kind: enough for a grid point to
     reuse each kind's matrix, few enough that a tau sweep stays bounded.
     """

@@ -42,12 +42,13 @@ from qreset import (
     ModelKind,
     NeverDetectedError,
     OptimalTr,
+    dynamics,
     lattice,
     measured_evolution,
     mfdt,
 )
 from qreset.analysis import _period_grid
-from qreset.dynamics import BAND_CUTOFF, _abs_row_sums, _probe_half_width
+from qreset.dynamics import BAND_CUTOFF, _abs_row_sums
 from qreset.restart import _check_window
 
 
@@ -164,21 +165,46 @@ def block_rows(bulk: np.ndarray, runs: list, end_spans: list, end_runs, L: int) 
     return blocks
 
 
+def _full_chain_half_width(a: dict[int, np.ndarray], L: int) -> int:
+    """The probe half-width B of ``dynamics._probe_half_width``, from whole diagonals.
+
+    x is the largest row sum of the off-diagonal part of |A|, S the
+    sites that bonds longer than one skip, and B the smallest h past
+    which the bound ``sum_{k >= h} x^k / k!`` stays below the cutoff, plus S.
+    """
+    x = _abs_row_sums({k: d for k, d in a.items() if k}, L).max()
+    skipped = sum((k - 1) * np.count_nonzero(d) for k, d in a.items() if k > 1)
+    h, term = 0, 1.0
+    while h + 1 < 2 * x or 2 * term > BAND_CUTOFF:
+        h += 1
+        term *= x / h
+    return h + skipped
+
+
 def full_chain_band(spec: lattice.LatticeSpec, kind: lattice.ModelKind, tau: float) -> np.ndarray:
     """The dissipative step's band, probed over all L rows of the chain.
 
     The same probes and Taylor stages as ``dynamics._step_band``, in the
     same floating-point order, applied to the whole L x (2B+1) probe
-    block instead of the feature segments and one bulk row.
+    block instead of the feature segments and one bulk row.  The
+    generator's diagonals are the unit-hop chain's with the detector
+    defect written in, each taken whole to the gauge D = diag(i^x); B
+    comes from them and must be the library's.
     """
     L = spec.L
+    defect = lattice.detector_defect(spec, kind, tau)
     a = {}
-    for k, d in lattice.hamiltonian_diagonals(spec, kind, tau).items():
+    for k in sorted({-1, 1} | {j - i for i, j in defect}):
+        d = np.full(L - abs(k), 1.0 if abs(k) == 1 else 0.0, dtype=np.complex128)
+        for (i, j), h in defect.items():
+            if j - i == k:
+                d[min(i, j)] = h
         g = -1j * tau * d * (1, -1j, -1, 1j)[k % 4]
         assert not np.any(g.imag)
         a[k] = g.real
     site = np.arange(L)
-    B = _probe_half_width(a, L)
+    B = _full_chain_half_width(a, L)
+    assert B == dynamics._probe_half_width(dynamics._gauge_defect(spec, kind, tau), tau, L)
     P = min(2 * B + 1, L)
     if P < L:
         offset = (np.arange(P)[None, :] - site[:, None] + B) % P - B

@@ -604,6 +604,23 @@ class TestSweepSemantics:
         )
         assert main(["pdet", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
+    # pdet reads no restart time, so every t_r grid point would write the
+    # same table under its own tag.
+    def test_restart_time_sweep_of_pdet_rejected_before_any_run(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL + "tau = 0.25\nhorizon = 2.0\nmodel = exact\ntr_sweep = 0.5, 1.0\n")
+        out = tmp_path / "out"
+        assert main(["pdet", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "pdet reads no restart time" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("recipe", ["mfdt-sweep", "optimal-tr"])
+    def test_restart_time_axis_rejected_for_row_grid_recipes(self, tmp_path, recipe):
+        config = RunConfig(tau=0.25, L=22, detector_index=15, initial_index=11, tr_sweep=(0.5,))
+        with pytest.raises(ConfigError, match=f"{recipe} reads no restart time"):
+            sweep(config, recipe, "t_r", [0.5, 1.0], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_tau_fanout_for_row_grid_recipes(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

@@ -213,6 +213,11 @@ def default_geometry(L: int) -> LatticeSpec:
     return LatticeSpec(L=L, detector_index=L // 2 + 10, initial_index=L // 2)
 
 
+def probe_half_width(spec: LatticeSpec, kind: ModelKind, tau: float) -> int:
+    """The probe half-width B that ``dynamics._step_band`` takes for this band."""
+    return dynamics._probe_half_width(dynamics._gauge_defect(spec, kind, tau), tau, spec.L)
+
+
 class TestBandedDissipativeStep:
     @pytest.mark.parametrize("L,tau,n", [(500, 0.25, 60), (1000, 0.05, 200)])
     def test_matches_dense_step_loop(self, L, tau, n):
@@ -308,7 +313,7 @@ class TestBandedDissipativeStep:
                 # Only block rows within B + b of the chain ends and the rows
                 # the model changes get a slab, unless no row is a bulk row.
                 b = len(bulk)
-                B = dynamics._probe_half_width(dynamics._gauge_diagonals(spec, kind, tau), L)
+                B = probe_half_width(spec, kind, tau)
                 changed = [s - 1] if kind is ModelKind.MODEL2 else [s - 2, s - 1, s]
                 features = np.array([0, L - 1, *changed])
                 first = np.arange(len(band))[:, None] * b
@@ -322,9 +327,9 @@ class TestBandedDissipativeStep:
                 else:
                     assert slabbed.all()
 
-    # The build keeps the generator's diagonals, O(L), and nothing of size
-    # L b: at most 20 float64 per site, where a band stored as n_blocks
-    # (b, 3b) blocks alone takes 3b = 60 (9.6 MB at L = 20000, 38 MB at 80000).
+    # The build keeps nothing of size L b: at most 20 float64 per site,
+    # where a band stored as n_blocks (b, 3b) blocks alone takes 3b = 60
+    # (9.6 MB at L = 20000, 38 MB at 80000).
     @pytest.mark.parametrize("kind", [ModelKind.MODEL1, ModelKind.MODEL2])
     def test_band_build_memory_stays_near_the_band(self, kind):
         for L in (20000, 80000):
@@ -336,7 +341,20 @@ class TestBandedDissipativeStep:
                 tracemalloc.stop()
             assert peak < 160 * L
 
-    # A whole run adds the padded state and one step's output, O(L) as well.
+    # The build, chain ends' runs included, holds nothing of the chain's
+    # length: its peak is about 0.2-0.4 MB at any L.
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_band_build_memory_does_not_grow_with_the_chain(self, kind):
+        for L in (80000, 1280000):
+            tracemalloc.start()
+            try:
+                dynamics._step_band(default_geometry(L), kind, 0.25)[3]()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6
+
+    # A whole run adds the padded state and one step's output, O(L).
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_run_memory_does_not_grow_with_the_band(self, kind):
         L = 80000
@@ -359,21 +377,17 @@ class TestBandedDissipativeStep:
         assert all(slab.dtype == np.float64 for _, slab in runs + end_runs())
 
     def test_imaginary_hop_raises(self, monkeypatch):
-        real_diagonals = dynamics.hamiltonian_diagonals
+        real_defect = dynamics.detector_defect
 
         def with_imaginary_hop(spec, kind, tau):
-            diagonals = real_diagonals(spec, kind, tau)
-            diagonals[1] = diagonals[1].astype(np.complex128)
-            diagonals[1][10] = 1j
-            diagonals[-1] = diagonals[1]
-            return diagonals
+            return {**real_defect(spec, kind, tau), (10, 11): 1j, (11, 10): 1j}
 
-        monkeypatch.setattr(dynamics, "hamiltonian_diagonals", with_imaginary_hop)
-        with pytest.raises(ValueError, match=r"diagonal -1 is not real in the gauge diag\(i\^x\)"):
+        monkeypatch.setattr(dynamics, "detector_defect", with_imaginary_hop)
+        with pytest.raises(ValueError, match=r"diagonal 1 is not real in the gauge diag\(i\^x\)"):
             dynamics._step_band(default_geometry(100), ModelKind.MODEL2, 0.25)
 
     def test_too_small_probe_width_raises(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "_probe_half_width", lambda a, L: 5)
+        monkeypatch.setattr(dynamics, "_probe_half_width", lambda a, tau, L: 5)
         with pytest.raises(RuntimeError, match="probe half-width 5"):
             nh_survival_series(default_geometry(100), ModelKind.MODEL2, 0.25, 10)
 
@@ -546,7 +560,7 @@ class TestLazyEndRuns:
     def test_window_in_the_bulk_probes_no_end(self, monkeypatch, kind, n):
         rows = self.probed_rows(monkeypatch)
         stepped_series(self.OPERATING, kind, 0.25, n)
-        B = dynamics._probe_half_width(dynamics._gauge_diagonals(self.OPERATING, kind, 0.25), 500)
+        B = probe_half_width(self.OPERATING, kind, 0.25)
         # The detector's segment (2B past its changed rows on each side) and
         # the free stretch of 2B + 3 rows; the exact kind changes no row.
         detector = {ModelKind.EXACT: 0, ModelKind.MODEL1: 4 * B + 3, ModelKind.MODEL2: 4 * B + 1}
@@ -563,7 +577,7 @@ class TestLazyEndRuns:
         rows = self.probed_rows(monkeypatch, taken)
         spec = LatticeSpec(L=600, detector_index=300, initial_index=290)
         stepped_series(spec, kind, tau, int(160 / tau), bulk_guard=False)
-        B = dynamics._probe_half_width(dynamics._gauge_diagonals(spec, kind, tau), 600)
+        B = probe_half_width(spec, kind, tau)
         assert len(rows) == 2 and rows[1] == 2 * (2 * B + 1)
         assert taken[1] == taken[0]
 
