@@ -2,13 +2,17 @@
 
 The dissipative descriptions compress a restart window of ``t_r = r tau``
 into a single decay weight ``alpha = -ln P_r``, read off the surviving
-norm of the stepped dissipative series.  The restarted survival then falls
-as ``e^{-alpha R}`` across windows, one number per window.  Routines here
-extract ``alpha``, scan restart periods for the one minimizing the mean
-detection time (equivalently maximizing ``alpha / t_r``), and quantify
-how far each dissipative engine drifts from the projective reference.
-The exact counterpart of the scan is the ``mfdt-sweep`` recipe, which
-evaluates ``qreset.restart.mfdt`` on one projective run.
+norm of a stepped dissipative series.  The restarted survival then falls
+as ``e^{-alpha R}`` across windows, one number per window.  Like the
+routines of ``qreset.restart``, every statistic here reads a
+``DetectionSeries`` an engine has already made, and a count ``r``, and
+runs no engine: ``alpha`` extracts the decay weight, ``optimal_tr_nh``
+scans restart periods of one series for the one minimizing the mean
+detection time (equivalently maximizing ``alpha / t_r``), and
+``delta_p_r`` quantifies how far a dissipative engine's restarted curve
+drifts from the projective one.  The exact counterpart of the scan is
+the ``mfdt-sweep`` recipe, which evaluates ``qreset.restart.mfdt`` on
+one projective run.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import nh_survival_series
+from .dynamics import DetectionSeries
 from .errors import InstantAbsorptionError, QresetError
-from .lattice import LatticeSpec, ModelKind
+from .restart import _check_window
 
 # Unused here, but perfbench/tracing.py:137-140 wraps these four names on
 # this module: propagator, build_hamiltonian, measured_evolution and mfdt.
@@ -47,45 +51,24 @@ class OptimalTr:
     t_star: float
 
 
-def _period_grid(r_grid: Sequence[int], tau: float) -> tuple[list[int], np.ndarray]:
-    """Checked restart periods and their window lengths ``r tau``."""
-    r_values = [int(r) for r in r_grid]
-    if not r_values:
-        raise ValueError("restart-period grid is empty")
-    if any(r < 1 for r in r_values):
-        raise ValueError("restart periods must be at least 1")
-    return r_values, np.asarray([r * tau for r in r_values], dtype=np.float64)
+def alpha(base: DetectionSeries, r: int) -> float:
+    """Decay weight ``-ln P_r`` of a restart window of ``r`` measurements.
 
-
-def _decay_weight(p_eff: float, t_r: float) -> float:
-    """Checked ``-ln P_eff`` for one window of length ``t_r``.
-
-    A norm above one signals a numerically broken propagation; a norm at
-    or below zero means the window absorbs everything, where the log
-    diverges and the restart protocol degenerates.
+    ``P_r`` is entry ``r`` of ``base``, the window survival over ``t_r =
+    r tau``; the survival timescale is ``t_r / alpha``.  A survival above
+    one signals a numerically broken propagation; one at or below zero
+    means the window absorbs everything, where the log diverges and the
+    restart protocol degenerates.
     """
-    if p_eff > 1.0 + 1e-10:
-        raise QresetError(
-            f"dissipative propagation produced norm {p_eff} > 1 at t_r={t_r}"
-        )
-    if p_eff <= 0.0:
+    _check_window(base, r)
+    survival, t_r = float(base.P[r - 1]), r * base.tau
+    if survival > 1.0 + 1e-10:
+        raise QresetError(f"propagation produced norm {survival} > 1 at t_r={t_r}")
+    if survival <= 0.0:
         raise InstantAbsorptionError(
             f"window survival vanished at t_r={t_r}; decay weight diverges"
         )
-    return -math.log(p_eff)
-
-
-def alpha(kind: ModelKind, spec: LatticeSpec, tau: float, r: int) -> float:
-    """Decay weight ``-ln P_r`` of a restart window of ``r`` measurements.
-
-    ``P_r`` is entry ``r`` of the dissipative survival series stepped at
-    ``tau``, the window survival over ``t_r = r tau``; the survival
-    timescale is ``t_r / alpha``.  The bulk guard is not applied.
-    """
-    if r < 1:
-        raise ValueError(f"restart period must be at least 1, got r={r}")
-    series = nh_survival_series(spec, kind, tau, r, bulk_guard=False)
-    return _decay_weight(float(series.P[r - 1]), r * tau)
+    return -math.log(survival)
 
 
 def survival_prediction(alpha_value: float, t_r: float, times: np.ndarray) -> np.ndarray:
@@ -96,26 +79,27 @@ def survival_prediction(alpha_value: float, t_r: float, times: np.ndarray) -> np
     return np.exp(-alpha_value * times / t_r)
 
 
-def optimal_tr_nh(
-    kind: ModelKind, spec: LatticeSpec, tau: float, r_grid: Sequence[int]
-) -> OptimalTr:
+def optimal_tr_nh(base: DetectionSeries, r_grid: Sequence[int]) -> OptimalTr:
     """Restart period minimizing ``-alpha / t_r`` over a grid of periods.
 
     Minimizing ``-alpha / t_r`` maximizes the decay per unit time, the
-    dissipative stand-in for minimizing the mean detection time.  The
-    result's ``grid`` and ``t_star`` are window lengths ``r tau``, the
-    restart times over which the ``mfdt-sweep`` recipe evaluates the
-    exact mean with :func:`qreset.restart.mfdt`.  Periods whose window
-    absorbs everything are skipped (their mean detection time is not
-    improved by information the model no longer carries).  Ties resolve
-    toward the shortest period.  The bulk guard is not applied.
+    dissipative stand-in for minimizing the mean detection time.  Every
+    period is read off the one series ``base``, which must reach the
+    longest.  The result's ``grid`` and ``t_star`` are window lengths
+    ``r tau``, the restart times over which the ``mfdt-sweep`` recipe
+    evaluates the exact mean with :func:`qreset.restart.mfdt`.  Periods
+    whose window absorbs everything keep a NaN objective (their mean
+    detection time is not improved by information the model no longer
+    carries).  Ties resolve toward the first period of the grid.
     """
-    r_values, grid_arr = _period_grid(r_grid, tau)
-    survival = nh_survival_series(spec, kind, tau, max(r_values), bulk_guard=False).P
-    objective = np.full(grid_arr.size, np.nan)
-    for i, (t_r, r) in enumerate(zip(grid_arr, r_values)):
+    r_values = [int(r) for r in r_grid]
+    if not r_values:
+        raise ValueError("restart-period grid is empty")
+    grid = np.asarray([r * base.tau for r in r_values], dtype=np.float64)
+    objective = np.full(grid.size, np.nan)
+    for i, r in enumerate(r_values):
         try:
-            objective[i] = -_decay_weight(float(survival[r - 1]), t_r) / t_r
+            objective[i] = -alpha(base, r) / grid[i]
         except InstantAbsorptionError:
             continue
     if np.all(np.isnan(objective)):
@@ -123,8 +107,8 @@ def optimal_tr_nh(
             "every grid point fully absorbs within one window"
         )
     best = float(np.nanmin(objective))
-    t_star = float(grid_arr[np.nonzero(objective == best)[0][0]])
-    return OptimalTr(grid=grid_arr, objective=objective, t_star=t_star)
+    t_star = float(grid[np.nonzero(objective == best)[0][0]])
+    return OptimalTr(grid=grid, objective=objective, t_star=t_star)
 
 
 def delta_p_r(

@@ -16,9 +16,10 @@ length the time ``horizon``, sweeps are the ``tau_sweep`` and ``tr_sweep``
 keys, and the command line adds only ``--out`` and ``--workers``.
 
 The CLI performs no numerics of its own: every column is an engine
-output, rendered to 12 significant digits.  Sweeps run their grid points
-one after another, in value order; ``--workers`` threads render the
-blocks of each CSV, and the output is byte-identical to one thread's.
+output, rendered to 12 significant digits, and every engine run applies
+the bulk guard.  Sweeps run their grid points one after another, in the
+order the config gives; ``--workers`` threads render the blocks of each
+CSV, and the output is byte-identical to one thread's.
 
 Exit codes: 0 success, 1 a failed single run (out of memory included),
 which writes no CSV, 2 a sweep with failed grid points (``errors.log``).
@@ -39,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import alpha, delta_p_r, optimal_tr_nh, survival_prediction
-from .dynamics import _check_bulk_window, measured_evolution, nh_survival_series
+from .dynamics import measured_evolution, nh_survival_series
 from .errors import ConfigError, QresetError
 from .lattice import LatticeSpec, ModelKind
 from .restart import mfdt, reset_pdet, reset_survival
@@ -160,6 +161,20 @@ def _restart_period(t_r: float, tau: float) -> int:
             f"t_r={t_r:g} is not a positive integer multiple of tau={tau:g}"
         )
     return r
+
+
+def _row_grid(config: RunConfig, recipe: str) -> list[int]:
+    """Restart periods of ``tr_sweep``, one table row each, so strictly increasing."""
+    if not config.tr_sweep:
+        raise ConfigError(f"{recipe} needs a tr_sweep key")
+    r_values = [_restart_period(t_r, config.tau) for t_r in config.tr_sweep]
+    for i in range(1, len(r_values)):
+        if r_values[i] <= r_values[i - 1]:
+            raise ConfigError(
+                f"tr_sweep must increase strictly for {recipe}, one row per value "
+                f"({config.tr_sweep[i]:g} after {config.tr_sweep[i - 1]:g})"
+            )
+    return r_values
 
 
 def _as_int(key: str, text: str) -> int:
@@ -562,7 +577,7 @@ def _build_reset_survival(config: RunConfig, out_dir: Path, tag: str) -> list[Cs
     base = measured_evolution(spec, config.tau, r)
     trajectory = reset_survival(base, r, n)
     times = config.tau * np.arange(1, n + 1)
-    decay = alpha(ModelKind.MODEL2, spec, config.tau, r)
+    decay = alpha(nh_survival_series(spec, ModelKind.MODEL2, config.tau, r), r)
     predicted = survival_prediction(decay, r * config.tau, times)
     artifact = CsvArtifact(
         out_dir / f"reset_survival{tag}.csv",
@@ -573,31 +588,25 @@ def _build_reset_survival(config: RunConfig, out_dir: Path, tag: str) -> list[Cs
 
 
 def _build_mfdt_sweep(config: RunConfig, out_dir: Path, tag: str) -> list[CsvArtifact]:
-    if not config.tr_sweep:
-        raise ConfigError("mfdt-sweep needs a tr_sweep key")
-    spec = config.lattice()
-    tau = config.tau
-    r_values = [_restart_period(t_r, tau) for t_r in config.tr_sweep]
-    base = measured_evolution(spec, tau, max(r_values))
-    rows = [(t_r, mfdt(base, r, tau)) for t_r, r in zip(config.tr_sweep, r_values)]
+    r_values = _row_grid(config, "mfdt-sweep")
+    base = measured_evolution(config.lattice(), config.tau, max(r_values))
+    rows = [(t_r, mfdt(base, r)) for t_r, r in zip(config.tr_sweep, r_values)]
     artifact = CsvArtifact(out_dir / f"mfdt_sweep{tag}.csv", ("t_r", "MFDT"), rows)
     return [artifact]
 
 
 def _build_optimal_tr(config: RunConfig, out_dir: Path, tag: str) -> list[CsvArtifact]:
-    if not config.tr_sweep:
-        raise ConfigError("optimal-tr needs a tr_sweep key")
+    r_values = _row_grid(config, "optimal-tr")
     kinds = config.dissipative_kinds()
     if not kinds:
         raise ConfigError("optimal-tr needs a dissipative model: model1, model2, or all")
     spec = config.lattice()
-    r_values = [_restart_period(t_r, config.tau) for t_r in config.tr_sweep]
-    _check_bulk_window(spec, config.tau, max(r_values))
     stem = f"optimal_tr{tag}"
     artifacts = []
     t_stars = []
     for kind in kinds:
-        result = optimal_tr_nh(kind, spec, config.tau, r_values)
+        base = nh_survival_series(spec, kind, config.tau, max(r_values))
+        result = optimal_tr_nh(base, r_values)
         # Fully absorbed grid points carry no objective; leave them out.
         table = np.column_stack((result.grid, result.objective))
         artifact = CsvArtifact(
@@ -683,7 +692,7 @@ def sweep(
 ) -> tuple[list[Path], list[str]]:
     """Run a recipe once per value of ``axis`` (``tau`` or ``t_r``); returns paths and failures.
 
-    Grid points run one after another, in value order, and only their
+    Grid points run one after another, in the order given, and only their
     paths are kept, so one grid point's tables are alive at a time;
     ``workers`` threads render each file's blocks (:meth:`CsvArtifact.write`).
     A failed grid point is recorded and the next one runs: failures go to
@@ -720,7 +729,7 @@ def sweep(
 
     paths: list[Path] = []
     failures: list[str] = []
-    for tag, value in tags.items():  # every value once, in value order
+    for tag, value in tags.items():  # every value once, in the order given
         try:
             derived = replace(config, **{axis: value})
             paths += [a.path for a in run_experiment(derived, recipe, out_path, tag, workers)]

@@ -2,12 +2,13 @@
 
 The protocol resets the system to its initial state every ``r``
 measurements, conditional on non-detection, so a window lasts
-``t_r = r tau``.  Every routine here and in ``qreset.analysis`` takes the
-count ``r``; only the CLI reads restart times, and turns each into a count
-before calling in.  Writing a measurement index
-as ``n = r R + ntilde`` with ``R = (n-1) // r`` completed windows and
-``ntilde = 1 + (n-1) % r`` inside the current one, everything factorizes
-over windows:
+``t_r = r tau``.  Every routine here, like the decay weight and the
+period scan of ``qreset.analysis``, reads a series an engine has already
+made (``tau`` included) and the count ``r``, and runs no engine; only the
+CLI reads restart times, and turns each into a count before calling in.
+Writing a measurement index as ``n = r R + ntilde`` with
+``R = (n-1) // r`` completed windows and ``ntilde = 1 + (n-1) % r``
+inside the current one, everything factorizes over windows:
 
 * first-detection PMF   ``p_n^(r) = q^R p_ntilde``  with ``q = P_r``,
 * survival trajectory   ``P(n tau) = P_ntilde * P_r^R``.
@@ -47,7 +48,7 @@ def _check_window(base: DetectionSeries, r: int) -> None:
         )
 
 
-def mfdt(base: DetectionSeries, r: int, tau: float) -> float:
+def mfdt(base: DetectionSeries, r: int) -> float:
     """Mean first-detection time under restart every ``r`` measurements.
 
     Closed form, no truncation:
@@ -57,9 +58,10 @@ def mfdt(base: DetectionSeries, r: int, tau: float) -> float:
     The window survival is taken from ``P_r`` directly.  Every engine
     computes ``P_r`` as a squared state norm, so it keeps its relative
     accuracy at tiny survival, where ``1 - Pdet(r)`` would cancel to
-    rounding noise.
+    rounding noise.  ``tau`` is the series' own.
     """
     _check_window(base, r)
+    tau = base.tau
     pdet_r = base.Pdet[r - 1]
     if pdet_r <= 0:
         raise NeverDetectedError(

@@ -44,10 +44,8 @@ from qreset import (
     OptimalTr,
     dynamics,
     lattice,
-    measured_evolution,
     mfdt,
 )
-from qreset.analysis import _period_grid
 from qreset.dynamics import BAND_CUTOFF, _abs_row_sums
 from qreset.restart import _check_window
 
@@ -306,24 +304,21 @@ def build_reset_heff(
     return h0.astype(np.complex128) + shift * np.eye(h0.shape[0])
 
 
-def optimal_tr_exact(
-    spec: LatticeSpec,
-    tau: float,
-    r_grid: Sequence[int],
-    bulk_guard: bool = True,
-) -> OptimalTr:
+def optimal_tr_exact(base: DetectionSeries, r_grid: Sequence[int]) -> OptimalTr:
     """Restart period minimizing the projective mean detection time.
 
-    Runs the projective dynamics once out to the largest period in the
-    grid and evaluates the closed-form mean for each candidate.  Periods
-    with no detection probability at all get an infinite mean.
+    Evaluates the closed-form mean for each candidate on one projective
+    run ``base``, which must reach the largest period in the grid.
+    Periods with no detection probability at all get an infinite mean.
     """
-    r_values, grid_arr = _period_grid(r_grid, tau)
-    base = measured_evolution(spec, tau, max(r_values), bulk_guard=bulk_guard)
+    r_values = [int(r) for r in r_grid]
+    if not r_values:
+        raise ValueError("restart-period grid is empty")
+    grid_arr = np.asarray([r * base.tau for r in r_values], dtype=np.float64)
     objective = np.empty(grid_arr.size)
     for i, r in enumerate(r_values):
         try:
-            objective[i] = mfdt(base, r, tau)
+            objective[i] = mfdt(base, r)
         except NeverDetectedError:
             objective[i] = np.inf
     if np.all(np.isinf(objective)):

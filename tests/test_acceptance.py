@@ -73,7 +73,10 @@ def random_instance(rng, l_max=24):
 def nh_scan():
     """Window decay objective over the full restart-period grid, per model."""
     return {
-        kind: optimal_tr_nh(kind, OPERATING_POINT, OPERATING_TAU, R_GRID)
+        kind: optimal_tr_nh(
+            nh_survival_series(OPERATING_POINT, kind, OPERATING_TAU, max(R_GRID), bulk_guard=False),
+            R_GRID,
+        )
         for kind in (ModelKind.MODEL1, ModelKind.MODEL2)
     }
 
@@ -119,7 +122,7 @@ class TestAcceptance:
             if base.Pdet[r - 1] < 0.05:
                 continue
             count += 1
-            closed = mfdt(base, r, tau)
+            closed = mfdt(base, r)
             direct = mfdt_direct(base, r, tau, k_windows=50)
             worst = max(worst, abs(direct - closed) / closed)
         ok = worst <= 1e-10
@@ -127,7 +130,7 @@ class TestAcceptance:
         assert ok
 
     def test_4_optimal_restart_time_containment(self, nh_scan):
-        exact = optimal_tr_exact(OPERATING_POINT, OPERATING_TAU, R_GRID)
+        exact = optimal_tr_exact(measured_evolution(OPERATING_POINT, OPERATING_TAU, max(R_GRID)), R_GRID)
         stars = {"exact": exact.t_star}
         for kind, result in nh_scan.items():
             stars[kind.value] = result.t_star

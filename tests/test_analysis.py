@@ -10,9 +10,13 @@ from qreset import (
     alpha,
     build_hamiltonian,
     delta_p_r,
+    dynamics,
     measured_evolution,
     mfdt,
+    nh_survival_series,
     optimal_tr_nh,
+    reset_pdet,
+    reset_survival,
     survival_prediction,
 )
 
@@ -27,15 +31,20 @@ ABSORBING_TAU = 1.0
 ABSORBING_R = 500
 
 
+def model2_series(spec: LatticeSpec, tau: float, n_max: int):
+    """The strong absorber's stepped series, without the bulk guard."""
+    return nh_survival_series(spec, ModelKind.MODEL2, tau, n_max, bulk_guard=False)
+
+
 class TestAlpha:
     def test_front_not_yet_arrived_means_no_decay(self):
         # Ballistic front needs t ~ distance / 2; at t_r = 4 tau = 1 the
         # detector 10 sites away has seen essentially nothing.
         spec = LatticeSpec(L=500, detector_index=260, initial_index=250)
-        assert alpha(ModelKind.MODEL2, spec, 0.25, 4) < 1e-8
+        assert alpha(model2_series(spec, 0.25, 4), 4) < 1e-8
 
     def test_against_taylor_oracle(self):
-        res = alpha(ModelKind.MODEL2, TWO_SITE, 1.0, 1)
+        res = alpha(model2_series(TWO_SITE, 1.0, 1), 1)
         u = taylor_expm(build_hamiltonian(TWO_SITE, ModelKind.MODEL2, 1.0), 1.0)
         phi = u @ initial_state(TWO_SITE)
         expected = -np.log(np.vdot(phi, phi).real)
@@ -43,21 +52,29 @@ class TestAlpha:
 
     def test_multi_step_window_against_taylor_oracle(self):
         # r = 4 at tau = 0.5 is read off the fourth step of the series.
-        res = alpha(ModelKind.MODEL2, TWO_SITE, 0.5, 4)
+        res = alpha(model2_series(TWO_SITE, 0.5, 4), 4)
         u = taylor_expm(build_hamiltonian(TWO_SITE, ModelKind.MODEL2, 0.5), 2.0)
         phi = u @ initial_state(TWO_SITE)
         expected = -np.log(np.vdot(phi, phi).real)
         assert abs(res - expected) < 1e-9
 
-    def test_rejects_projective_kind_and_bad_time(self):
-        with pytest.raises(ValueError):
-            alpha(ModelKind.EXACT, TWO_SITE, 0.5, 2)
-        with pytest.raises(ValueError):
-            alpha(ModelKind.MODEL2, TWO_SITE, 0.5, 0)
+    @pytest.mark.parametrize("tau, r", [(0.3, 1), (0.5, 4), (1.2, 7)])
+    def test_exact_two_site_closed_form(self, tau, r):
+        # The detector takes sin(tau) of the amplitude each step and leaves
+        # cos(tau) at the start, so P_r = cos(tau)^(2r).
+        base = measured_evolution(TWO_SITE, tau, r, bulk_guard=False)
+        expected = -2 * r * np.log(abs(np.cos(tau)))
+        assert alpha(base, r) == pytest.approx(expected, rel=1e-12)
+
+    def test_rejects_period_outside_the_series(self):
+        base = model2_series(TWO_SITE, 0.5, 3)
+        for r in (0, 4):
+            with pytest.raises(ValueError, match=f"restart period.*r={r}"):
+                alpha(base, r)
 
     def test_total_absorption_raises(self):
         with pytest.raises(InstantAbsorptionError):
-            alpha(ModelKind.MODEL2, TWO_SITE, ABSORBING_TAU, ABSORBING_R)
+            alpha(model2_series(TWO_SITE, ABSORBING_TAU, ABSORBING_R), ABSORBING_R)
 
 
 class TestSurvivalPrediction:
@@ -73,40 +90,41 @@ class TestSurvivalPrediction:
 
 class TestOptimalTrDissipative:
     def test_single_point_grid(self):
-        res = optimal_tr_nh(ModelKind.MODEL2, TWO_SITE, 0.5, [3])
+        res = optimal_tr_nh(model2_series(TWO_SITE, 0.5, 3), [3])
         assert res.t_star == 1.5
         assert res.objective.shape == (1,)
 
     def test_objective_is_decay_per_unit_time(self):
         r_grid = [1, 2, 4]
-        res = optimal_tr_nh(ModelKind.MODEL2, TWO_SITE, 0.5, r_grid)
+        base = model2_series(TWO_SITE, 0.5, 4)
+        res = optimal_tr_nh(base, r_grid)
         assert res.grid.tolist() == [0.5, 1.0, 2.0]
         for i, r in enumerate(r_grid):
-            a = alpha(ModelKind.MODEL2, TWO_SITE, 0.5, r)
+            a = alpha(base, r)
             assert res.objective[i] == pytest.approx(-a / (0.5 * r), rel=1e-12)
         # Same argmin whether phrased as max alpha/t_r or min t_r/alpha.
         assert np.argmin(res.objective) == np.argmin(
-            [0.5 * r / alpha(ModelKind.MODEL2, TWO_SITE, 0.5, r) for r in r_grid]
+            [0.5 * r / alpha(base, r) for r in r_grid]
         )
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            optimal_tr_nh(ModelKind.MODEL2, TWO_SITE, 0.5, [])
+            optimal_tr_nh(model2_series(TWO_SITE, 0.5, 1), [])
 
     def test_all_points_absorbing_raises(self):
+        base = model2_series(TWO_SITE, ABSORBING_TAU, ABSORBING_R)
         with pytest.raises(InstantAbsorptionError):
-            optimal_tr_nh(ModelKind.MODEL2, TWO_SITE, ABSORBING_TAU, [ABSORBING_R])
+            optimal_tr_nh(base, [ABSORBING_R])
 
     def test_absorbing_points_are_skipped_not_fatal(self):
-        res = optimal_tr_nh(
-            ModelKind.MODEL2, TWO_SITE, ABSORBING_TAU, [1, ABSORBING_R]
-        )
+        base = model2_series(TWO_SITE, ABSORBING_TAU, ABSORBING_R)
+        res = optimal_tr_nh(base, [1, ABSORBING_R])
         assert res.t_star == 1.0
         assert np.isnan(res.objective[1])
 
     def test_period_below_one_rejected(self):
         with pytest.raises(ValueError):
-            optimal_tr_nh(ModelKind.MODEL2, TWO_SITE, 0.5, [2, 0])
+            optimal_tr_nh(model2_series(TWO_SITE, 0.5, 2), [2, 0])
 
 
 class TestOptimalTrExact:
@@ -114,7 +132,7 @@ class TestOptimalTrExact:
         # Quarter-period two-site chain detects at the first try for any
         # restart period, so every candidate has the same mean time tau.
         tau = np.pi / 2
-        res = optimal_tr_exact(TWO_SITE, tau, [1, 2, 3], bulk_guard=False)
+        res = optimal_tr_exact(measured_evolution(TWO_SITE, tau, 3, bulk_guard=False), [1, 2, 3])
         assert np.allclose(res.objective, tau, atol=1e-12)
         assert res.t_star == pytest.approx(tau)
 
@@ -122,17 +140,36 @@ class TestOptimalTrExact:
         spec = LatticeSpec(L=16, detector_index=12, initial_index=8)
         tau = 0.5
         r_grid = list(range(1, 31))
-        res = optimal_tr_exact(spec, tau, r_grid, bulk_guard=False)
         base = measured_evolution(spec, tau, 30, bulk_guard=False)
-        means = np.array([mfdt(base, r, tau) for r in r_grid])
+        res = optimal_tr_exact(base, r_grid)
+        means = np.array([mfdt(base, r) for r in r_grid])
         assert np.allclose(res.objective, means, rtol=1e-12)
         assert res.t_star == pytest.approx(r_grid[int(np.argmin(means))] * tau)
 
     def test_empty_and_invalid_grids(self):
+        base = measured_evolution(TWO_SITE, 0.5, 2, bulk_guard=False)
         with pytest.raises(ValueError):
-            optimal_tr_exact(TWO_SITE, 0.5, [], bulk_guard=False)
+            optimal_tr_exact(base, [])
         with pytest.raises(ValueError):
-            optimal_tr_exact(TWO_SITE, 0.5, [0, 2], bulk_guard=False)
+            optimal_tr_exact(base, [0, 2])
+
+
+class TestStatisticsRunNoEngine:
+    def test_every_statistic_reads_a_prebuilt_series(self, monkeypatch):
+        spec = LatticeSpec(L=16, detector_index=12, initial_index=8)
+        exact = measured_evolution(spec, 0.5, 12, bulk_guard=False)
+        model2 = model2_series(spec, 0.5, 12)
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("a statistic ran an engine")
+
+        monkeypatch.setattr(dynamics, "_band_series", no_engine)
+        assert alpha(model2, 4) > 0
+        assert optimal_tr_nh(model2, [2, 4, 6]).t_star in (1.0, 2.0, 3.0)
+        assert mfdt(exact, 4) > 0
+        assert reset_survival(exact, 4, 12).shape == (12,)
+        exact_curve, model2_curve = reset_pdet(exact, 4, 12), reset_pdet(model2, 4, 12)
+        assert delta_p_r(exact_curve, model2_curve, 4, 3).shape == (3,)
 
 
 class TestDeltaPR:

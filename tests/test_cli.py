@@ -499,6 +499,29 @@ class TestRecipes:
         for row in rows:
             assert float(row[1]) in (0.5, 1.0, 1.5)
 
+    @pytest.mark.parametrize("recipe", ["mfdt-sweep", "optimal-tr"])
+    def test_unordered_tr_sweep_rejected_before_any_engine_runs(
+        self, tmp_path, capsys, monkeypatch, recipe
+    ):
+        # Each value is one table row, and a table's first column increases.
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(args)
+            raise AssertionError("an engine ran")
+
+        monkeypatch.setattr(qreset.cli, "measured_evolution", spy)
+        monkeypatch.setattr(qreset.cli, "nh_survival_series", spy)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("L = 40\ntau = 0.25\ntr_sweep = 5.0, 2.5\n")
+        out = tmp_path / "out"
+        assert main([recipe, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: tr_sweep must increase strictly for {recipe}, one row per value (2.5 after 5)"
+        ]
+        assert runs == []
+        assert not out.exists()
+
     def test_optimal_tr_applies_the_bulk_guard(self, tmp_path, capsys):
         # The longest window, 80 measurements, carries the front 40 sites.
         cfg = tmp_path / "run.cfg"
@@ -818,7 +841,7 @@ class TestMainErrorPaths:
 
     def test_failed_mfdt_scan_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # A grid point that raises ends the single run: no partial table.
-        def mfdt(base, r, tau):
+        def mfdt(base, r):
             if r > 2:
                 raise qreset.NeverDetectedError(f"no detection in r={r}")
             return 1.0
@@ -831,14 +854,16 @@ class TestMainErrorPaths:
         assert list(tmp_path.glob("*.csv")) == []
 
     def test_failed_optimal_tr_scan_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        # model1's table is built before model2's scan raises; a failed
-        # single run writes none of its files.
+        # model1's table is built before model2's scan, the second, raises;
+        # a failed single run writes none of its files.
         scan = qreset.cli.optimal_tr_nh
+        scanned = []
 
-        def optimal_tr_nh(kind, spec, tau, r_grid):
-            if kind is ModelKind.MODEL2:
+        def optimal_tr_nh(base, r_grid):
+            scanned.append(base)
+            if len(scanned) == 2:
                 raise qreset.InstantAbsorptionError("model2 survival underflowed")
-            return scan(kind, spec, tau, r_grid)
+            return scan(base, r_grid)
 
         monkeypatch.setattr(qreset.cli, "optimal_tr_nh", optimal_tr_nh)
         cfg = tmp_path / "run.cfg"

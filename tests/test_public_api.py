@@ -1,5 +1,6 @@
 """The public surface, and the names the benchmark harness binds by name."""
 
+import ast
 import importlib.util
 import inspect
 import sys
@@ -54,6 +55,18 @@ class TestPublicSurface:
     def test_removed_name_is_not_exported(self, name):
         assert not hasattr(qreset, name)
         assert name not in qreset.__all__
+
+    def test_cli_binds_no_private_name_of_another_module(self):
+        # The front end reaches the library through its public names only.
+        tree = ast.parse(Path(inspect.getfile(cli)).read_text(encoding="utf-8"))
+        borrowed = [
+            f"{node.module}.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("qreset"))
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert borrowed == []
 
 
 @pytest.fixture(scope="module")

@@ -65,19 +65,19 @@ class TestRestartPmf:
 class TestMeanDetectionTime:
     def test_certain_first_step(self):
         base = measured_evolution(TWO_SITE, np.pi / 2, 4, bulk_guard=False)
-        assert abs(mfdt(base, 1, np.pi / 2) - np.pi / 2) < 1e-12
+        assert abs(mfdt(base, 1) - np.pi / 2) < 1e-12
 
     def test_geometric_detector(self):
         tau = 1.0
         base = geometric_series(0.25, 40)
         # Memoryless chain: restart is invisible, mean stays tau / q.
         for r in (1, 3, 5):
-            assert abs(mfdt(base, r, tau) - tau / 0.25) < 1e-12
+            assert abs(mfdt(base, r) - tau / 0.25) < 1e-12
 
     def test_undetectable_window_raises(self):
         base = series_from_pmf(1.0, np.array([0.0, 0.0]))
         with pytest.raises(NeverDetectedError):
-            mfdt(base, 2, 1.0)
+            mfdt(base, 2)
 
     def test_direct_summation_halving_case(self):
         base = series_from_pmf(1.0, np.array([0.5]))
@@ -87,7 +87,7 @@ class TestMeanDetectionTime:
     def test_direct_matches_closed_form_midsize(self):
         spec = LatticeSpec(L=20, detector_index=14, initial_index=10)
         base = measured_evolution(spec, 0.5, 60, bulk_guard=False)
-        closed = mfdt(base, 10, 0.5)
+        closed = mfdt(base, 10)
         direct = mfdt_direct(base, 10, 0.5, k_windows=400)
         assert abs(direct - closed) / closed < 1e-10
 
