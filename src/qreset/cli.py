@@ -163,18 +163,17 @@ def _restart_period(t_r: float, tau: float) -> int:
     return r
 
 
-def _row_grid(config: RunConfig, recipe: str) -> list[int]:
-    """Restart periods of ``tr_sweep``, one table row each, so strictly increasing."""
+def _table_rows(config: RunConfig, recipe: str) -> tuple[float, ...]:
+    """``tr_sweep`` as a table's rows, one per value: present and strictly increasing."""
     if not config.tr_sweep:
         raise ConfigError(f"{recipe} needs a tr_sweep key")
-    r_values = [_restart_period(t_r, config.tau) for t_r in config.tr_sweep]
-    for i in range(1, len(r_values)):
-        if r_values[i] <= r_values[i - 1]:
+    for prev, t_r in zip(config.tr_sweep, config.tr_sweep[1:]):
+        if t_r <= prev:
             raise ConfigError(
                 f"tr_sweep must increase strictly for {recipe}, one row per value "
-                f"({config.tr_sweep[i]:g} after {config.tr_sweep[i - 1]:g})"
+                f"({t_r:g} after {prev:g})"
             )
-    return r_values
+    return config.tr_sweep
 
 
 def _as_int(key: str, text: str) -> int:
@@ -588,7 +587,7 @@ def _build_reset_survival(config: RunConfig, out_dir: Path, tag: str) -> list[Cs
 
 
 def _build_mfdt_sweep(config: RunConfig, out_dir: Path, tag: str) -> list[CsvArtifact]:
-    r_values = _row_grid(config, "mfdt-sweep")
+    r_values = [_restart_period(t_r, config.tau) for t_r in _table_rows(config, "mfdt-sweep")]
     base = measured_evolution(config.lattice(), config.tau, max(r_values))
     rows = [(t_r, mfdt(base, r)) for t_r, r in zip(config.tr_sweep, r_values)]
     artifact = CsvArtifact(out_dir / f"mfdt_sweep{tag}.csv", ("t_r", "MFDT"), rows)
@@ -596,7 +595,7 @@ def _build_mfdt_sweep(config: RunConfig, out_dir: Path, tag: str) -> list[CsvArt
 
 
 def _build_optimal_tr(config: RunConfig, out_dir: Path, tag: str) -> list[CsvArtifact]:
-    r_values = _row_grid(config, "optimal-tr")
+    r_values = [_restart_period(t_r, config.tau) for t_r in _table_rows(config, "optimal-tr")]
     kinds = config.dissipative_kinds()
     if not kinds:
         raise ConfigError("optimal-tr needs a dissipative model: model1, model2, or all")
@@ -700,12 +699,15 @@ def sweep(
     Files carry each value's ``%g`` tag (``_tau0.25``); a repeated value
     would run twice and write its file twice, and distinct values sharing
     a tag would overwrite each other, so both are a ConfigError, raised
-    before any grid point runs, as is a ``t_r`` sweep of a recipe without ``t_r``.
+    before any grid point runs, as are a ``t_r`` sweep of a recipe without
+    ``t_r`` and a row grid (``tr_sweep``) out of order.
     """
     if axis not in ("tau", "t_r"):
         raise ValueError(f"sweep axis must be 'tau' or 't_r', got {axis!r}")
     if axis == "t_r" and recipe in ("pdet", "mfdt-sweep", "optimal-tr"):
         raise ConfigError(f"{recipe} reads no restart time t_r; a t_r sweep repeats one table")
+    if recipe in ("mfdt-sweep", "optimal-tr"):
+        _table_rows(config, recipe)
     values = tuple(float(v) for v in values)
     if not values:
         raise ConfigError("sweep needs at least one value")

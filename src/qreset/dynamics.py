@@ -13,14 +13,14 @@ Two routes to the same bookkeeping:
   defect at the detector, so all block rows of the band but those near
   the detector and the chain ends are one shared ``(b, 3 b)`` bulk
   block: a step is one GEMM of the window against it, one dense slab
-  product per run of feature block rows the window has reached, and a
+  product per run of those block rows the window has reached, and a
   norm over the window, O(w b^2) whatever L.  The window grows by one
   block per side and step, and a newly reached block whose norm is at
   or below eps^2 times the state's is dropped.  Bulk block and slabs
-  come from the exponential applied to probe vectors on feature segments
-  (the detector, or a chain end once the window reaches it, reaching 2B
-  past it, B the probe half-width) and a free stretch centred on the
-  bulk row: no L x L matrix, no length-L array, O(B^2) work.  All
+  come from one probe of the exponential on the detector's segment
+  (reaching 2B past it, B the probe half-width) and a free stretch
+  centred on the bulk row; the chain ends' rows are the bulk row's
+  mirror images: no L x L matrix, no length-L array, O(B^2) work.  All
   generators have real hops and imaginary entries on even diagonals
   only, so in the gauge D = diag(i^x) band and state are real: float64,
   half the memory of complex, with the same norms.
@@ -237,18 +237,16 @@ def _gauge_defect(spec: LatticeSpec, kind: ModelKind, tau: float) -> dict[tuple[
     return a
 
 
-def _probe_block(a: dict, L: int, P: int, terms: list | None = None) -> tuple[np.ndarray, list]:
+def _probe_block(a: dict, L: int, P: int) -> np.ndarray:
     """``e^A`` applied to the L x P probe block: row i holds a 1 in column i mod P.
 
     Scaled Taylor stages on the diagonals of A, O(L P) work per term.
-    Returns the block and each stage's term count; ``terms`` replays an
-    earlier probe's counts: as many stages, each of at least as many terms.
     """
     norm = _abs_row_sums(a, L).max()
     # Stages of norm at most 4: at this tolerance fewer, longer stages cost
     # fewer terms in all, and the largest term, 4^4/4! ~ 11, costs at most
     # one digit to cancellation.
-    stages = len(terms) if terms else max(1, int(np.ceil(norm / 4)))
+    stages = max(1, int(np.ceil(norm / 4)))
     # Each diagonal as (rows, cols, entries) over the span of its nonzero
     # entries: the model-specific diagonals hold one or two.
     slabs = []
@@ -262,32 +260,30 @@ def _probe_block(a: dict, L: int, P: int, terms: list | None = None) -> tuple[np
     f = np.zeros((L, P))
     f[site, site % P] = 1.0
     tol = BAND_CUTOFF * np.finfo(np.float64).eps
-    taken = []
-    for least in terms or [0] * stages:
+    for _ in range(stages):
         term, n = f, 0
         # Term n has its largest entry at most (norm / stages) / n times
         # that of term n - 1.  Stop at a term below tol once that ratio is
         # at most 1/2, so the dropped tail stays below tol as well.
-        while n < least or n + 1 < 2 * norm / stages or np.abs(term).max() > tol:
+        while n + 1 < 2 * norm / stages or np.abs(term).max() > tol:
             n += 1
             nxt = np.zeros_like(term)
             for rows, cols, d in slabs:
                 nxt[rows] += (d / n) * term[cols]
             term = nxt
             f += term
-        taken.append(n)
-    return f, taken
+    return f
 
 
 def _feature_chain(L: int, a: dict, B: int) -> list:
     """The feature segments, each as ``(lo, hi, features)``.
 
-    A feature is a chain end or a row of the defect ``a``.  Each
-    feature's segment reaches 2B past it, clipped to the chain;
-    overlapping or touching segments merge.
+    A feature is a row of the defect ``a``.  Each feature's segment
+    reaches 2B past it, clipped to the chain; overlapping or touching
+    segments merge.
     """
     segments = []
-    for x in sorted({0, L - 1} | {i for i, _ in a}):
+    for x in sorted({i for i, _ in a}):
         lo, hi = max(0, x - 2 * B), min(L, x + 2 * B + 1)
         if segments and lo <= segments[-1][1]:
             segments[-1] = (segments[-1][0], hi, segments[-1][2] + [x])
@@ -317,126 +313,106 @@ def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> tuple:
     probe.)  An entry above the cutoff at distance B means the bound
     failed, and raises.
 
-    Only rows within B of a feature (a chain end, or a row of the defect)
-    can differ from the bulk row, so the probes run on feature segments
-    (:func:`_feature_chain`) end to end, with zero couplings at the joins.
-    A row within B of a feature is read from its segment, whose cut ends
-    lie at least B away; every other row is the bulk row.  Here the probe
-    takes the segments that hold a row the model changes and a free
-    stretch of 2B + 3 rows, away from every feature, whose centre row is
-    the bulk row: about 6 B rows instead of L, and b comes from them.
-    When one segment covers the chain, it is the chain itself and every
-    row is read in place.
+    Only rows within B of a feature, a row of the defect, can differ from
+    the free open chain's.  One probe runs on the feature segments
+    (:func:`_feature_chain`) and a free stretch of 2B + 3 rows, end to end
+    with zero couplings at the joins: a row near a feature is read from
+    its segment, whose cut ends lie at least B away, and the stretch's
+    centre row is g, the bulk row by offset (zero past b).  The free open
+    chain is the infinite one on states odd about the mirror sites -1 and
+    L, so its row i is ``g(j - i) + (-1)^j (g(-2 - i - j) - g(2 L - i - j))``
+    (L is even): the bulk row unless i lies within b of an end.  A chain
+    no longer than the probe's pieces is probed whole, every row in place.
 
-    Returns ``(bulk, runs, end_spans, end_runs)``: ``bulk`` the ``(b, 3 b)``
-    block of every block row that holds no row near a feature (zero when
-    there is none), and the other block rows in runs of consecutive ones,
-    each run ``k0 .. k1 - 1`` as ``(k0, slab)`` with ``slab`` the dense
-    ``((k1 - k0) b, (k1 - k0 + 2) b)`` rows of the run against the padded
-    state's sites ``k0 b .. (k1 + 2) b - 1``.  The runs ``(k0, k1)`` in
-    ``end_spans`` hold only chain ends, a free-chain piece: ``end_runs()``
-    builds them with one probe that replays the first one's stage and
-    term counts, so each entry is what one probe of every segment gives,
-    and raises on an entry above the cutoff more than b off the diagonal.
-    The probes cost O(B^2); bulk block and slabs hold O(B^2) entries;
-    nothing has the length of the chain.
+    Returns ``(bulk, runs)``: ``bulk`` the ``(b, 3 b)`` block of every
+    block row with no row near a feature or within b of an end (zero when
+    the chain is probed whole), and the other block rows in runs of
+    consecutive ones, each run ``k0 .. k1 - 1`` as ``(k0, slab)`` with
+    ``slab`` the dense ``((k1 - k0) b, (k1 - k0 + 2) b)`` rows of the run
+    against the padded state's sites ``k0 b .. (k1 + 2) b - 1``.  Probe,
+    bulk block and slabs cost O(B^2); nothing has the length of the chain.
     """
     L = spec.L
     a = _gauge_defect(spec, kind, tau)
     B = _probe_half_width(a, tau, L)
     P = min(2 * B + 1, L)
     segments = _feature_chain(L, a, B)
-    # The first row past the first segment lies over 2B from every feature.
-    s1 = segments[0][1]
-    has_free = s1 < L
-    ends = [s for s in segments if has_free and set(s[2]) <= {0, L - 1}]
+    # Rows within B of a feature as intervals (lo, hi, shift), one per
+    # segment: chain row r of one is row r + shift of the probe.
+    near, at = [], 0
+    for lo, hi, xs in segments:
+        near.append((max(lo, xs[0] - B), min(hi, xs[-1] + B + 1), at - lo))
+        at += hi - lo
+    # The free stretch follows the last segment past one unprobed row, so no
+    # free hop couples it to a segment and it holds no row of the defect.
+    free = segments[-1][1] + 1 if segments else 0
+    pieces = [(lo, hi) for lo, hi, _ in segments] + [(free, free + 2 * B + 3)]
+    whole = at + 2 * B + 3 >= L
+    if whole:
+        pieces, near = [(0, L)], [(0, L, 0)]
+    r = np.concatenate([np.arange(lo, hi) for lo, hi in pieces])
+    chain, n = {}, len(r)
+    # The full chain's diagonals, in its order: the free hops -tau (k = 1) and
+    # tau (k = -1) within each piece, then the defect where a piece holds it.
+    for k in sorted({-1, 1} | {j - i for i, j in a}):
+        m = abs(k)
+        chain[k] = np.where(r[m:] - r[: n - m] == m, -tau * k if m == 1 else 0.0, 0.0)
+    for (i, j), v in a.items():
+        m = abs(j - i)
+        chain[j - i][(r[: n - m] == min(i, j)) & (r[m:] == max(i, j))] = v
+    f = _probe_block(chain, n, P)
 
-    def probe(segs, terms=None):
-        # The segments end to end, no coupling across a join (pieces never abut),
-        # at first followed by the 2B + 3 rows centred on row s1, the bulk row.
-        pieces = [(lo, hi) for lo, hi, _ in segs]
-        pieces += [(s1 - B - 1, s1 + B + 2)] if has_free and not terms else []
-        r = np.concatenate([np.arange(lo, hi) for lo, hi in pieces])
-        chain, n = {}, len(r)
-        # The full chain's diagonals, in its order: the free hops -tau (k = 1) and
-        # tau (k = -1) within each piece, then the defect where a piece holds it.
-        for k in sorted({-1, 1} | {j - i for i, j in a}):
-            m = abs(k)
-            chain[k] = np.where(r[m:] - r[: n - m] == m, -tau * k if m == 1 else 0.0, 0.0)
-        for (i, j), v in a.items():
-            m = abs(j - i)
-            chain[j - i][(r[: n - m] == min(i, j)) & (r[m:] == max(i, j))] = v
-        return _probe_block(chain, n, P, terms)
+    # b is the largest |j - i| (at least 1) of an entry above the cutoff on
+    # the rows near a feature and on the stretch's centre row, the bulk row,
+    # here as chain row B.  Column c of the probe holds, on row i, the entry
+    # of column j = c mod P with |i - j| <= B.
+    centre = n - (B + 2)
+    checked = near + ([] if whole else [(B, B + 1, centre - B)])
+    rows = np.concatenate([np.arange(lo, hi) for lo, hi, _ in checked])
+    mapped = np.concatenate([np.arange(lo, hi) + shift for lo, hi, shift in checked])
+    c = np.arange(P)[None, :]
+    offset = (c - mapped[:, None] + B) % P - B if P < L else c - mapped[:, None]
+    j = rows[:, None] + offset
+    above = (j >= 0) & (j < L) & (np.abs(f[mapped]) > BAND_CUTOFF)
+    b = max(1, int(np.max(np.abs(offset[above]), initial=0)))
+    if b >= (B if P < L else L + 1):
+        raise RuntimeError(
+            f"{kind.value} step at L={L}, tau={tau}: an entry above the cutoff "
+            f"lies {b} sites off the diagonal, at the probe half-width {B}"
+        )
+    # g, the bulk row by offset and zero past b, as g(o) = line[o + B]; a
+    # take that clips the index reads a zero for every |o| > B as well.
+    line = np.zeros(2 * B + 1)
+    if not whole:
+        line[B - b : B + b + 1] = f[centre, (centre + np.arange(-b, b + 1)) % P]
 
-    def intervals(segs):
-        # Rows within B of a feature as intervals (lo, hi, shift): chain row r
-        # of one is row r + shift of the segments end to end.
-        at, out = 0, []
-        for lo, hi, xs in segs:
-            out += [(max(lo, x - B), min(hi, x + B + 1), at - lo) for x in xs]
-            at += hi - lo
-        return out
+    def slab(k0, k1):
+        rows = np.arange(k0 * b, k1 * b)[:, None]
+        cols = np.arange((k0 - 1) * b, (k1 + 1) * b)[None, :]
+        o = cols - rows
+        # The free open chain's rows: the bulk row, plus within b of an end
+        # its mirror image about site -1 or L; then the rows near a feature
+        # from the probe.
+        entries = line.take(o + B, mode="clip")
+        sign = 1 - 2 * (cols % 2)
+        if k0 == 0:
+            entries += sign * line.take(B - 2 - rows - cols, mode="clip")
+        if k1 * b > L - b:
+            entries -= sign * line.take(B + 2 * L - rows - cols, mode="clip")
+        for lo, hi, shift in near:
+            i = slice(max(lo - k0 * b, 0), max(min(hi, k1 * b) - k0 * b, 0))
+            mine = rows[i] + shift
+            entries[i] = f[mine, (mine + o[i]) % P]
+        keep = (rows < L) & (cols >= 0) & (cols < L) & (np.abs(o) <= b)
+        return k0, np.where(keep, entries, 0.0)
 
-    def reach(f, near, limit, where):
-        # The largest |j - i| (at least 1) of an entry above the cutoff on the
-        # rows of near, below limit.  Column c of the probed block holds, on
-        # row i, the entry of column j = c mod P with |i - j| <= B.
-        rows = np.concatenate([np.arange(lo, hi) for lo, hi, _ in near])
-        mapped = np.concatenate([np.arange(lo, hi) + shift for lo, hi, shift in near])
-        c = np.arange(P)[None, :]
-        offset = (c - mapped[:, None] + B) % P - B if P < L else c - mapped[:, None]
-        j = rows[:, None] + offset
-        above = (j >= 0) & (j < L) & (np.abs(f[mapped]) > BAND_CUTOFF)
-        far = max(1, int(np.max(np.abs(offset[above]), initial=0)))
-        if far >= limit:
-            raise RuntimeError(
-                f"{kind.value} step at L={L}, tau={tau}: an entry above the cutoff "
-                f"lies {far} sites off the diagonal, {where}"
-            )
-        return far
-
-    def spans(near):
-        # Runs (k0, k1) of consecutive block rows that hold a row of near.
-        k = np.array(sorted({k for lo, hi, _ in near for k in range(lo // b, (hi - 1) // b + 1)}))
-        runs = np.split(k, np.flatnonzero(np.diff(k) > 1) + 1)
-        return [(int(r[0]), int(r[-1]) + 1) for r in runs if len(r)]
-
-    def slabs(f, near):
-        lo, hi, shift = np.array(near).reshape(-1, 3).T
-        runs = []
-        for k0, k1 in spans(near):
-            rows = np.arange(k0 * b, k1 * b)[:, None]
-            cols = np.arange((k0 - 1) * b, (k1 + 1) * b)[None, :]
-            keep = (rows < L) & (cols >= 0) & (cols < L) & (np.abs(cols - rows) <= b)
-            # Rows near a feature from their segment, the others from the bulk row.
-            r = np.minimum(rows, L - 1)
-            i = np.searchsorted(lo, r, side="right") - 1
-            r = np.where((i >= 0) & (r < hi[i]), r + shift[i], -1)
-            entries = np.where(r >= 0, f[r, (r + cols - rows) % P], line[(cols - rows + B) % P])
-            runs.append((k0, np.where(keep, entries, 0.0)))
-        return runs
-
-    probed = [s for s in segments if s not in ends]
-    f, terms = probe(probed)
-    first = intervals(probed) if has_free else [(0, L, 0)]
-    # The bulk row by offset: line[o + B] is its entry o sites off the diagonal.
-    centre = len(f) - (B + 2)
-    line = f[centre, (centre + np.arange(P) - B) % P] if has_free else np.zeros(P)
-    bulk_row = [(s1, s1 + 1, centre - s1)] if has_free else []
-    b = reach(f, first + bulk_row, B if P < L else L + 1, f"at the probe half-width {B}")
-    # Offsets col - row across one block row.
-    o = np.arange(3 * b)[None, :] - b - np.arange(b)[:, None]
-    bulk = np.where(np.abs(o) <= b, line[(o + B) % P], 0.0)
-    end_near = intervals(ends)
-
-    def end_runs():
-        if not ends:
-            return []
-        g = probe(ends, terms)[0]
-        reach(g, end_near, b + 1, f"past the half-width {b}, at a chain end")
-        return slabs(g, end_near)
-
-    return bulk, slabs(f, first), spans(end_near), end_runs
+    # Runs of consecutive block rows that hold a row near a feature or within
+    # b of an end.
+    ends = [(0, b, 0), (L - b, L, 0)]
+    held = sorted({k for lo, hi, _ in near + ends for k in range(lo // b, (hi - 1) // b + 1)})
+    spans = np.split(held, np.flatnonzero(np.diff(held) > 1) + 1)
+    bulk = line.take(np.arange(3 * b)[None, :] - np.arange(b)[:, None] + B - b, mode="clip")
+    return bulk, [slab(int(s[0]), int(s[-1]) + 1) for s in spans]
 
 
 def nh_survival_series(
@@ -492,8 +468,7 @@ def _band_series(
     at L = 1000, tau = 0.05), so the loop is set up once per range: the
     bound GEMM and its output, the feature runs it reaches with the state
     each reads and the rows each writes, the projection test, the two
-    blocks that may join (None at a chain end) and the state views; the
-    first range that reaches a chain end's run builds those runs.  It
+    blocks that may join (None at a chain end) and the state views.  It
     then steps until a block joins.  A step is the GEMM, one product per reached slab, at most two
     edge norms, the copy and the norm, with no slicing: 9-15 µs at that
     point (b = 14, w up to 72 blocks, band build included) on a 2-vCPU
@@ -502,7 +477,7 @@ def _band_series(
     _check_run_args(tau, n_max)
     if bulk_guard:
         _check_bulk_window(spec, tau, n_max)
-    bulk, runs, end_spans, end_runs = _step_band(spec, kind, tau)
+    bulk, runs = _step_band(spec, kind, tau)
     b = len(bulk)
     n_blocks = -(-spec.L // b)
     # The state zero-padded by one block on each side; window k is what
@@ -527,9 +502,6 @@ def _band_series(
         # Set up the stepped blocks start .. stop - 1 once per range: they
         # change only when a block joins it.
         start, stop = max(lo - 1, 0), min(hi + 1, n_blocks)
-        # The chain ends' runs are built the first time the range reaches one.
-        if any(k0 < stop and start < k1 for k0, k1 in end_spans):
-            runs, end_spans = runs + end_runs(), []
         gemm, out = windows[start:stop].dot, phi[start:stop]
         # The feature runs the range reaches, the state they read, the rows they write.
         reached = [

@@ -4,19 +4,19 @@ The Taylor-series exponential here is deliberately naive: it is the
 independent check for the production propagators, so it must not share
 any code path with them.  ``band_blocks`` cuts a dense step matrix to
 the block layout of the engines' band, the reference for the band they
-build without one; ``block_rows`` builds the chain ends' runs that the
-engine leaves to its stepper and expands the bulk block and every
-feature slab to that layout, and ``full_chain_band`` builds it by
+build without one; ``block_rows`` expands the engine's bulk block and
+every feature slab to that layout, and ``full_chain_band`` builds it by
 probing every row of the chain, the reference the engine's
-feature-segment build must match bit for bit.
+feature-segment build must match bit for bit away from the chain ends
+and to rounding within B of them.
 The restart oracles ``restart_pmf``, ``mfdt_direct`` and
 ``build_reset_heff`` (moved here from ``qreset.restart``, which no
 longer exports them) give the restarted PMF index by index, check the
 closed-form mean detection time against a truncated sum, and the scalar
 window factorization against its operator-level form.  ``dense_step``
 keeps every dense step matrix a test builds for the whole session;
-``real_dense_step`` is a dissipative kind's step in the real gauge,
-which ``dense_step`` conjugates back.  ``initial_state`` is the unit
+``real_dense_step`` is any kind's step in the real gauge,
+which ``dense_step`` conjugates back for a dissipative kind.  ``initial_state`` is the unit
 vector on the initial site, and ``series_from_pmf`` builds a detection
 series from a bare PMF.
 ``fit_exponential`` and ``optimal_tr_exact`` (moved here from
@@ -78,7 +78,7 @@ def _gauge(L: int) -> np.ndarray:
 
 
 def real_dense_step(spec: LatticeSpec, kind: ModelKind, tau: float) -> np.ndarray:
-    """The real step ``e^A``, ``A = D (-i tau H) D*``, of a dissipative kind.
+    """The real step ``e^A``, ``A = D (-i tau H) D*``, of any kind.
 
     D is diagonal with unit phases, so it changes no norm: a loop of real
     unit vectors under ``e^A`` gives the survival of the complex step.
@@ -140,19 +140,16 @@ def band_blocks(a: np.ndarray) -> np.ndarray:
     return np.where(inside, entries, 0.0)
 
 
-def block_rows(bulk: np.ndarray, runs: list, end_spans: list, end_runs, L: int) -> np.ndarray:
+def block_rows(bulk: np.ndarray, runs: list, L: int) -> np.ndarray:
     """``dynamics._step_band``'s bulk block and feature slabs in the layout of ``band_blocks``.
 
-    The chain ends' runs are built first, and must cover ``end_spans``.
     Every block row is the bulk block except those of a run, which are
     cut from its slab.  Raises if a slab holds an entry outside the
     windows of its block rows, which the expansion would drop.
     """
     b = len(bulk)
-    ends = end_runs()
-    assert [(k0, k0 + len(slab) // b) for k0, slab in ends] == end_spans
     blocks = np.repeat(bulk[None], -(-L // b), axis=0)
-    for k0, slab in runs + ends:
+    for k0, slab in runs:
         m = len(slab) // b
         assert slab.shape == (m * b, (m + 2) * b)
         outside = slab.copy()

@@ -522,6 +522,19 @@ class TestRecipes:
         assert runs == []
         assert not out.exists()
 
+    # The order of the rows does not depend on tau, so a tau sweep fails it
+    # once, before any grid point runs, not once per grid point.
+    @pytest.mark.parametrize("recipe", ["mfdt-sweep", "optimal-tr"])
+    def test_unordered_tr_sweep_of_a_tau_sweep_rejected_once(self, tmp_path, capsys, recipe):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("L = 40\ntau = 0.25\ntr_sweep = 5.0, 2.5\ntau_sweep = 0.25, 0.5\n")
+        out = tmp_path / "out"
+        assert main([recipe, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: tr_sweep must increase strictly for {recipe}, one row per value (2.5 after 5)"
+        ]
+        assert not out.exists()
+
     def test_optimal_tr_applies_the_bulk_guard(self, tmp_path, capsys):
         # The longest window, 80 measurements, carries the front 40 sites.
         cfg = tmp_path / "run.cfg"

@@ -274,31 +274,33 @@ class TestBandedDissipativeStep:
             assert dropped.max() <= eps**2
             assert dropped.sum(axis=0).max() <= L * eps**2
 
-    # The same (L, tau), and small chains whose band spans both edges.
+    # The same (L, tau), and small chains whose band spans both edges.  At
+    # L = 500 the detector also sits B + 5 and 2B sites from either end,
+    # where one block row holds rows probed near the detector and mirror
+    # rows of the free open chain.
     @pytest.mark.parametrize(
         "L,tau", [(1000, 0.05), (500, 0.25), (500, 0.5), (500, 1.0), (2, 0.7), (4, 0.7), (16, 0.7)]
     )
     def test_direct_band_matches_dense_oracle(self, L, tau):
-        if L >= 100:
-            spec, kinds = default_geometry(L), (ModelKind.MODEL1, ModelKind.MODEL2)
-        elif L == 2:
-            spec, kinds = TWO_SITE, (ModelKind.MODEL2,)
-        else:
-            spec = LatticeSpec(L=L, detector_index=L // 2 + 1, initial_index=L // 2)
-            kinds = (ModelKind.MODEL1, ModelKind.MODEL2)
-        # The band is the step in the gauge D = diag(i^x); the phases come
-        # from an exact table, since 1j ** x is off by up to 8.6e-14 at L = 500.
-        gauge = np.array([1, 1j, -1, -1j])[np.arange(L) % 4]
+        # Model 1 needs both neighbours of the detector.
+        kinds = (ModelKind.EXACT, ModelKind.MODEL2) if L == 2 else list(ModelKind)
         for kind in kinds:
-            band = block_rows(*dynamics._step_band(spec, kind, tau), L)
-            step = dense_step(spec, kind, tau)
-            oracle = band_blocks(gauge[:, None] * step * gauge.conj()[None, :])
-            assert not np.any(oracle.imag)
-            assert band.shape == oracle.shape
-            assert np.max(np.abs(band - oracle.real)) <= 1e-15
+            sites = (L // 2 + 10,) if L >= 100 else (L // 2 + 1,)
+            if L == 500:
+                B = probe_half_width(default_geometry(L), kind, tau)
+                sites += (B + 6, L - B - 5, 2 * B + 1, L - 2 * B)
+            for s in sites:
+                spec = LatticeSpec(L=L, detector_index=s, initial_index=L // 2)
+                band = block_rows(*dynamics._step_band(spec, kind, tau), L)
+                oracle = band_blocks(real_dense_step(spec, kind, tau))
+                assert band.shape == oracle.shape
+                assert np.max(np.abs(band - oracle)) <= 1e-15
 
     # Detectors at the default site and next to either end, where the
-    # detector's segment merges with an end's.
+    # detector's segment reaches the end.  Block rows wholly more than B
+    # from both ends come from the one probe or the bulk row and match bit
+    # for bit; within B of an end a row is the bulk row's mirror image, a
+    # closed form that the full-chain probe matches to rounding.
     @pytest.mark.parametrize("tau", [0.05, 0.25, 1.0])
     @pytest.mark.parametrize("L", [4, 16, 40, 100, 200, 500, 1000, 5000])
     def test_feature_band_matches_full_chain_build(self, L, tau):
@@ -307,19 +309,23 @@ class TestBandedDissipativeStep:
         for kind, detectors in sites.items():
             for s in detectors:
                 spec = LatticeSpec(L=L, detector_index=s, initial_index=L // 2)
-                bulk, runs, end_spans, end_runs = dynamics._step_band(spec, kind, tau)
-                band = block_rows(bulk, runs, end_spans, end_runs, L)
-                assert np.array_equal(band, full_chain_band(spec, kind, tau))
-                # Only block rows within B + b of the chain ends and the rows
-                # the model changes get a slab, unless no row is a bulk row.
+                bulk, runs = dynamics._step_band(spec, kind, tau)
+                band = block_rows(bulk, runs, L)
+                full = full_chain_band(spec, kind, tau)
                 b = len(bulk)
                 B = probe_half_width(spec, kind, tau)
+                first = np.arange(len(band)) * b
+                interior = (first > B) & (first + b - 1 < L - 1 - B)
+                assert np.array_equal(band[interior], full[interior])
+                assert np.max(np.abs(band - full)) <= 4.4e-16
+                # Only block rows within B + b of the rows the model changes,
+                # and within b of the chain ends, get a slab, unless no row is
+                # a bulk row.
                 changed = [s - 1] if kind is ModelKind.MODEL2 else [s - 2, s - 1, s]
                 features = np.array([0, L - 1, *changed])
-                first = np.arange(len(band))[:, None] * b
-                gap = np.maximum(first - features, features - (first + b - 1))
+                gap = np.maximum(first[:, None] - features, features - (first[:, None] + b - 1))
                 slabbed = np.zeros(len(band), dtype=bool)
-                for k0, slab in sorted(runs + end_runs(), key=lambda run: run[0]):
+                for k0, slab in runs:
                     assert not slabbed[max(k0 - 1, 0) : k0 + len(slab) // b].any()
                     slabbed[k0 : k0 + len(slab) // b] = True
                 if bulk.any():
@@ -341,14 +347,14 @@ class TestBandedDissipativeStep:
                 tracemalloc.stop()
             assert peak < 160 * L
 
-    # The build, chain ends' runs included, holds nothing of the chain's
-    # length: its peak is about 0.2-0.4 MB at any L.
+    # The build holds nothing of the chain's length: its peak is about
+    # 0.2-0.4 MB at any L.
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_band_build_memory_does_not_grow_with_the_chain(self, kind):
         for L in (80000, 1280000):
             tracemalloc.start()
             try:
-                dynamics._step_band(default_geometry(L), kind, 0.25)[3]()
+                dynamics._step_band(default_geometry(L), kind, 0.25)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -372,9 +378,9 @@ class TestBandedDissipativeStep:
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_band_is_real(self, kind):
-        bulk, runs, _, end_runs = dynamics._step_band(default_geometry(100), kind, 0.25)
+        bulk, runs = dynamics._step_band(default_geometry(100), kind, 0.25)
         assert bulk.dtype == np.float64
-        assert all(slab.dtype == np.float64 for _, slab in runs + end_runs())
+        assert all(slab.dtype == np.float64 for _, slab in runs)
 
     def test_imaginary_hop_raises(self, monkeypatch):
         real_defect = dynamics.detector_defect
@@ -440,8 +446,7 @@ def per_step_band_series(spec: LatticeSpec, kind: ModelKind, tau: float, n: int)
     The reference for the loop that sets them up once per range: the
     same products in the same order, so the results agree bit for bit.
     """
-    bulk, runs, _, end_runs = dynamics._step_band(spec, kind, tau)
-    runs = runs + end_runs()
+    bulk, runs = dynamics._step_band(spec, kind, tau)
     b = len(bulk)
     n_blocks = -(-spec.L // b)
     padded = np.zeros((n_blocks + 2) * b)
@@ -526,98 +531,56 @@ class TestWindowSetup:
             assert np.array_equal(series.p, p)
 
 
-class TestLazyEndRuns:
-    """The chain ends' runs are probed only once the stepped window reaches one.
+class TestOneProbe:
+    """Each band build makes one probe: the segments and the free stretch, or the whole chain.
 
-    The first probe covers the segments around the rows the model
-    changes and one free segment; both ends' segments, 2B + 1 rows each
-    here, wait for the stepper and are then probed in one call.
+    The chain ends' rows are the bulk row's mirror images, so no run,
+    however far it reflects, probes again.
     """
 
-    OPERATING = LatticeSpec(L=500, detector_index=260, initial_index=250)
-
     @staticmethod
-    def probed_rows(monkeypatch, taken=None) -> list:
-        """Records the row count of each probe, and its term counts in ``taken``."""
+    def probed_rows(monkeypatch) -> list:
+        """Records the row count of each probe."""
         rows = []
         probe = dynamics._probe_block
 
-        def counted(a, L, P, terms=None):
+        def counted(a, L, P):
             rows.append(L)
-            f, counts = probe(a, L, P, terms)
-            if taken is not None:
-                taken.append(counts)
-            return f, counts
+            return probe(a, L, P)
 
         monkeypatch.setattr(dynamics, "_probe_block", counted)
         return rows
 
-    # The tr-scan point (60 steps reach t_r = 15) for both models, and the
-    # long-restart point, whose exact runs stop at t_r = 10.
-    @pytest.mark.parametrize(
-        "kind,n", [(ModelKind.MODEL1, 60), (ModelKind.MODEL2, 60), (ModelKind.EXACT, 40)]
-    )
-    def test_window_in_the_bulk_probes_no_end(self, monkeypatch, kind, n):
-        rows = self.probed_rows(monkeypatch)
-        stepped_series(self.OPERATING, kind, 0.25, n)
-        B = probe_half_width(self.OPERATING, kind, 0.25)
-        # The detector's segment (2B past its changed rows on each side) and
-        # the free stretch of 2B + 3 rows; the exact kind changes no row.
-        detector = {ModelKind.EXACT: 0, ModelKind.MODEL1: 4 * B + 3, ModelKind.MODEL2: 4 * B + 1}
-        assert rows == [detector[kind] + 2 * B + 3]
-
-    # At L = 600 the detector's segment touches neither end's.  The end
-    # probe takes the first probe's stages and term counts, though its own
-    # rows would converge in fewer terms, so its entries are those of one
-    # probe of every segment.
+    # The detector's segment (2B past its changed rows on each side, clipped
+    # to the chain) and the free stretch of 2B + 3 rows; the exact kind
+    # changes no row.  At L = 40 the pieces outnumber the chain's rows, but
+    # for the exact kind at tau = 0.05: its 39-row stretch is probed alone.
     @pytest.mark.parametrize("kind", list(ModelKind))
     @pytest.mark.parametrize("tau", [0.05, 0.25, 1.0])
-    def test_both_ends_probed_in_one_call_when_reached(self, monkeypatch, kind, tau):
-        taken = []
-        rows = self.probed_rows(monkeypatch, taken)
-        spec = LatticeSpec(L=600, detector_index=300, initial_index=290)
-        stepped_series(spec, kind, tau, int(160 / tau), bulk_guard=False)
+    @pytest.mark.parametrize("L,detector", [(500, 260), (500, 1), (500, 3), (40, 20)])
+    def test_step_band_probes_once(self, monkeypatch, kind, tau, L, detector):
+        if kind is ModelKind.MODEL1 and detector == 1:
+            detector = 2
+        spec = LatticeSpec(L=L, detector_index=detector, initial_index=L // 2)
+        rows = self.probed_rows(monkeypatch)
+        dynamics._step_band(spec, kind, tau)
         B = probe_half_width(spec, kind, tau)
-        assert len(rows) == 2 and rows[1] == 2 * (2 * B + 1)
-        assert taken[1] == taken[0]
+        s = detector - 1
+        # The first and last rows the model changes.
+        span = {ModelKind.MODEL1: (s - 1, s + 1), ModelKind.MODEL2: (s, s)}.get(kind)
+        segment = min(L, span[1] + 2 * B + 1) - max(0, span[0] - 2 * B) if span else 0
+        pieces = segment + 2 * B + 3
+        assert rows == [pieces if pieces < L else L]
 
-    # Runs that reflect off both ends, with both ends' runs left to the
-    # stepper (L = 300) or only the first, the detector's segment holding
-    # the other (L = 200): every run built before stepping gives the same
-    # series bit for bit.
+    # Runs that reflect off both ends, from the middle and next to an end,
+    # make no probe past the band's one.
     @pytest.mark.parametrize("kind", list(ModelKind))
-    @pytest.mark.parametrize("L,detector,initial,n", [(300, 150, 140, 400), (200, 170, 90, 300)])
-    def test_every_run_built_before_stepping_gives_the_same_series(
-        self, monkeypatch, kind, L, detector, initial, n
-    ):
+    @pytest.mark.parametrize("L,detector,initial,n", [(300, 150, 140, 400), (200, 170, 3, 300)])
+    def test_reflecting_run_probes_once(self, monkeypatch, kind, L, detector, initial, n):
+        rows = self.probed_rows(monkeypatch)
         spec = LatticeSpec(L=L, detector_index=detector, initial_index=initial)
-        lazy = stepped_series(spec, kind, 0.25, n, bulk_guard=False)
-        step_band = dynamics._step_band
-
-        def eager(spec, kind, tau):
-            bulk, runs, _, end_runs = step_band(spec, kind, tau)
-            return bulk, runs + end_runs(), [], lambda: []
-
-        monkeypatch.setattr(dynamics, "_step_band", eager)
-        built = stepped_series(spec, kind, 0.25, n, bulk_guard=False)
-        for name in ("P", "p", "Pdet"):
-            assert np.array_equal(getattr(lazy, name), getattr(built, name))
-
-    # An end row's entry above the cutoff past b raises when the end runs are
-    # built, and not before: the window reaches the first end's run between
-    # steps 5 and 10.
-    def test_end_entry_past_the_half_width_raises(self, monkeypatch):
-        probe = dynamics._probe_block
-
-        def widened(a, L, P, terms=None):
-            f, taken = probe(a, L, P, terms)
-            return (f + 1e-20 if terms else f), taken
-
-        monkeypatch.setattr(dynamics, "_probe_block", widened)
-        spec = LatticeSpec(L=200, detector_index=170, initial_index=90)
-        nh_survival_series(spec, ModelKind.MODEL2, 0.25, 5, bulk_guard=False)
-        with pytest.raises(RuntimeError, match="off the diagonal, past the half-width .* chain end"):
-            nh_survival_series(spec, ModelKind.MODEL2, 0.25, 10, bulk_guard=False)
+        stepped_series(spec, kind, 0.25, n, bulk_guard=False)
+        assert len(rows) == 1
 
 
 class TestBulkGuard:
