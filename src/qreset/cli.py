@@ -97,8 +97,8 @@ class RunConfig:
             self.detector_index = self.L // 2 + 10
         if self.initial_index is None:
             self.initial_index = self.L // 2
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise ConfigError(f"tau must be positive and finite, got {self.tau}")
         if self.model not in _MODEL_CHOICES:
             raise ConfigError(
                 f"model must be one of {', '.join(_MODEL_CHOICES)}, got {self.model!r}"

@@ -16,11 +16,11 @@ Two routes to the same bookkeeping:
   product per run of those block rows the window has reached, and a
   norm over the window, O(w b^2) whatever L.  The window grows by one
   block per side and step, and a newly reached block whose norm is at
-  or below eps^2 times the state's is dropped.  Bulk block and slabs
-  come from one probe of the exponential on the detector's segment
-  (reaching 2B past it, B the probe half-width) and a free stretch
-  centred on the bulk row; the chain ends' rows are the bulk row's
-  mirror images: no L x L matrix, no length-L array, O(B^2) work.  All
+  or below eps^2 times the state's is dropped.  The free chain's rows
+  are closed forms, the Bessel row J_{i-j}(2 tau) and its mirror images
+  about the chain ends; only a model's rows near the detector come from
+  a probe of the exponential on its segment (reaching 2B past them, B
+  the probe half-width): no L x L matrix, no length-L array.  All
   generators have real hops and imaginary entries on even diagonals
   only, so in the gauge D = diag(i^x) band and state are real: float64,
   half the memory of complex, with the same norms.
@@ -106,8 +106,8 @@ class RenewalSeries:
 
 
 def _check_run_args(tau: float, n_max: int) -> None:
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
 
@@ -275,25 +275,29 @@ def _probe_block(a: dict, L: int, P: int) -> np.ndarray:
     return f
 
 
-def _feature_chain(L: int, a: dict, B: int) -> list:
-    """The feature segments, each as ``(lo, hi, features)``.
+def _bessel_row(x: float) -> np.ndarray:
+    """``J_0(x) .. J_b(x)``, b the largest order (at least 1) with ``|J_b(x)| > BAND_CUTOFF``.
 
-    A feature is a row of the defect ``a``.  Each feature's segment
-    reaches 2B past it, clipped to the chain; overlapping or touching
-    segments merge.
+    Miller's backward recurrence in ratio form, ``r_k = J_k / J_{k-1} =
+    x / (2 k - x r_{k+1})``, from ``r_{n+1} = 0`` at the first order
+    ``n >= x`` where ``(x/2)^n / n!``, a bound on ``|J_n|``, is at most
+    eps^3; the products ``J_k / J_0`` are normalised by ``J_0 + 2 sum_k
+    J_2k = 1``.  No ratio or product overflows, whatever x.
     """
-    segments = []
-    for x in sorted({i for i, _ in a}):
-        lo, hi = max(0, x - 2 * B), min(L, x + 2 * B + 1)
-        if segments and lo <= segments[-1][1]:
-            segments[-1] = (segments[-1][0], hi, segments[-1][2] + [x])
-        else:
-            segments.append((lo, hi, [x]))
-    return segments
+    n, term = 1, x / 2
+    while n < x or term > BAND_CUTOFF**1.5:
+        n += 1
+        term *= x / (2 * n)
+    r, q = [1.0] * (n + 1), 0.0
+    for k in range(n, 0, -1):
+        q = r[k] = x / (2 * k - x * q)
+    c = np.cumprod(r)
+    j = c / (c[0] + 2 * c[2::2].sum())
+    return j[: max(1, np.flatnonzero(np.abs(j) > BAND_CUTOFF)[-1]) + 1]
 
 
 def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> tuple:
-    """Band of the step in float64: the shared bulk block and the feature slabs.
+    """Band of the step in float64: the shared bulk block and the slabs of the other block rows.
 
     The step is taken in the gauge D = diag(i^x), as ``e^A`` with A real,
     the free chain plus :func:`_gauge_defect`.  The half-width b is the largest
@@ -303,115 +307,99 @@ def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> tuple:
     past the chain ends; against the state zero-padded by one block on
     each side, those columns are the window ``k b .. (k + 3) b - 1``.
 
-    The entries come from probing: columns whose indices agree mod
-    ``P = 2 B + 1`` share a probe vector, with B from
-    :func:`_probe_half_width`, so one application of the exponential to
-    a block of P probe columns gives every entry with ``|i - j| <= B``.
-    The other columns of its probe lie more than B away, where the bound
-    holds each entry below the cutoff, so they shift it by about eps^2 at
-    most.  (A chain with ``L <= 2 B + 1`` gives each column its own
-    probe.)  An entry above the cutoff at distance B means the bound
-    failed, and raises.
+    The infinite free chain's row is ``g(j - i) = J_{i-j}(2 tau)``
+    (:func:`_bessel_row`, zero past its last order above the cutoff).
+    The free open chain is the infinite one on states odd about the
+    mirror sites -1 and L, so its row i is the image sum ``sum_m (-1)^m
+    (g(j - i + m p) + (-1)^j g(m p - 2 - i - j))``, ``p = 2 L + 2`` (L is
+    even): the bulk row unless i lies within b of an end.
 
-    Only rows within B of a feature, a row of the defect, can differ from
-    the free open chain's.  One probe runs on the feature segments
-    (:func:`_feature_chain`) and a free stretch of 2B + 3 rows, end to end
-    with zero couplings at the joins: a row near a feature is read from
-    its segment, whose cut ends lie at least B away, and the stretch's
-    centre row is g, the bulk row by offset (zero past b).  The free open
-    chain is the infinite one on states odd about the mirror sites -1 and
-    L, so its row i is ``g(j - i) + (-1)^j (g(-2 - i - j) - g(2 L - i - j))``
-    (L is even): the bulk row unless i lies within b of an end.  A chain
-    no longer than the probe's pieces is probed whole, every row in place.
+    Only rows within B of the defect differ from the free open chain's,
+    B from :func:`_probe_half_width`; the exact kind has none and probes
+    nothing.  One probe runs on the rows within 2B of the defect, clipped
+    to the chain: columns whose indices agree mod ``P = 2 B + 1`` share a
+    probe vector, so one application of the exponential to a block of P
+    probe columns gives every entry with ``|i - j| <= B`` of a row within
+    B of the defect, whose cut ends lie at least B away.  The other
+    columns of its probe lie more than B away, where the bound holds each
+    entry below the cutoff, so they shift it by about eps^2 at most.  An
+    entry above the cutoff at distance B means the bound failed, and raises.
 
     Returns ``(bulk, runs)``: ``bulk`` the ``(b, 3 b)`` block of every
-    block row with no row near a feature or within b of an end (zero when
-    the chain is probed whole), and the other block rows in runs of
-    consecutive ones, each run ``k0 .. k1 - 1`` as ``(k0, slab)`` with
-    ``slab`` the dense ``((k1 - k0) b, (k1 - k0 + 2) b)`` rows of the run
-    against the padded state's sites ``k0 b .. (k1 + 2) b - 1``.  Probe,
-    bulk block and slabs cost O(B^2); nothing has the length of the chain.
+    block row with no row near the defect or within b of an end, and
+    the other block rows in runs of consecutive ones, each run ``k0 ..
+    k1 - 1`` as ``(k0, slab)`` with ``slab`` the dense ``((k1 - k0) b,
+    (k1 - k0 + 2) b)`` rows of the run against the padded state's sites
+    ``k0 b .. (k1 + 2) b - 1``.  Probe, bulk block and slabs cost
+    O(B^2); nothing has the length of the chain.
     """
     L = spec.L
     a = _gauge_defect(spec, kind, tau)
-    B = _probe_half_width(a, tau, L)
-    P = min(2 * B + 1, L)
-    segments = _feature_chain(L, a, B)
-    # Rows within B of a feature as intervals (lo, hi, shift), one per
-    # segment: chain row r of one is row r + shift of the probe.
-    near, at = [], 0
-    for lo, hi, xs in segments:
-        near.append((max(lo, xs[0] - B), min(hi, xs[-1] + B + 1), at - lo))
-        at += hi - lo
-    # The free stretch follows the last segment past one unprobed row, so no
-    # free hop couples it to a segment and it holds no row of the defect.
-    free = segments[-1][1] + 1 if segments else 0
-    pieces = [(lo, hi) for lo, hi, _ in segments] + [(free, free + 2 * B + 3)]
-    whole = at + 2 * B + 3 >= L
-    if whole:
-        pieces, near = [(0, L)], [(0, L, 0)]
-    r = np.concatenate([np.arange(lo, hi) for lo, hi in pieces])
-    chain, n = {}, len(r)
-    # The full chain's diagonals, in its order: the free hops -tau (k = 1) and
-    # tau (k = -1) within each piece, then the defect where a piece holds it.
-    for k in sorted({-1, 1} | {j - i for i, j in a}):
-        m = abs(k)
-        chain[k] = np.where(r[m:] - r[: n - m] == m, -tau * k if m == 1 else 0.0, 0.0)
-    for (i, j), v in a.items():
-        m = abs(j - i)
-        chain[j - i][(r[: n - m] == min(i, j)) & (r[m:] == max(i, j))] = v
-    f = _probe_block(chain, n, P)
-
-    # b is the largest |j - i| (at least 1) of an entry above the cutoff on
-    # the rows near a feature and on the stretch's centre row, the bulk row,
-    # here as chain row B.  Column c of the probe holds, on row i, the entry
-    # of column j = c mod P with |i - j| <= B.
-    centre = n - (B + 2)
-    checked = near + ([] if whole else [(B, B + 1, centre - B)])
-    rows = np.concatenate([np.arange(lo, hi) for lo, hi, _ in checked])
-    mapped = np.concatenate([np.arange(lo, hi) + shift for lo, hi, shift in checked])
-    c = np.arange(P)[None, :]
-    offset = (c - mapped[:, None] + B) % P - B if P < L else c - mapped[:, None]
-    j = rows[:, None] + offset
-    above = (j >= 0) & (j < L) & (np.abs(f[mapped]) > BAND_CUTOFF)
-    b = max(1, int(np.max(np.abs(offset[above]), initial=0)))
-    if b >= (B if P < L else L + 1):
-        raise RuntimeError(
-            f"{kind.value} step at L={L}, tau={tau}: an entry above the cutoff "
-            f"lies {b} sites off the diagonal, at the probe half-width {B}"
-        )
-    # g, the bulk row by offset and zero past b, as g(o) = line[o + B]; a
-    # take that clips the index reads a zero for every |o| > B as well.
-    line = np.zeros(2 * B + 1)
-    if not whole:
-        line[B - b : B + b + 1] = f[centre, (centre + np.arange(-b, b + 1)) % P]
+    # g(o) = J_{-o}(2 tau) = line[o + mid], zero for |o| past the row's reach.
+    row = _bessel_row(2 * tau)
+    mid = len(row)
+    line = np.zeros(2 * mid + 1)
+    line[1:mid], line[mid:-1] = row[:0:-1], row * (1 - 2 * (np.arange(mid) % 2))
+    # Rows near the defect: none for the exact kind.
+    b, near = mid - 1, (0, 0)
+    if a:
+        B = _probe_half_width(a, tau, L)
+        P = 2 * B + 1
+        first, last = min(a)[0], max(a)[0]
+        lo, hi = max(0, first - 2 * B), min(L, last + 2 * B + 1)
+        # The chain's diagonals on rows lo .. hi - 1: the free hops -tau
+        # (k = 1) and tau (k = -1), then the defect written in.
+        diagonals = sorted({-1, 1} | {j - i for i, j in a})
+        chain = {k: np.full(hi - lo - abs(k), -tau * k if abs(k) == 1 else 0.0) for k in diagonals}
+        for (i, c), v in a.items():
+            chain[c - i][min(i, c) - lo] = v
+        f = _probe_block(chain, hi - lo, P)
+        # Column c of the probe holds, on row i, the entry of the column
+        # j = c mod P with |i - j| <= B.
+        near = (max(0, first - B), min(L, last + B + 1))
+        rows = np.arange(*near)
+        offset = (np.arange(P) - rows[:, None] + lo + B) % P - B
+        col = rows[:, None] + offset
+        above = (col >= 0) & (col < L) & (np.abs(f[rows - lo]) > BAND_CUTOFF)
+        reach = int(np.max(np.abs(offset[above]), initial=0))
+        if reach >= B:
+            raise RuntimeError(
+                f"{kind.value} step at L={L}, tau={tau}: an entry above the cutoff "
+                f"lies {reach} sites off the diagonal, at the probe half-width {B}"
+            )
+        b = max(b, reach)
+    b = min(b, L - 1)
+    # The images m p that can bring an offset within the row's reach.
+    p = 2 * L + 2
+    m = np.arange(-(mid // p) - 1, mid // p + 2)[:, None, None]
 
     def slab(k0, k1):
         rows = np.arange(k0 * b, k1 * b)[:, None]
         cols = np.arange((k0 - 1) * b, (k1 + 1) * b)[None, :]
         o = cols - rows
-        # The free open chain's rows: the bulk row, plus within b of an end
-        # its mirror image about site -1 or L; then the rows near a feature
-        # from the probe.
-        entries = line.take(o + B, mode="clip")
-        sign = 1 - 2 * (cols % 2)
-        if k0 == 0:
-            entries += sign * line.take(B - 2 - rows - cols, mode="clip")
-        if k1 * b > L - b:
-            entries -= sign * line.take(B + 2 * L - rows - cols, mode="clip")
-        for lo, hi, shift in near:
-            i = slice(max(lo - k0 * b, 0), max(min(hi, k1 * b) - k0 * b, 0))
-            mine = rows[i] + shift
+        # The free open chain's rows: the bulk row, and on a run that
+        # touches an end its image sum; then the rows near the defect from
+        # the probe.
+        if k0 == 0 or k1 * b > L - b:
+            mirror = (1 - 2 * (cols % 2)) * line.take(m * p - 2 - rows - cols + mid, mode="clip")
+            terms = line.take(o + m * p + mid, mode="clip") + mirror
+            entries = ((1 - 2 * (m % 2)) * terms).sum(axis=0)
+        else:
+            entries = line.take(o + mid, mode="clip")
+        if a:
+            i = slice(max(near[0] - k0 * b, 0), max(min(near[1], k1 * b) - k0 * b, 0))
+            mine = rows[i] - lo
             entries[i] = f[mine, (mine + o[i]) % P]
         keep = (rows < L) & (cols >= 0) & (cols < L) & (np.abs(o) <= b)
         return k0, np.where(keep, entries, 0.0)
 
-    # Runs of consecutive block rows that hold a row near a feature or within
-    # b of an end.
-    ends = [(0, b, 0), (L - b, L, 0)]
-    held = sorted({k for lo, hi, _ in near + ends for k in range(lo // b, (hi - 1) // b + 1)})
+    # Runs of consecutive block rows that hold a row near the defect or
+    # within b of an end.
+    ranges = (near, (0, b), (L - b, L))
+    held = sorted({k for r0, r1 in ranges for k in range(r0 // b, (r1 - 1) // b + 1)})
     spans = np.split(held, np.flatnonzero(np.diff(held) > 1) + 1)
-    bulk = line.take(np.arange(3 * b)[None, :] - np.arange(b)[:, None] + B - b, mode="clip")
+    o = np.arange(3 * b) - np.arange(b)[:, None] - b
+    bulk = np.where(np.abs(o) <= b, line.take(o + mid, mode="clip"), 0.0)
     return bulk, [slab(int(s[0]), int(s[-1]) + 1) for s in spans]
 
 
@@ -442,7 +430,7 @@ def _band_series(
     gauge D = diag(i^x), which changes no norm.  The band's dropped
     entries are each at most ``BAND_CUTOFF`` = eps^2, far
     below the rounding error of a step.  Besides the state, memory holds
-    the bulk block and the feature slabs, O(B^2) at any chain length.
+    the bulk block and the slabs, O(B^2) at any chain length.
     For the exact kind each step ends with the projection: the detector
     amplitude is squared into ``p_n`` and zeroed.
 
@@ -458,7 +446,7 @@ def _band_series(
 
     A step is one ``(w, 3 b) @ (3 b, b)`` GEMM of the range's windows of
     the padded state against the bulk block, which treats every block
-    row as a bulk row; each feature run the range reaches then rewrites
+    row as a bulk row; each run of slab rows the range reaches then rewrites
     its rows with one product of its slab.  P_n is the squared norm of
     the range alone, the only blocks that can be nonzero.  A step costs
     O(w b^2), and no work or subnormal arithmetic is spent on the blocks
@@ -466,7 +454,7 @@ def _band_series(
 
     The range changes only when a block joins it (71 times in 4000 steps
     at L = 1000, tau = 0.05), so the loop is set up once per range: the
-    bound GEMM and its output, the feature runs it reaches with the state
+    bound GEMM and its output, the slab runs it reaches with the state
     each reads and the rows each writes, the projection test, the two
     blocks that may join (None at a chain end) and the state views.  It
     then steps until a block joins.  A step is the GEMM, one product per reached slab, at most two
@@ -503,7 +491,7 @@ def _band_series(
         # change only when a block joins it.
         start, stop = max(lo - 1, 0), min(hi + 1, n_blocks)
         gemm, out = windows[start:stop].dot, phi[start:stop]
-        # The feature runs the range reaches, the state they read, the rows they write.
+        # The slab runs the range reaches, the state they read, the rows they write.
         reached = [
             (slab.dot, padded[k0 * b :][: len(slab) + 2 * b], flat[k0 * b :][: len(slab)])
             for k0, slab in runs
@@ -518,7 +506,7 @@ def _band_series(
         grown = False
         while not grown and k < n_max:
             # Every block row of the range as a bulk row, in one GEMM; then
-            # the feature runs the range reaches overwrite theirs.
+            # the slab runs the range reaches overwrite theirs.
             gemm(bulk_t, out=out)
             for dot, cols, rows in reached:
                 dot(cols, out=rows)

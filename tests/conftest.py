@@ -5,10 +5,10 @@ independent check for the production propagators, so it must not share
 any code path with them.  ``band_blocks`` cuts a dense step matrix to
 the block layout of the engines' band, the reference for the band they
 build without one; ``block_rows`` expands the engine's bulk block and
-every feature slab to that layout, and ``full_chain_band`` builds it by
-probing every row of the chain, the reference the engine's
-feature-segment build must match bit for bit away from the chain ends
-and to rounding within B of them.
+every slab to that layout, and ``full_chain_band`` builds it by
+probing every row of the chain, the reference the engine's build, a
+probe of the defect's segment and closed-form rows elsewhere, must
+match to rounding.
 The restart oracles ``restart_pmf``, ``mfdt_direct`` and
 ``build_reset_heff`` (moved here from ``qreset.restart``, which no
 longer exports them) give the restarted PMF index by index, check the
@@ -141,7 +141,7 @@ def band_blocks(a: np.ndarray) -> np.ndarray:
 
 
 def block_rows(bulk: np.ndarray, runs: list, L: int) -> np.ndarray:
-    """``dynamics._step_band``'s bulk block and feature slabs in the layout of ``band_blocks``.
+    """``dynamics._step_band``'s bulk block and slabs in the layout of ``band_blocks``.
 
     Every block row is the bulk block except those of a run, which are
     cut from its slab.  Raises if a slab holds an entry outside the
@@ -179,12 +179,12 @@ def _full_chain_half_width(a: dict[int, np.ndarray], L: int) -> int:
 def full_chain_band(spec: lattice.LatticeSpec, kind: lattice.ModelKind, tau: float) -> np.ndarray:
     """The dissipative step's band, probed over all L rows of the chain.
 
-    The same probes and Taylor stages as ``dynamics._step_band``, in the
-    same floating-point order, applied to the whole L x (2B+1) probe
-    block instead of the feature segments and one bulk row.  The
-    generator's diagonals are the unit-hop chain's with the detector
-    defect written in, each taken whole to the gauge D = diag(i^x); B
-    comes from them and must be the library's.
+    The same probes and Taylor stages as ``dynamics._step_band``'s probe
+    of the defect's segment, in the same floating-point order, applied
+    to the whole L x (2B+1) probe block.  The generator's diagonals are
+    the unit-hop chain's with the detector defect written in, each taken
+    whole to the gauge D = diag(i^x); B comes from them and must be the
+    library's.
     """
     L = spec.L
     defect = lattice.detector_defect(spec, kind, tau)

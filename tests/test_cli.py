@@ -115,6 +115,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             RunConfig(tau=0.5, model="model3")
 
+    @pytest.mark.parametrize("tau", [float("inf"), float("nan"), 0.0])
+    def test_tau_must_be_positive_and_finite(self, tau):
+        with pytest.raises(ConfigError, match="tau must be positive and finite"):
+            RunConfig(tau=tau)
+
 
 class TestRestartPeriod:
     def test_grid_tolerance_is_relative_1e9(self):
@@ -465,6 +470,17 @@ class TestRecipes:
         exact = [float(row[1]) for row in rows]
         assert all(b >= a for a, b in zip(exact, exact[1:]))
         assert all(0.0 <= v <= 1.0 for v in exact)
+
+    # A step too short for any hop to reach the cutoff: no engine raises,
+    # and nothing is detected.
+    def test_pdet_at_a_tiny_step(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("L = 40\ntau = 1e-33\nhorizon = 1e-32\n")
+        assert main(["pdet", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        header, rows = read_csv(tmp_path / "pdet.csv")
+        assert len(rows) == 10
+        assert all(float(v) == 0.0 for row in rows for v in row[1:])
 
     def test_reset_survival_smoke(self, tmp_path):
         cfg = tmp_path / "run.cfg"

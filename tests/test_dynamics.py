@@ -166,6 +166,22 @@ class TestBesselRenewalOracle:
         p = np.abs(renewal_amplitudes(spec, 0.25, 160).amplitudes) ** 2
         assert relative_gap(p, oracle, 1e-10) < 1e-9
 
+    # The free chain's step row J_0(2 tau) .. J_b(2 tau) that the engines'
+    # bands are built from, from tiny steps to 30 hopping times.
+    @pytest.mark.parametrize("tau", [1e-300, 1e-33, 0.01, 0.05, 0.25, 1.0, 3.0, 10.0, 30.0])
+    def test_bessel_row_against_mpmath(self, tau):
+        mpmath = pytest.importorskip("mpmath")
+        row = dynamics._bessel_row(2 * tau)
+        b = len(row) - 1
+        with mpmath.workdps(40):
+            exact = np.array([float(mpmath.besselj(k, 2 * mpmath.mpf(tau))) for k in range(b + 2)])
+        assert b >= 1 and abs(exact[b + 1]) <= dynamics.BAND_CUTOFF
+        assert b == 1 or abs(exact[b]) > dynamics.BAND_CUTOFF
+        assert np.max(np.abs(row - exact[:-1])) <= 2.2e-16
+        if tau <= 3:
+            kept = np.abs(exact[:-1]) > dynamics.BAND_CUTOFF
+            assert np.max(np.abs(row[kept] / exact[:-1][kept] - 1.0)) <= 1e-15
+
 
 class TestDissipativeSeries:
     def test_first_step_against_taylor_oracle(self):
@@ -277,9 +293,14 @@ class TestBandedDissipativeStep:
     # The same (L, tau), and small chains whose band spans both edges.  At
     # L = 500 the detector also sits B + 5 and 2B sites from either end,
     # where one block row holds rows probed near the detector and mirror
-    # rows of the free open chain.
+    # rows of the free open chain.  At L = 10, tau = 3 the Bessel row
+    # reaches 42 sites, so images out to |m| = 2 enter each row.
     @pytest.mark.parametrize(
-        "L,tau", [(1000, 0.05), (500, 0.25), (500, 0.5), (500, 1.0), (2, 0.7), (4, 0.7), (16, 0.7)]
+        "L,tau",
+        [
+            (1000, 0.05), (500, 0.25), (500, 0.5), (500, 1.0),
+            (2, 0.7), (4, 0.7), (16, 0.7), (10, 3.0),
+        ],
     )
     def test_direct_band_matches_dense_oracle(self, L, tau):
         # Model 1 needs both neighbours of the detector.
@@ -297,10 +318,10 @@ class TestBandedDissipativeStep:
                 assert np.max(np.abs(band - oracle)) <= 1e-15
 
     # Detectors at the default site and next to either end, where the
-    # detector's segment reaches the end.  Block rows wholly more than B
-    # from both ends come from the one probe or the bulk row and match bit
-    # for bit; within B of an end a row is the bulk row's mirror image, a
-    # closed form that the full-chain probe matches to rounding.
+    # detector's segment reaches the end.  Rows near the detector come from
+    # the probe of its segment, every other row from the closed-form Bessel
+    # row and its mirror images; the full-chain probe matches both to
+    # rounding.
     @pytest.mark.parametrize("tau", [0.05, 0.25, 1.0])
     @pytest.mark.parametrize("L", [4, 16, 40, 100, 200, 500, 1000, 5000])
     def test_feature_band_matches_full_chain_build(self, L, tau):
@@ -315,12 +336,9 @@ class TestBandedDissipativeStep:
                 b = len(bulk)
                 B = probe_half_width(spec, kind, tau)
                 first = np.arange(len(band)) * b
-                interior = (first > B) & (first + b - 1 < L - 1 - B)
-                assert np.array_equal(band[interior], full[interior])
                 assert np.max(np.abs(band - full)) <= 4.4e-16
                 # Only block rows within B + b of the rows the model changes,
-                # and within b of the chain ends, get a slab, unless no row is
-                # a bulk row.
+                # and within b of the chain ends, get a slab.
                 changed = [s - 1] if kind is ModelKind.MODEL2 else [s - 2, s - 1, s]
                 features = np.array([0, L - 1, *changed])
                 gap = np.maximum(first[:, None] - features, features - (first[:, None] + b - 1))
@@ -328,10 +346,7 @@ class TestBandedDissipativeStep:
                 for k0, slab in runs:
                     assert not slabbed[max(k0 - 1, 0) : k0 + len(slab) // b].any()
                     slabbed[k0 : k0 + len(slab) // b] = True
-                if bulk.any():
-                    assert not np.any(slabbed & (gap > B + b).all(axis=1))
-                else:
-                    assert slabbed.all()
+                assert not np.any(slabbed & (gap > B + b).all(axis=1))
 
     # The build keeps nothing of size L b: at most 20 float64 per site,
     # where a band stored as n_blocks (b, 3b) blocks alone takes 3b = 60
@@ -532,29 +547,32 @@ class TestWindowSetup:
 
 
 class TestOneProbe:
-    """Each band build makes one probe: the segments and the free stretch, or the whole chain.
+    """The exact kind probes nothing, and each model probes its defect's segment once.
 
-    The chain ends' rows are the bulk row's mirror images, so no run,
-    however far it reflects, probes again.
+    The free chain's rows are the closed-form Bessel row and its mirror
+    images, so no run, however far it reflects, probes again.
     """
 
     @staticmethod
-    def probed_rows(monkeypatch) -> list:
-        """Records the row count of each probe."""
-        rows = []
-        probe = dynamics._probe_block
+    def probe_calls(monkeypatch) -> list:
+        """Records "bound" for each half-width bound and the row count of each probe."""
+        calls = []
+        probe, half_width = dynamics._probe_block, dynamics._probe_half_width
 
         def counted(a, L, P):
-            rows.append(L)
+            calls.append(L)
             return probe(a, L, P)
 
-        monkeypatch.setattr(dynamics, "_probe_block", counted)
-        return rows
+        def bounded(a, tau, L):
+            calls.append("bound")
+            return half_width(a, tau, L)
 
-    # The detector's segment (2B past its changed rows on each side, clipped
-    # to the chain) and the free stretch of 2B + 3 rows; the exact kind
-    # changes no row.  At L = 40 the pieces outnumber the chain's rows, but
-    # for the exact kind at tau = 0.05: its 39-row stretch is probed alone.
+        monkeypatch.setattr(dynamics, "_probe_block", counted)
+        monkeypatch.setattr(dynamics, "_probe_half_width", bounded)
+        return calls
+
+    # A model's probe covers its defect's rows and 2B past them on each
+    # side, clipped to the chain: one contiguous stretch.
     @pytest.mark.parametrize("kind", list(ModelKind))
     @pytest.mark.parametrize("tau", [0.05, 0.25, 1.0])
     @pytest.mark.parametrize("L,detector", [(500, 260), (500, 1), (500, 3), (40, 20)])
@@ -562,25 +580,25 @@ class TestOneProbe:
         if kind is ModelKind.MODEL1 and detector == 1:
             detector = 2
         spec = LatticeSpec(L=L, detector_index=detector, initial_index=L // 2)
-        rows = self.probed_rows(monkeypatch)
-        dynamics._step_band(spec, kind, tau)
         B = probe_half_width(spec, kind, tau)
+        calls = self.probe_calls(monkeypatch)
+        dynamics._step_band(spec, kind, tau)
         s = detector - 1
-        # The first and last rows the model changes.
+        # The first and last rows the model changes; the exact kind changes none.
         span = {ModelKind.MODEL1: (s - 1, s + 1), ModelKind.MODEL2: (s, s)}.get(kind)
-        segment = min(L, span[1] + 2 * B + 1) - max(0, span[0] - 2 * B) if span else 0
-        pieces = segment + 2 * B + 3
-        assert rows == [pieces if pieces < L else L]
+        rows = min(L, span[1] + 2 * B + 1) - max(0, span[0] - 2 * B) if span else None
+        assert calls == (["bound", rows] if span else [])
 
     # Runs that reflect off both ends, from the middle and next to an end,
     # make no probe past the band's one.
     @pytest.mark.parametrize("kind", list(ModelKind))
     @pytest.mark.parametrize("L,detector,initial,n", [(300, 150, 140, 400), (200, 170, 3, 300)])
     def test_reflecting_run_probes_once(self, monkeypatch, kind, L, detector, initial, n):
-        rows = self.probed_rows(monkeypatch)
+        calls = self.probe_calls(monkeypatch)
         spec = LatticeSpec(L=L, detector_index=detector, initial_index=initial)
         stepped_series(spec, kind, 0.25, n, bulk_guard=False)
-        assert len(rows) == 1
+        # One bound and one probe per model, none for the exact kind.
+        assert len(calls) == (0 if kind is ModelKind.EXACT else 2)
 
 
 class TestBulkGuard:
@@ -671,6 +689,30 @@ class TestSeriesBookkeeping:
             measured_evolution(TWO_SITE, 0.0, 5, bulk_guard=False)
         with pytest.raises(ValueError):
             measured_evolution(TWO_SITE, 0.5, 0, bulk_guard=False)
+
+    # An infinite step used to hang in the probe's half-width bound, and a
+    # NaN one to fail in the gauge check with a message about diagonals.
+    @pytest.mark.parametrize("tau", [np.inf, np.nan])
+    def test_non_finite_tau_rejected(self, tau):
+        spec = LatticeSpec(L=40, detector_index=30, initial_index=20)
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            measured_evolution(spec, tau, 5, bulk_guard=False)
+        for kind in (ModelKind.MODEL1, ModelKind.MODEL2):
+            with pytest.raises(ValueError, match="tau must be positive and finite"):
+                nh_survival_series(spec, kind, tau, 5, bulk_guard=False)
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            renewal_amplitudes(spec, tau, 5)
+
+    # Steps so short that no hop reaches the cutoff: the band is the
+    # diagonal plus the unit-width floor, and a start 10 sites from the
+    # detector is never detected.
+    @pytest.mark.parametrize("tau", [1e-300, 1e-33])
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_tiny_step_keeps_every_particle(self, kind, tau):
+        spec = LatticeSpec(L=40, detector_index=30, initial_index=20)
+        series = stepped_series(spec, kind, tau, 10)
+        assert np.all(series.P == 1.0)
+        assert np.all(series.p == 0.0)
 
 
 class TestFromPmf:
