@@ -178,12 +178,20 @@ def renewal_amplitudes(spec: LatticeSpec, tau: float, n_max: int) -> RenewalSeri
     return RenewalSeries(tau=tau, amplitudes=psi)
 
 
-def _abs_row_sums(diagonals: dict[int, np.ndarray], L: int) -> np.ndarray:
-    """Row sums of |M| for the matrix M with the given diagonals."""
-    sums = np.zeros(L)
-    for k, d in diagonals.items():
-        sums[max(0, -k) : L - max(0, k)] += np.abs(d)
-    return sums
+def _order_below(y: float, n_min: float, floor: float) -> int:
+    """Smallest ``n >= n_min`` with ``y^n / n! <= floor < 1``, for any finite ``y >= 0``.
+
+    Each term, a product of ``y / n``, is carried as ``m 2^(1000 k)``: exact, never overflowing.
+    """
+    n, m, k = 0, 1.0, 0
+    while n < n_min or k or m > floor:
+        n += 1
+        m *= y / n
+        if m > 2.0**1000:
+            m, k = m * 2.0**-1000, k + 1
+        elif k and m < 1.0:
+            m, k = m * 2.0**1000, k - 1
+    return n
 
 
 def _probe_half_width(a: dict[tuple[int, int], float], tau: float, L: int) -> int:
@@ -213,11 +221,7 @@ def _probe_half_width(a: dict[tuple[int, int], float], tau: float, L: int) -> in
     skipped = sum(j - i - 1 for (i, j), v in a.items() if j - i > 1 and v)
     # Smallest h whose tail is at most 2 x^h / h! <= BAND_CUTOFF; the
     # factor 2 holds once successive terms shrink by half (h + 1 >= 2x).
-    h, term = 0, 1.0
-    while h + 1 < 2 * x or 2 * term > BAND_CUTOFF:
-        h += 1
-        term *= x / h
-    return h + skipped
+    return _order_below(x, 2 * x - 1, BAND_CUTOFF / 2) + skipped
 
 
 def _gauge_defect(spec: LatticeSpec, kind: ModelKind, tau: float) -> dict[tuple[int, int], float]:
@@ -237,57 +241,59 @@ def _gauge_defect(spec: LatticeSpec, kind: ModelKind, tau: float) -> dict[tuple[
     return a
 
 
-def _probe_block(a: dict, L: int, P: int) -> np.ndarray:
-    """``e^A`` applied to the L x P probe block: row i holds a 1 in column i mod P.
+def _probe_block(a: dict[tuple[int, int], float], tau: float, lo: int, n: int, P: int) -> np.ndarray:
+    """``e^A`` applied to the n x P probe block: row i holds a 1 in column i mod P.
 
-    Scaled Taylor stages on the diagonals of A, O(L P) work per term.
+    A is the free chain on rows ``lo .. lo + n - 1`` with the defect ``a``
+    written in.  Scaled Taylor stages; each term is one difference of the
+    last term shifted up and down (the free hops), one scale, and one
+    product of A's defect rows with the last term that overwrites those
+    rows, so they are exactly A's, not free rows plus a correction.  Each
+    block has a zero row past either end, and two buffers alternate.
     """
-    norm = _abs_row_sums(a, L).max()
+    r0, r1 = min(a)[0], max(a)[0] + 1
+    c0 = max(lo, min(r0 - 1, *(j for _, j in a)))
+    c1 = min(lo + n, max(r1 + 1, *(j + 1 for _, j in a)))
+    o = np.arange(r0, r1)[:, None] - np.arange(c0, c1)
+    d = np.where(np.abs(o) == 1, tau * o, 0.0)
+    for (i, j), v in a.items():
+        d[i - r0, j - c0] = v
+    # The largest row sum of |A|: a free row's 2 tau or a defect row's.
+    norm = max(2 * tau, *np.abs(d).sum(axis=1))
     # Stages of norm at most 4: at this tolerance fewer, longer stages cost
-    # fewer terms in all, and the largest term, 4^4/4! ~ 11, costs at most
-    # one digit to cancellation.
+    # fewer terms, and the largest term, 4^4/4! ~ 11, costs one digit at most.
     stages = max(1, int(np.ceil(norm / 4)))
-    # Each diagonal as (rows, cols, entries) over the span of its nonzero
-    # entries: the model-specific diagonals hold one or two.
-    slabs = []
-    for k, d in a.items():
-        nz = np.flatnonzero(d)
-        if len(nz):
-            lo, hi, r0, c0 = nz[0], nz[-1] + 1, max(0, -k), max(0, k)
-            rows, cols = slice(r0 + lo, r0 + hi), slice(c0 + lo, c0 + hi)
-            slabs.append((rows, cols, d[lo:hi, None] / stages))
-    site = np.arange(L)
-    f = np.zeros((L, P))
-    f[site, site % P] = 1.0
+    d /= stages
+    # Rows 1 .. n of each block are the probe rows, rows 0 and n + 1 stay zero.
+    rows, cols = slice(r0 - lo + 1, r1 - lo + 1), slice(c0 - lo + 1, c1 - lo + 1)
+    f = np.zeros((n + 2, P))
+    f[np.arange(1, n + 1), np.arange(n) % P] = 1.0
+    buffers = (np.zeros_like(f), np.zeros_like(f))
     tol = BAND_CUTOFF * np.finfo(np.float64).eps
     for _ in range(stages):
-        term, n = f, 0
-        # Term n has its largest entry at most (norm / stages) / n times
-        # that of term n - 1.  Stop at a term below tol once that ratio is
-        # at most 1/2, so the dropped tail stays below tol as well.
-        while n + 1 < 2 * norm / stages or np.abs(term).max() > tol:
-            n += 1
-            nxt = np.zeros_like(term)
-            for rows, cols, d in slabs:
-                nxt[rows] += (d / n) * term[cols]
+        term, m = f, 0
+        # Term m is at most (norm / stages) / m times term m - 1: stop at a term at
+        # most tol once that ratio is at most 1/2, so the dropped tail is too.
+        while m + 1 < 2 * norm / stages or term.max() > tol or -term.min() > tol:
+            m += 1
+            nxt = buffers[m % 2]
+            np.subtract(term[:-2], term[2:], out=nxt[1:-1])
+            nxt *= tau / (stages * m)
+            np.dot(d / m, term[cols], out=nxt[rows])
+            f += nxt
             term = nxt
-            f += term
-    return f
+    return f[1:-1]
 
 
 def _bessel_row(x: float) -> np.ndarray:
     """``J_0(x) .. J_b(x)``, b the largest order (at least 1) with ``|J_b(x)| > BAND_CUTOFF``.
 
-    Miller's backward recurrence in ratio form, ``r_k = J_k / J_{k-1} =
-    x / (2 k - x r_{k+1})``, from ``r_{n+1} = 0`` at the first order
-    ``n >= x`` where ``(x/2)^n / n!``, a bound on ``|J_n|``, is at most
-    eps^3; the products ``J_k / J_0`` are normalised by ``J_0 + 2 sum_k
-    J_2k = 1``.  No ratio or product overflows, whatever x.
+    Miller's backward recurrence in ratio form, ``r_k = J_k / J_{k-1} = x /
+    (2 k - x r_{k+1})``, from ``r_{n+1} = 0`` at the first order ``n >= x``
+    with ``(x/2)^n / n! <= eps^3``, a bound on ``|J_n|``; the products ``J_k
+    / J_0`` are normalised by ``J_0 + 2 sum_k J_2k = 1``.  Nothing overflows.
     """
-    n, term = 1, x / 2
-    while n < x or term > BAND_CUTOFF**1.5:
-        n += 1
-        term *= x / (2 * n)
+    n = _order_below(x / 2, x, BAND_CUTOFF**1.5)
     r, q = [1.0] * (n + 1), 0.0
     for k in range(n, 0, -1):
         q = r[k] = x / (2 * k - x * q)
@@ -347,13 +353,7 @@ def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> tuple:
         P = 2 * B + 1
         first, last = min(a)[0], max(a)[0]
         lo, hi = max(0, first - 2 * B), min(L, last + 2 * B + 1)
-        # The chain's diagonals on rows lo .. hi - 1: the free hops -tau
-        # (k = 1) and tau (k = -1), then the defect written in.
-        diagonals = sorted({-1, 1} | {j - i for i, j in a})
-        chain = {k: np.full(hi - lo - abs(k), -tau * k if abs(k) == 1 else 0.0) for k in diagonals}
-        for (i, c), v in a.items():
-            chain[c - i][min(i, c) - lo] = v
-        f = _probe_block(chain, hi - lo, P)
+        f = _probe_block(a, tau, lo, hi - lo, P)
         # Column c of the probe holds, on row i, the entry of the column
         # j = c mod P with |i - j| <= B.
         near = (max(0, first - B), min(L, last + B + 1))

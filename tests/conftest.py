@@ -46,7 +46,7 @@ from qreset import (
     lattice,
     mfdt,
 )
-from qreset.dynamics import BAND_CUTOFF, _abs_row_sums
+from qreset.dynamics import BAND_CUTOFF
 from qreset.restart import _check_window
 
 
@@ -160,6 +160,14 @@ def block_rows(bulk: np.ndarray, runs: list, L: int) -> np.ndarray:
     return blocks
 
 
+def _abs_row_sums(diagonals: dict[int, np.ndarray], L: int) -> np.ndarray:
+    """Row sums of |M| for the matrix M with the given diagonals."""
+    sums = np.zeros(L)
+    for k, d in diagonals.items():
+        sums[max(0, -k) : L - max(0, k)] += np.abs(d)
+    return sums
+
+
 def _full_chain_half_width(a: dict[int, np.ndarray], L: int) -> int:
     """The probe half-width B of ``dynamics._probe_half_width``, from whole diagonals.
 
@@ -179,12 +187,16 @@ def _full_chain_half_width(a: dict[int, np.ndarray], L: int) -> int:
 def full_chain_band(spec: lattice.LatticeSpec, kind: lattice.ModelKind, tau: float) -> np.ndarray:
     """The dissipative step's band, probed over all L rows of the chain.
 
-    The same probes and Taylor stages as ``dynamics._step_band``'s probe
-    of the defect's segment, in the same floating-point order, applied
-    to the whole L x (2B+1) probe block.  The generator's diagonals are
-    the unit-hop chain's with the detector defect written in, each taken
-    whole to the gauge D = diag(i^x); B comes from them and must be the
-    library's.
+    The independent reference for ``dynamics._step_band``: the same
+    probe columns (indices that agree mod 2B + 1 share one), applied to
+    the whole L x (2B+1) probe block by scaled Taylor stages written
+    diagonal by diagonal, each diagonal a slab over its nonzero span
+    scaled and added into the next term.  The library instead takes the
+    free hops as one difference and overwrites the defect's rows, on its
+    segment only, so the two agree to rounding, not bit for bit.  The
+    generator's diagonals are the unit-hop chain's with the detector
+    defect written in, each taken whole to the gauge D = diag(i^x); B
+    comes from them and must be the library's.
     """
     L = spec.L
     defect = lattice.detector_defect(spec, kind, tau)

@@ -1,13 +1,20 @@
 """Projective measurement dynamics, renewal recursion, and the dissipative series."""
 
+import json
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qreset
 from qreset import (
     BoundaryContaminationError,
     LatticeSpec,
@@ -348,6 +355,20 @@ class TestBandedDissipativeStep:
                     slabbed[k0 : k0 + len(slab) // b] = True
                 assert not np.any(slabbed & (gap > B + b).all(axis=1))
 
+    # Model 1 cuts both of the detector's bonds, so the generator's
+    # detector row is zero and the step's is exactly the unit row: the
+    # probe writes the defect's rows from the generator's own entries,
+    # where a correction added to the free hops would leave rounding.
+    @pytest.mark.parametrize("tau", [0.05, 0.25, 1.0])
+    @pytest.mark.parametrize("detector", [260, 2, 499])
+    def test_model1_detector_row_is_the_unit_row(self, tau, detector):
+        L = 500
+        spec = LatticeSpec(L=L, detector_index=detector, initial_index=L // 2)
+        band = unpack_band(block_rows(*dynamics._step_band(spec, ModelKind.MODEL1, tau), L), L)
+        unit = np.zeros(L)
+        unit[detector - 1] = 1.0
+        assert np.array_equal(band[detector - 1], unit)
+
     # The build keeps nothing of size L b: at most 20 float64 per site,
     # where a band stored as n_blocks (b, 3b) blocks alone takes 3b = 60
     # (9.6 MB at L = 20000, 38 MB at 80000).
@@ -559,9 +580,9 @@ class TestOneProbe:
         calls = []
         probe, half_width = dynamics._probe_block, dynamics._probe_half_width
 
-        def counted(a, L, P):
-            calls.append(L)
-            return probe(a, L, P)
+        def counted(a, tau, lo, n, P):
+            calls.append(n)
+            return probe(a, tau, lo, n, P)
 
         def bounded(a, tau, L):
             calls.append("bound")
@@ -599,6 +620,81 @@ class TestOneProbe:
         stepped_series(spec, kind, 0.25, n, bulk_guard=False)
         # One bound and one probe per model, none for the exact kind.
         assert len(calls) == (0 if kind is ModelKind.EXACT else 2)
+
+
+def run_isolated(code: str) -> object:
+    """The JSON that ``code`` prints, run in a fresh interpreter with a timeout.
+
+    A loop that never ends then fails the test at the timeout instead of
+    hanging the suite.
+    """
+    path = [str(Path(qreset.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    return json.loads(out.stdout)
+
+
+class TestLargeSteps:
+    """The a priori bounds end for every finite step.
+
+    Their terms ``x^h / h!`` rise to about e^x before they fall, past the
+    largest float64 once x exceeds about 709: x is tau for the Bessel
+    row's order, and the probe's row sum, 2 tau or more, for the
+    half-width.  Each case runs in a fresh interpreter with a timeout.
+    """
+
+    # B - S is the smallest h >= 2x - 1 with x^h / h! <= BAND_CUTOFF / 2,
+    # checked in logarithms: x is the largest off-diagonal row sum, 2 tau
+    # for model 2 and tau + tau^2 / 2 (a free hop and the bridge) for
+    # model 1, whose bridge skips S = 1 site.
+    @pytest.mark.parametrize("tau", [400.0, 1000.0])
+    def test_bounds_end(self, tau):
+        widths, b = run_isolated(
+            "import json\n"
+            "from qreset import LatticeSpec, ModelKind, dynamics\n"
+            "spec = LatticeSpec(40, 20, 10)\n"
+            f"widths = {{k.value: dynamics._probe_half_width(dynamics._gauge_defect(spec, k, {tau}), {tau}, 40)"
+            " for k in (ModelKind.MODEL1, ModelKind.MODEL2)}\n"
+            f"print(json.dumps([widths, len(dynamics._bessel_row(2 * {tau})) - 1]))\n"
+        )
+        floor = math.log(dynamics.BAND_CUTOFF / 2)
+        for kind, x, skipped in (("model1", tau + tau**2 / 2, 1), ("model2", 2 * tau, 0)):
+            h = widths[kind] - skipped
+
+            def log_term(k):
+                return k * math.log(x) - math.lgamma(k + 1)
+
+            assert h + 1 >= 2 * x and log_term(h) <= floor + 1e-6
+            assert h < 2 * x or log_term(h - 1) > floor - 1e-6
+        assert b > 2 * tau
+
+    def test_bessel_row_at_large_argument(self):
+        mpmath = pytest.importorskip("mpmath")
+        orders = [0, 1, 2, 100, 800, 1599, 1600, 1650]
+        row = np.array(run_isolated(
+            "import json\n"
+            "from qreset import dynamics\n"
+            "print(json.dumps(dynamics._bessel_row(1600.0).tolist()))\n"
+        ))
+        b = len(row) - 1
+        with mpmath.workdps(40):
+            exact = {k: float(mpmath.besselj(k, 1600)) for k in orders + [b, b + 1]}
+        assert abs(exact[b + 1]) <= dynamics.BAND_CUTOFF < abs(exact[b])
+        for k in orders + [b]:
+            assert abs(row[k] - exact[k]) <= 2.2e-16
+
+    def test_measured_evolution_at_large_step(self):
+        P, p = run_isolated(
+            "import json\n"
+            "from qreset import LatticeSpec, measured_evolution\n"
+            "s = measured_evolution(LatticeSpec(40, 30, 20), 800, 2, bulk_guard=False)\n"
+            "print(json.dumps([s.P.tolist(), s.p.tolist()]))\n"
+        )
+        assert all(0 <= v <= 1 for v in P + p)
+        assert abs(1 - p[0] - P[0]) <= 1e-12 and abs(P[0] - p[1] - P[1]) <= 1e-12
 
 
 class TestBulkGuard:
