@@ -12,13 +12,7 @@ its config parser, artifact writer and sweep runner stay in
 ``qreset.cli``.
 """
 
-from .analysis import (
-    OptimalTr,
-    alpha,
-    delta_p_r,
-    optimal_tr_nh,
-    survival_prediction,
-)
+from .analysis import alpha, optimal_tr_nh, survival_prediction
 from .cli import main
 from .dynamics import (
     DetectionSeries,
@@ -65,11 +59,9 @@ __all__ = [
     "reset_survival",
     "reset_pdet",
     # analysis
-    "OptimalTr",
     "alpha",
     "survival_prediction",
     "optimal_tr_nh",
-    "delta_p_r",
     # cli
     "main",
     # errors

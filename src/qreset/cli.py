@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import alpha, delta_p_r, optimal_tr_nh, survival_prediction
+from .analysis import alpha, optimal_tr_nh, survival_prediction
 from .dynamics import measured_evolution, nh_survival_series
 from .errors import ConfigError, QresetError
 from .lattice import LatticeSpec, ModelKind
@@ -603,18 +603,19 @@ def _build_optimal_tr(config: RunConfig, out_dir: Path, tag: str) -> list[CsvArt
     stem = f"optimal_tr{tag}"
     artifacts = []
     t_stars = []
+    grid = np.asarray([r * config.tau for r in r_values], dtype=np.float64)
     for kind in kinds:
         base = nh_survival_series(spec, kind, config.tau, max(r_values))
-        result = optimal_tr_nh(base, r_values)
+        objective = optimal_tr_nh(base, r_values)
         # Fully absorbed grid points carry no objective; leave them out.
-        table = np.column_stack((result.grid, result.objective))
         artifact = CsvArtifact(
             out_dir / f"{stem}_{kind.value}.csv",
             ("t_r", "neg_alpha_over_tr"),
-            table[np.isfinite(result.objective)],
+            np.column_stack((grid, objective))[np.isfinite(objective)],
         )
         artifacts.append(artifact)
-        t_stars.append((result.t_star,))
+        # Ties go to the first grid point.
+        t_stars.append((float(grid[np.nanargmin(objective)]),))
     labels = tuple(kind.value for kind in kinds)
     summary = CsvArtifact(out_dir / f"{stem}_summary.csv", ("model", "t_star"), t_stars, labels)
     artifacts.append(summary)
@@ -642,7 +643,9 @@ def _build_delta_pr(config: RunConfig, out_dir: Path, tag: str) -> list[CsvArtif
     for kind in kinds:
         nh_base = nh_survival_series(spec, kind, config.tau, r)
         header.append(f"delta_pr_{kind.value}")
-        columns.append(delta_p_r(exact_curve, reset_pdet(nh_base, r, needed), r, R_max))
+        # Window R covers measurements rR + 1 .. r(R + 1): its mean absolute gap.
+        gaps = np.abs(exact_curve - reset_pdet(nh_base, r, needed))
+        columns.append(gaps.reshape(R_max, r).mean(axis=1))
     artifact = CsvArtifact(
         out_dir / f"delta_pr{tag}.csv",
         tuple(header),

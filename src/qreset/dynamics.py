@@ -322,14 +322,15 @@ def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> tuple:
 
     Only rows within B of the defect differ from the free open chain's,
     B from :func:`_probe_half_width`; the exact kind has none and probes
-    nothing.  One probe runs on the rows within 2B of the defect, clipped
-    to the chain: columns whose indices agree mod ``P = 2 B + 1`` share a
-    probe vector, so one application of the exponential to a block of P
-    probe columns gives every entry with ``|i - j| <= B`` of a row within
-    B of the defect, whose cut ends lie at least B away.  The other
-    columns of its probe lie more than B away, where the bound holds each
-    entry below the cutoff, so they shift it by about eps^2 at most.  An
-    entry above the cutoff at distance B means the bound failed, and raises.
+    nothing.  One probe runs on the n rows within 2B of the defect,
+    clipped to the chain: columns whose indices agree mod ``P = min(2 B +
+    1, n)`` share a probe vector, so one application of the exponential
+    to a block of P probe columns gives every entry with ``|i - j| <= B``
+    of a row within B of the defect, whose cut ends lie at least B away.
+    The other columns of its probe lie more than B away, where the bound
+    holds each entry below the cutoff, so they shift it by about eps^2 at
+    most; with P = n every column has a probe vector of its own.  An entry
+    above the cutoff at distance B means the bound failed, and raises.
 
     Returns ``(bulk, runs)``: ``bulk`` the ``(b, 3 b)`` block of every
     block row with no row near the defect or within b of an end, and
@@ -350,15 +351,17 @@ def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> tuple:
     b, near = mid - 1, (0, 0)
     if a:
         B = _probe_half_width(a, tau, L)
-        P = 2 * B + 1
         first, last = min(a)[0], max(a)[0]
         lo, hi = max(0, first - 2 * B), min(L, last + 2 * B + 1)
+        P = min(2 * B + 1, hi - lo)
         f = _probe_block(a, tau, lo, hi - lo, P)
         # Column c of the probe holds, on row i, the entry of the column
-        # j = c mod P with |i - j| <= B.
+        # j = lo + c; with P = 2B + 1, that of the j = lo + c mod P with |i - j| <= B.
         near = (max(0, first - B), min(L, last + B + 1))
         rows = np.arange(*near)
-        offset = (np.arange(P) - rows[:, None] + lo + B) % P - B
+        offset = np.arange(P) + lo - rows[:, None]
+        if P == 2 * B + 1:
+            offset = (offset + B) % P - B
         col = rows[:, None] + offset
         above = (col >= 0) & (col < L) & (np.abs(f[rows - lo]) > BAND_CUTOFF)
         reach = int(np.max(np.abs(offset[above]), initial=0))

@@ -20,9 +20,11 @@ which ``dense_step`` conjugates back for a dissipative kind.  ``initial_state`` 
 vector on the initial site, and ``series_from_pmf`` builds a detection
 series from a bare PMF.
 ``fit_exponential`` and ``optimal_tr_exact`` (moved here from
-``qreset.analysis``) fit a survival timescale and scan restart periods
-for the least exact mean detection time, as the acceptance criteria do;
-the ``mfdt-sweep`` recipe is the CLI's route to the same scan.
+``qreset.analysis``) fit a survival timescale and evaluate the exact
+mean detection time over restart periods, as the acceptance criteria
+do; the ``mfdt-sweep`` recipe is the CLI's route to the same scan.
+``first_minimizer`` takes the window length of the first period that
+minimizes either scan's objective, the ``optimal-tr`` recipe's tie rule.
 ``bessel_renewal`` gives the first-detection amplitudes of the infinite
 chain from closed-form Bessel amplitudes, accurate in relative terms
 before the front arrives, where the renewal recursion's dense step has
@@ -41,7 +43,6 @@ from qreset import (
     LatticeSpec,
     ModelKind,
     NeverDetectedError,
-    OptimalTr,
     dynamics,
     lattice,
     mfdt,
@@ -313,8 +314,8 @@ def build_reset_heff(
     return h0.astype(np.complex128) + shift * np.eye(h0.shape[0])
 
 
-def optimal_tr_exact(base: DetectionSeries, r_grid: Sequence[int]) -> OptimalTr:
-    """Restart period minimizing the projective mean detection time.
+def optimal_tr_exact(base: DetectionSeries, r_grid: Sequence[int]) -> np.ndarray:
+    """The projective mean detection time at each restart period of a grid.
 
     Evaluates the closed-form mean for each candidate on one projective
     run ``base``, which must reach the largest period in the grid.
@@ -323,8 +324,7 @@ def optimal_tr_exact(base: DetectionSeries, r_grid: Sequence[int]) -> OptimalTr:
     r_values = [int(r) for r in r_grid]
     if not r_values:
         raise ValueError("restart-period grid is empty")
-    grid_arr = np.asarray([r * base.tau for r in r_values], dtype=np.float64)
-    objective = np.empty(grid_arr.size)
+    objective = np.empty(len(r_values))
     for i, r in enumerate(r_values):
         try:
             objective[i] = mfdt(base, r)
@@ -332,9 +332,12 @@ def optimal_tr_exact(base: DetectionSeries, r_grid: Sequence[int]) -> OptimalTr:
             objective[i] = np.inf
     if np.all(np.isinf(objective)):
         raise NeverDetectedError("no restart period in the grid ever detects")
-    best = float(np.min(objective))
-    t_star = float(grid_arr[np.nonzero(objective == best)[0][0]])
-    return OptimalTr(grid=grid_arr, objective=objective, t_star=t_star)
+    return objective
+
+
+def first_minimizer(objective: np.ndarray, r_grid: Sequence[int], tau: float) -> float:
+    """The window length ``r tau`` of the first grid period that minimizes ``objective``."""
+    return float(list(r_grid)[int(np.nanargmin(objective))] * tau)
 
 
 class FitResult(NamedTuple):

@@ -9,7 +9,7 @@ from qreset import (
     ModelKind,
     alpha,
     build_hamiltonian,
-    delta_p_r,
+    cli,
     dynamics,
     measured_evolution,
     mfdt,
@@ -20,7 +20,7 @@ from qreset import (
     survival_prediction,
 )
 
-from conftest import fit_exponential, initial_state, optimal_tr_exact, taylor_expm
+from conftest import fit_exponential, first_minimizer, initial_state, optimal_tr_exact, taylor_expm
 
 
 TWO_SITE = LatticeSpec(L=2, detector_index=2, initial_index=1)
@@ -90,20 +90,19 @@ class TestSurvivalPrediction:
 
 class TestOptimalTrDissipative:
     def test_single_point_grid(self):
-        res = optimal_tr_nh(model2_series(TWO_SITE, 0.5, 3), [3])
-        assert res.t_star == 1.5
-        assert res.objective.shape == (1,)
+        objective = optimal_tr_nh(model2_series(TWO_SITE, 0.5, 3), [3])
+        assert first_minimizer(objective, [3], 0.5) == 1.5
+        assert objective.shape == (1,)
 
     def test_objective_is_decay_per_unit_time(self):
         r_grid = [1, 2, 4]
         base = model2_series(TWO_SITE, 0.5, 4)
-        res = optimal_tr_nh(base, r_grid)
-        assert res.grid.tolist() == [0.5, 1.0, 2.0]
+        objective = optimal_tr_nh(base, r_grid)
         for i, r in enumerate(r_grid):
             a = alpha(base, r)
-            assert res.objective[i] == pytest.approx(-a / (0.5 * r), rel=1e-12)
+            assert objective[i] == pytest.approx(-a / (0.5 * r), rel=1e-12)
         # Same argmin whether phrased as max alpha/t_r or min t_r/alpha.
-        assert np.argmin(res.objective) == np.argmin(
+        assert np.argmin(objective) == np.argmin(
             [0.5 * r / alpha(base, r) for r in r_grid]
         )
 
@@ -118,9 +117,9 @@ class TestOptimalTrDissipative:
 
     def test_absorbing_points_are_skipped_not_fatal(self):
         base = model2_series(TWO_SITE, ABSORBING_TAU, ABSORBING_R)
-        res = optimal_tr_nh(base, [1, ABSORBING_R])
-        assert res.t_star == 1.0
-        assert np.isnan(res.objective[1])
+        objective = optimal_tr_nh(base, [1, ABSORBING_R])
+        assert first_minimizer(objective, [1, ABSORBING_R], ABSORBING_TAU) == 1.0
+        assert np.isnan(objective[1])
 
     def test_period_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -132,19 +131,19 @@ class TestOptimalTrExact:
         # Quarter-period two-site chain detects at the first try for any
         # restart period, so every candidate has the same mean time tau.
         tau = np.pi / 2
-        res = optimal_tr_exact(measured_evolution(TWO_SITE, tau, 3, bulk_guard=False), [1, 2, 3])
-        assert np.allclose(res.objective, tau, atol=1e-12)
-        assert res.t_star == pytest.approx(tau)
+        objective = optimal_tr_exact(measured_evolution(TWO_SITE, tau, 3, bulk_guard=False), [1, 2, 3])
+        assert np.allclose(objective, tau, atol=1e-12)
+        assert first_minimizer(objective, [1, 2, 3], tau) == pytest.approx(tau)
 
     def test_matches_direct_mean_scan(self):
         spec = LatticeSpec(L=16, detector_index=12, initial_index=8)
         tau = 0.5
         r_grid = list(range(1, 31))
         base = measured_evolution(spec, tau, 30, bulk_guard=False)
-        res = optimal_tr_exact(base, r_grid)
+        objective = optimal_tr_exact(base, r_grid)
         means = np.array([mfdt(base, r) for r in r_grid])
-        assert np.allclose(res.objective, means, rtol=1e-12)
-        assert res.t_star == pytest.approx(r_grid[int(np.argmin(means))] * tau)
+        assert np.allclose(objective, means, rtol=1e-12)
+        assert first_minimizer(objective, r_grid, tau) == pytest.approx(r_grid[int(np.argmin(means))] * tau)
 
     def test_empty_and_invalid_grids(self):
         base = measured_evolution(TWO_SITE, 0.5, 2, bulk_guard=False)
@@ -165,32 +164,39 @@ class TestStatisticsRunNoEngine:
 
         monkeypatch.setattr(dynamics, "_band_series", no_engine)
         assert alpha(model2, 4) > 0
-        assert optimal_tr_nh(model2, [2, 4, 6]).t_star in (1.0, 2.0, 3.0)
+        assert first_minimizer(optimal_tr_nh(model2, [2, 4, 6]), [2, 4, 6], 0.5) in (1.0, 2.0, 3.0)
         assert mfdt(exact, 4) > 0
         assert reset_survival(exact, 4, 12).shape == (12,)
         exact_curve, model2_curve = reset_pdet(exact, 4, 12), reset_pdet(model2, 4, 12)
-        assert delta_p_r(exact_curve, model2_curve, 4, 3).shape == (3,)
+        assert exact_curve.shape == model2_curve.shape == (12,)
 
 
 class TestDeltaPR:
-    def test_identical_curves_give_zero(self):
+    """The ``delta-pr`` recipe's window gap, on the restarted curves it is handed."""
+
+    @staticmethod
+    def window_gaps(monkeypatch, tmp_path, exact_curve, model_curve):
+        # The recipe restarts the exact series first, then model1's and model2's.
+        curves = iter((exact_curve, model_curve, model_curve))
+        monkeypatch.setattr(cli, "reset_pdet", lambda base, r, n: next(curves))
+        # r = 8 measurements a window, 40 in all: R_max = 5 windows.
+        config = cli.RunConfig(tau=0.25, L=40, model="all", t_r=2.0, n_max=40)
+        (artifact,) = cli._build_delta_pr(config, tmp_path, "")
+        rows = np.asarray(artifact.rows)
+        assert rows[:, 0].tolist() == [1, 2, 3, 4, 5]
+        assert np.array_equal(rows[:, 1], rows[:, 2])
+        return rows[:, 1]
+
+    def test_identical_curves_give_zero(self, monkeypatch, tmp_path):
         curve = np.linspace(0.0, 0.9, 40)
-        delta = delta_p_r(curve, curve, 8, 5)
+        delta = self.window_gaps(monkeypatch, tmp_path, curve, curve)
         assert delta.shape == (5,)
         assert np.max(delta) == 0.0
 
-    def test_constant_offset_is_recovered(self):
+    def test_constant_offset_is_recovered(self, monkeypatch, tmp_path):
         curve = np.linspace(0.0, 0.9, 40)
-        delta = delta_p_r(curve, curve + 0.003, 8, 5)
+        delta = self.window_gaps(monkeypatch, tmp_path, curve, curve + 0.003)
         assert np.allclose(delta, 0.003, atol=1e-15)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            delta_p_r(np.zeros(40), np.zeros(39), 8, 5)
-
-    def test_short_input_rejected(self):
-        with pytest.raises(ValueError):
-            delta_p_r(np.zeros(30), np.zeros(30), 8, 5)
 
 
 class TestFitExponential:

@@ -515,6 +515,16 @@ class TestRecipes:
         for row in rows:
             assert float(row[1]) in (0.5, 1.0, 1.5)
 
+    def test_optimal_tr_tie_goes_to_the_first_grid_point(self, tmp_path, monkeypatch):
+        # A flat objective: every restart time ties, and the summary takes
+        # the first one of the grid.
+        monkeypatch.setattr(qreset.cli, "optimal_tr_nh", lambda base, r_grid: np.full(len(r_grid), -0.5))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL + "tau = 0.25\ntr_sweep = 0.5, 1.0, 1.5\n")
+        assert main(["optimal-tr", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "optimal_tr_summary.csv")
+        assert rows == [["model1", "0.5"], ["model2", "0.5"]]
+
     @pytest.mark.parametrize("recipe", ["mfdt-sweep", "optimal-tr"])
     def test_unordered_tr_sweep_rejected_before_any_engine_runs(
         self, tmp_path, capsys, monkeypatch, recipe

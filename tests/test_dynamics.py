@@ -369,6 +369,24 @@ class TestBandedDissipativeStep:
         unit[detector - 1] = 1.0
         assert np.array_equal(band[detector - 1], unit)
 
+    # At L = 40, tau = 30 model1's bound gives B = 1373, while its
+    # probe segment is the 40-site chain: the probe takes one column a row,
+    # not 2B + 1 (about 4.6 MB of peak), and the band still matches the
+    # dense step.
+    def test_long_step_on_a_short_chain_probes_one_column_a_row(self):
+        spec = default_geometry(40)
+        tracemalloc.start()
+        try:
+            bulk, runs = dynamics._step_band(spec, ModelKind.MODEL1, 30.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
+        oracle = band_blocks(real_dense_step(spec, ModelKind.MODEL1, 30.0))
+        band = block_rows(bulk, runs, 40)
+        assert band.shape == oracle.shape
+        assert np.max(np.abs(band - oracle)) <= 5e-14
+
     # The build keeps nothing of size L b: at most 20 float64 per site,
     # where a band stored as n_blocks (b, 3b) blocks alone takes 3b = 60
     # (9.6 MB at L = 20000, 38 MB at 80000).
@@ -609,6 +627,23 @@ class TestOneProbe:
         span = {ModelKind.MODEL1: (s - 1, s + 1), ModelKind.MODEL2: (s, s)}.get(kind)
         rows = min(L, span[1] + 2 * B + 1) - max(0, span[0] - 2 * B) if span else None
         assert calls == (["bound", rows] if span else [])
+
+    # A segment of fewer than 2B + 1 rows gives each row its own probe
+    # column: at L = 40, tau = 1 the segment is the whole chain, n = 40,
+    # while 2B + 1 is 75 for model2.
+    @pytest.mark.parametrize("kind", [ModelKind.MODEL1, ModelKind.MODEL2])
+    def test_probe_is_no_wider_than_its_segment(self, monkeypatch, kind):
+        shapes = []
+        probe = dynamics._probe_block
+
+        def spy(a, tau, lo, n, P):
+            shapes.append((n, P))
+            return probe(a, tau, lo, n, P)
+
+        monkeypatch.setattr(dynamics, "_probe_block", spy)
+        dynamics._step_band(default_geometry(40), kind, 1.0)
+        [(n, P)] = shapes
+        assert P <= n
 
     # Runs that reflect off both ends, from the middle and next to an end,
     # make no probe past the band's one.

@@ -14,8 +14,9 @@ from qreset import LatticeSpec, analysis, cli, dynamics, lattice, restart
 SUBMODULES = (lattice, dynamics, restart, analysis, cli)
 
 # Duplicate builders, echo-only dataclasses, the unused bundle, the test
-# oracles, the routines no recipe runs (now in tests/conftest.py) and the
-# CLI internals: none of them is part of the top level.
+# oracles, the routines no recipe runs (now in tests/conftest.py), the
+# optimum and window gap the recipes now take themselves and the CLI
+# internals: none of them is part of the top level.
 NOT_EXPORTED = (
     "EvolutionOperator",
     "build_tb_hamiltonian",
@@ -26,6 +27,8 @@ NOT_EXPORTED = (
     "run_restart",
     "RestartSpec",
     "AlphaResult",
+    "OptimalTr",
+    "delta_p_r",
     "mfdt_direct",
     "build_reset_heff",
     "fit_exponential",
