@@ -93,7 +93,8 @@ class RunConfig:
     tr_sweep: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.detector_index is None:
+        default_detector = self.detector_index is None
+        if default_detector:
             self.detector_index = self.L // 2 + 10
         if self.initial_index is None:
             self.initial_index = self.L // 2
@@ -117,6 +118,11 @@ class RunConfig:
         if self.tr_sweep is not None and self.tau_sweep is None:
             for t_r in self.tr_sweep:
                 _restart_period(t_r, self.tau)
+        if default_detector and not 1 <= self.detector_index <= self.L:
+            raise ConfigError(
+                f"the default detector_index L/2 + 10 = {self.detector_index} lies outside "
+                f"1..{self.L}; set detector_index"
+            )
         try:
             self.lattice()
         except ValueError as err:

@@ -16,14 +16,19 @@ Two routes to the same bookkeeping:
   product per run of those block rows the window has reached, and a
   norm over the window, O(w b^2) whatever L.  The window grows by one
   block per side and step, and a newly reached block whose norm is at
-  or below eps^2 times the state's is dropped.  The free chain's rows
-  are closed forms, the Bessel row J_{i-j}(2 tau) and its mirror images
-  about the chain ends; only a model's rows near the detector come from
-  a probe of the exponential on its segment (reaching 2B past them, B
-  the probe half-width): no L x L matrix, no length-L array.  All
-  generators have real hops and imaginary entries on even diagonals
-  only, so in the gauge D = diag(i^x) band and state are real: float64,
-  half the memory of complex, with the same norms.
+  or below eps^2 times the state's is dropped.  Long runs take k
+  measurements per GEMM (a super-step) through the band of the k-step
+  operator, and read what the k - 1 inner measurements need off the
+  pre-step amplitudes near the detector: the exact kind's detector
+  amplitudes, from a local renewal that then corrects the state, or a
+  model's losses, from a factor of its local ``1 - S^T S``.  The free
+  chain's rows are closed forms, the Bessel row J_{i-j}(2 t) and its
+  mirror images about the chain ends; only a model's rows near the
+  detector come from a probe of the exponential on its segment (reaching
+  2B past them, B the probe half-width): no L x L matrix, no length-L
+  array.  All generators have real hops and imaginary entries on even
+  diagonals only, so in the gauge D = diag(i^x) band and state are real:
+  float64, half the memory of complex, with the same norms.
 * ``renewal_amplitudes`` computes first-detection amplitudes from the
   recursion that subtracts, from the free transition amplitude, every
   earlier first-arrival propagated back to the detector.  It is the
@@ -71,11 +76,14 @@ class DetectionSeries:
     of first detection at the n-th measurement, ``P`` the survival
     probability after it, and ``Pdet`` the integrated detection
     probability up to it.  The engines take ``P`` from the squared norm
-    of the surviving state, so it stays accurate in relative terms down
-    to underflow; ``P_n = P_{n-1} - p_n`` holds only up to rounding of
-    the larger terms.  ``Pdet`` accumulates ``p`` directly where the
-    engine provides exact per-step masses, so a detection probability of
-    1e-20 stays representable instead of vanishing into ``1 - P``.
+    of the surviving state where a super-step of k measurements ends
+    (every measurement at k = 1), and inside a super-step from that norm
+    plus the later measurements' losses, sums of non-negative terms; so
+    it stays accurate in relative terms down to underflow, and ``P_n =
+    P_{n-1} - p_n`` holds only up to rounding of the larger terms.
+    ``Pdet`` accumulates ``p`` directly where the engine provides exact
+    per-step masses, so a detection probability of 1e-20 stays
+    representable instead of vanishing into ``1 - P``.
     """
 
     tau: float
@@ -133,10 +141,14 @@ def measured_evolution(
 
     Each step goes through the band of ``e^{-i tau H}`` (:func:`_band_series`)
     and ends by squaring the detector amplitude into ``p_n`` and zeroing
-    it.  ``P_n`` is the squared norm of the unnormalized survivor.  The
-    band and window drop entries of at most eps^2 times the state's norm,
-    so ``p_n`` below about ``eps^4 P_n`` has no relative accuracy: it is
-    exactly 0 until the window reaches the detector's block, and with the
+    it; a super-step of k steps reads the first k - 1 amplitudes off the
+    state near the detector and takes the k-th as a step does.  ``P_n``
+    is the squared norm of the unnormalized survivor (at a super-step's
+    end; inside it, that norm plus the later ``p``).  The band and window
+    drop entries of at most eps^2 times the state's norm, so ``p_n`` below
+    about ``eps^4 P_n`` has no relative accuracy: it is exactly 0 until
+    the stepped window (the state's blocks and one more block a side)
+    reaches the detector, and with the
     detector 50 sites away (tau = 0.25) ``p_3`` is 1.5e-144 where the
     Bessel renewal gives 3.4e-142.  ``bulk_guard=False`` permits runs
     whose ballistic front reaches the boundary (small chains, reflection
@@ -302,23 +314,54 @@ def _bessel_row(x: float) -> np.ndarray:
     return j[: max(1, np.flatnonzero(np.abs(j) > BAND_CUTOFF)[-1]) + 1]
 
 
-def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> tuple:
-    """Band of the step in float64: the shared bulk block and the slabs of the other block rows.
+def _free_line(t: float) -> np.ndarray:
+    """The infinite free chain's row after time t: ``g(o) = J_{-o}(2 t) = line[o + mid]``.
 
-    The step is taken in the gauge D = diag(i^x), as ``e^A`` with A real,
-    the free chain plus :func:`_gauge_defect`.  The half-width b is the largest
-    ``|i - j|`` of an entry above ``BAND_CUTOFF``; every entry farther out
-    is dropped.  With blocks of b sites, block row k holds rows ``k b ..
-    k b + b - 1`` against columns ``(k - 1) b .. (k + 2) b - 1``, zero
-    past the chain ends; against the state zero-padded by one block on
-    each side, those columns are the window ``k b .. (k + 3) b - 1``.
+    ``mid = len(line) // 2``; the line ends in a zero on each side, so
+    ``take(..., mode="clip")`` reads zero past the row's reach.
+    """
+    row = _bessel_row(2 * t)
+    mid = len(row)
+    line = np.zeros(2 * mid + 1)
+    line[1:mid], line[mid:-1] = row[:0:-1], row * (1 - 2 * (np.arange(mid) % 2))
+    return line
 
-    The infinite free chain's row is ``g(j - i) = J_{i-j}(2 tau)``
-    (:func:`_bessel_row`, zero past its last order above the cutoff).
-    The free open chain is the infinite one on states odd about the
-    mirror sites -1 and L, so its row i is the image sum ``sum_m (-1)^m
-    (g(j - i + m p) + (-1)^j g(m p - 2 - i - j))``, ``p = 2 L + 2`` (L is
-    even): the bulk row unless i lies within b of an end.
+
+def _free_entries(line: np.ndarray, L: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entries ``(rows, cols)`` (2-d, broadcast) of the free open chain whose bulk row is ``line``.
+
+    The open chain is the infinite one on states odd about the mirror
+    sites -1 and L, so its row i is the image sum ``sum_m (-1)^m (g(j - i
+    + m p) + (-1)^j g(m p - 2 - i - j))``, ``p = 2 L + 2`` (L is even): the
+    bulk row unless i lies within the row's reach of an end.
+    """
+    mid = len(line) // 2
+    p = 2 * L + 2
+    # The images m p that can bring an offset within the row's reach.
+    m = np.arange(-(mid // p) - 1, mid // p + 2)[:, None, None]
+    mirror = (1 - 2 * (cols % 2)) * line.take(m * p - 2 - rows - cols + mid, mode="clip")
+    terms = line.take(cols - rows + m * p + mid, mode="clip") + mirror
+    return ((1 - 2 * (m % 2)) * terms).sum(axis=0)
+
+
+def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float, k: int = 1) -> tuple:
+    """Band of k steps in float64: the shared bulk block and the slabs of the other block rows.
+
+    The k-th power of the step is taken in the gauge D = diag(i^x), as
+    ``e^{k A}`` with A real, the free chain plus :func:`_gauge_defect` at
+    ``tau``: the defect and the free hops are both scaled by k, while the
+    generator stays the one of the step ``tau`` (a model's defect depends
+    on it).  The half-width b is the largest ``|i - j|`` of an entry above
+    ``BAND_CUTOFF``; every entry farther out is dropped.  With blocks of b
+    sites, block row q holds rows ``q b .. q b + b - 1`` against columns
+    ``(q - 1) b .. (q + 2) b - 1``, zero past the chain ends; against the
+    state zero-padded by one block on each side, those columns are the
+    window ``q b .. (q + 3) b - 1``.
+
+    The infinite free chain's row after ``t = k tau`` is ``g(j - i) =
+    J_{i-j}(2 t)`` (:func:`_free_line`, zero past its last order above the
+    cutoff), and the free open chain's rows are its image sums
+    (:func:`_free_entries`): the bulk row unless i lies within b of an end.
 
     Only rows within B of the defect differ from the free open chain's,
     B from :func:`_probe_half_width`; the exact kind has none and probes
@@ -341,20 +384,19 @@ def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> tuple:
     O(B^2); nothing has the length of the chain.
     """
     L = spec.L
-    a = _gauge_defect(spec, kind, tau)
-    # g(o) = J_{-o}(2 tau) = line[o + mid], zero for |o| past the row's reach.
-    row = _bessel_row(2 * tau)
-    mid = len(row)
-    line = np.zeros(2 * mid + 1)
-    line[1:mid], line[mid:-1] = row[:0:-1], row * (1 - 2 * (np.arange(mid) % 2))
+    a = {ij: k * v for ij, v in _gauge_defect(spec, kind, tau).items()}
+    t = k * tau
+    # g(o) = line[o + mid], zero for |o| past the row's reach.
+    line = _free_line(t)
+    mid = len(line) // 2
     # Rows near the defect: none for the exact kind.
     b, near = mid - 1, (0, 0)
     if a:
-        B = _probe_half_width(a, tau, L)
+        B = _probe_half_width(a, t, L)
         first, last = min(a)[0], max(a)[0]
         lo, hi = max(0, first - 2 * B), min(L, last + 2 * B + 1)
         P = min(2 * B + 1, hi - lo)
-        f = _probe_block(a, tau, lo, hi - lo, P)
+        f = _probe_block(a, t, lo, hi - lo, P)
         # Column c of the probe holds, on row i, the entry of the column
         # j = lo + c; with P = 2B + 1, that of the j = lo + c mod P with |i - j| <= B.
         near = (max(0, first - B), min(L, last + B + 1))
@@ -367,14 +409,11 @@ def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> tuple:
         reach = int(np.max(np.abs(offset[above]), initial=0))
         if reach >= B:
             raise RuntimeError(
-                f"{kind.value} step at L={L}, tau={tau}: an entry above the cutoff "
+                f"{kind.value} step at L={L}, tau={tau}, k={k}: an entry above the cutoff "
                 f"lies {reach} sites off the diagonal, at the probe half-width {B}"
             )
         b = max(b, reach)
     b = min(b, L - 1)
-    # The images m p that can bring an offset within the row's reach.
-    p = 2 * L + 2
-    m = np.arange(-(mid // p) - 1, mid // p + 2)[:, None, None]
 
     def slab(k0, k1):
         rows = np.arange(k0 * b, k1 * b)[:, None]
@@ -384,9 +423,7 @@ def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> tuple:
         # touches an end its image sum; then the rows near the defect from
         # the probe.
         if k0 == 0 or k1 * b > L - b:
-            mirror = (1 - 2 * (cols % 2)) * line.take(m * p - 2 - rows - cols + mid, mode="clip")
-            terms = line.take(o + m * p + mid, mode="clip") + mirror
-            entries = ((1 - 2 * (m % 2)) * terms).sum(axis=0)
+            entries = _free_entries(line, L, rows, cols)
         else:
             entries = line.take(o + mid, mode="clip")
         if a:
@@ -399,7 +436,7 @@ def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float) -> tuple:
     # Runs of consecutive block rows that hold a row near the defect or
     # within b of an end.
     ranges = (near, (0, b), (L - b, L))
-    held = sorted({k for r0, r1 in ranges for k in range(r0 // b, (r1 - 1) // b + 1)})
+    held = sorted({j for r0, r1 in ranges for j in range(r0 // b, (r1 - 1) // b + 1)})
     spans = np.split(held, np.flatnonzero(np.diff(held) > 1) + 1)
     o = np.arange(3 * b) - np.arange(b)[:, None] - b
     bulk = np.where(np.abs(o) <= b, line.take(o + mid, mode="clip"), 0.0)
@@ -424,6 +461,145 @@ def nh_survival_series(
     return _band_series(spec, kind, tau, n_max, bulk_guard)
 
 
+def _detector_rows(L: int, s: int, tau: float, k: int) -> tuple:
+    """The exact kind's projections inside a super-step of k measurements, as a local renewal.
+
+    With V the step and ``Pi = 1 - e_s e_s^T`` the projection, the first
+    k - 1 detector amplitudes from the pre-step state psi are
+    ``a_i = e_s^T V (Pi V)^(i-1) psi = R_i psi - sum_{j<i} r_(i-j) a_j``,
+    R_i the detector row of V^i and ``r_m = (V^m)_ss`` the return
+    amplitudes, so ``a = M psi`` with ``M = T^-1 R``, T the unit
+    lower-triangular Toeplitz matrix of the r_m.  After ``V^k psi`` the
+    projections enter as ``- C a``, column i of C the column ``V^(k-i)
+    e_s``, and the detector site then holds ``a_k``.  Every row and
+    column is the free open chain's closed form (:func:`_free_entries`),
+    and reaches at most V^(k-1)'s half-width h from the detector.
+
+    Returns ``(c0, M, C)``: M is ``(k - 1, w)`` and C ``(w, k - 1)``, on the
+    sites ``c0 .. c0 + w - 1`` within h of the detector.
+    """
+    lines = [_free_line(m * tau) for m in range(1, k)]
+    h = max(len(line) for line in lines) // 2 - 1
+    c0 = max(s - h, 0)
+    cols, site = np.arange(c0, min(s + h + 1, L))[None, :], np.array([[s]])
+    rows = np.concatenate([_free_entries(line, L, site, cols) for line in lines])
+    ret, M = rows[:, s - c0], rows.copy()
+    for i in range(1, k - 1):
+        M[i] -= ret[:i][::-1] @ M[:i]
+    C = np.concatenate([_free_entries(line, L, cols.T, site) for line in lines[::-1]], axis=1)
+    return c0, M, C
+
+
+def _loss_rows(band: tuple, L: int, s: int, k: int) -> tuple:
+    """A model's losses in steps 2 .. k of a super-step, as rows on the pre-step state.
+
+    A step S takes ``phi^T (1 - S^T S) phi`` from the squared norm.  Up to
+    the band's cutoff, ``1 - S^T S`` vanishes outside the columns X of the
+    detector's run of slab rows and one block on each side (every other
+    column of S is the free open chain's, orthonormal to the rest).  On X
+    it is factored as ``W^T W``, W the eigenvectors of its local block
+    scaled by the square roots of the eigenvalues above eps times the
+    largest and above the most negative one's magnitude, the block's
+    rounding level (the block is positive semidefinite): r = 4 for either
+    model at tau = 0.05, 5 and 7 at tau = 0.25.  Row block m of the result
+    is ``W S^m``, m = 1 .. k - 1, so the loss of step m + 1 from the
+    pre-step state psi is ``|W S^m psi|^2``: a sum of squares, never
+    negative.  S^m reaches m blocks past X, so the dense band on X and
+    k - 1 blocks on each side gives these rows exactly.
+
+    Returns ``(c0, F)``: F is ``((k - 1) r, w)``, r the rank kept, on the
+    sites ``c0 .. c0 + w - 1``.
+    """
+    bulk, runs = band
+    b = len(bulk)
+    n_blocks = -(-L // b)
+    # The run of slab rows that holds the detector.
+    r0, r1 = next((q, q + len(slab) // b) for q, slab in runs if q * b <= s < q * b + len(slab))
+    x0, x1 = max(r0 - 1, 0), min(r1 + 1, n_blocks)
+    y0, y1 = max(x0 - k + 1, 0), min(x1 + k - 1, n_blocks)
+    # The band's block rows y0 .. y1 - 1, each against its three column
+    # blocks, in a square padded by one block on each side.
+    square = np.zeros(((y1 - y0 + 2) * b, (y1 - y0 + 2) * b))
+    for j in range(y0, y1):
+        block = bulk
+        for k0, slab in runs:
+            if k0 <= j < k0 + len(slab) // b:
+                block = slab[(j - k0) * b :][:b, (j - k0) * b :][:, : 3 * b]
+        square[(j - y0 + 1) * b :][:b, (j - y0) * b :][:, : 3 * b] = block
+    n = min(y1 * b, L) - y0 * b
+    step = square[b : b + n, b : b + n]
+    x = slice((x0 - y0) * b, min(x1 * b, L) - y0 * b)
+    lam, u = np.linalg.eigh(np.eye(x.stop - x.start) - step[:, x].T @ step[:, x])
+    kept = lam > max(np.finfo(np.float64).eps * lam[-1], -lam[0])
+    w = np.zeros((np.count_nonzero(kept), n))
+    w[:, x] = np.sqrt(lam[kept])[:, None] * u[:, kept].T
+    rows = []
+    for _ in range(k - 1):
+        w = w @ step
+        rows.append(w)
+    F = np.concatenate(rows)
+    used = np.flatnonzero(F.any(axis=0))
+    if not len(used):
+        return 0, F[:, :0]
+    return y0 * b + used[0], F[:, used[0] : used[-1] + 1]
+
+
+#: A rough cost model of the step loop on a 2-vCPU box, in µs, from which
+#: the loop chooses how many measurements one GEMM advances: the numpy
+#: overhead of one GEMM step, a flop, the band of k steps, the exact
+#: kind's setup per measurement of a super-step, and a model's Taylor term
+#: with its overhead and per entry of its probe block, and its loss rows.
+_STEP_US, _FLOP_US, _BAND_US, _ROW_US = 6.0, 6e-5, 300.0, 120.0
+_TERM_US, _ENTRY_US, _LOSS_US = 4.0, 2.5e-3, 1000.0
+
+
+def _steps_per_gemm(spec: LatticeSpec, kind: ModelKind, tau: float, n_max: int, b: int) -> int:
+    """Measurements per super-step: the k of 1, 2, 4, 8 and 16 with the least estimated time.
+
+    A run of n measurements at k costs n / k super-steps, each one GEMM of
+    the window (its mean width: the light cone's, FRONT_SPEED sites a side
+    per unit time, capped at L) against the band of k steps, half-width
+    b_k, at 1.5 (exact) or 2 (models) steps' overhead for the readout
+    and the slabs; a model's readout adds about 20 k^2 b_k flops.  k > 1
+    adds the setup, counted twice: it is the least certain part, and a
+    super-step changes the last bits of the series, so it must pay for
+    itself with a margin.  The setup is the band of k steps plus the exact
+    kind's renewal rows, or a model's probe of k steps, whose Taylor terms
+    (about 50 a stage of norm 4) each cost an overhead and one pass over a
+    block of some 4 B by 2 B entries, B about 1.35 b_k, plus its loss rows,
+    about 20 k^3 b_k^2 flops.  b_k is estimated by the bound ``t^h / h!``
+    of ``J_h(2 t)``, t = k tau.  A k whose setup and overhead alone exceed
+    the time at k = 1 is not estimated, so short runs cost nothing here.
+    The estimate only chooses k: a poor one costs time, never accuracy.
+    """
+    width = min(spec.L, FRONT_SPEED * n_max * tau + 2 * b)
+    costs = {1: n_max * (_STEP_US + 6 * _FLOP_US * width * b)}
+    if costs[1] <= 2 * _BAND_US:
+        return 1
+    # A probe's norm: 2 t plus the largest row sum of the defect, in stages of at most 4.
+    rows = {}
+    for (i, _), v in _gauge_defect(spec, kind, tau).items():
+        rows[i] = rows.get(i, 0.0) + abs(v)
+    defect = max(rows.values(), default=0.0)
+    for k in (2, 4, 8, 16):
+        if k > n_max:
+            break
+        stages = -(-k * (2 * tau + defect) // 4)
+        if kind is ModelKind.EXACT:
+            setup, overhead = _BAND_US + _ROW_US * k, 1.5 * _STEP_US
+        else:
+            setup, overhead = _BAND_US + _LOSS_US + 50 * stages * _TERM_US, 2 * _STEP_US
+        if 2 * setup + n_max / k * overhead >= costs[1]:
+            continue
+        b_k = _order_below(k * tau, 0, BAND_CUTOFF)
+        flops = 6 * width * b_k
+        if kind is not ModelKind.EXACT:
+            setup += 50 * stages * _ENTRY_US * 15 * b_k**2 + 20 * _FLOP_US * k**3 * b_k**2
+            flops += 20 * k**2 * b_k
+        costs[k] = 2 * setup + n_max / k * (overhead + _FLOP_US * flops)
+    return min(costs, key=costs.get)
+
+
 def _band_series(
     spec: LatticeSpec, kind: ModelKind, tau: float, n_max: int, bulk_guard: bool
 ) -> DetectionSeries:
@@ -431,65 +607,141 @@ def _band_series(
 
     The band (:func:`_step_band`) and the initial state are real in the
     gauge D = diag(i^x), which changes no norm.  The band's dropped
-    entries are each at most ``BAND_CUTOFF`` = eps^2, far
-    below the rounding error of a step.  Besides the state, memory holds
-    the bulk block and the slabs, O(B^2) at any chain length.
-    For the exact kind each step ends with the projection: the detector
-    amplitude is squared into ``p_n`` and zeroed.
+    entries are each at most ``BAND_CUTOFF`` = eps^2, far below the
+    rounding error of a step.  Besides the state, memory holds the bulk
+    block and the slabs, O(B^2) at any chain length.
 
-    Only the block rows of the light cone are stepped.  The state lives
-    on a contiguous range of w blocks, starting at the initial site's
-    block.  The band reaches at most b sites, so a step can only reach
-    one more block on each side (clipped to the chain); such a block
-    joins the range unless its norm is at or below ``BAND_CUTOFF *
-    sqrt(P_{n-1})``, the band's own eps^2 rule applied to the state, in
-    which case it is dropped and stays zero.  The step is a contraction,
-    so the dropped amplitudes shift P_n by at most about
-    ``4 n eps^2 sqrt(P_n)`` (8e-28 after 4000 steps).
+    A long run advances k measurements per super-step, one GEMM through
+    the band of the k-step operator S^k (:func:`_stride`); k comes from
+    the run itself, its length, b and an estimate of b_k and of the setup
+    (:func:`_steps_per_gemm`), and is 1 for runs too short to pay for that
+    setup.  At tau = 0.05, b is 14 and b_k 19, 22 and 27 for k = 4, 8 and
+    16: one GEMM of half-width b_k replaces k of half-width b.  With k >
+    1 the first ``n_max mod k`` measurements are single steps, so no state
+    past ``n_max`` is computed.  What a super-step needs besides S^k's
+    band is read off the pre-step amplitudes near the detector, from
+    rows built once per run:
 
-    A step is one ``(w, 3 b) @ (3 b, b)`` GEMM of the range's windows of
-    the padded state against the bulk block, which treats every block
-    row as a bulk row; each run of slab rows the range reaches then rewrites
-    its rows with one product of its slab.  P_n is the squared norm of
-    the range alone, the only blocks that can be nonzero.  A step costs
-    O(w b^2), and no work or subnormal arithmetic is spent on the blocks
-    the front has not reached.
+    * the exact kind: the detector amplitudes of the first k - 1
+      measurements, from the local renewal of :func:`_detector_rows`,
+      whose projections then enter as a correction ``- C a`` after the
+      GEMM; the k-th is the detector amplitude the super-step ends with,
+      squared into ``p_n`` and zeroed as at k = 1.  ``Pdet = cumsum(p)``.
+    * a model: the losses of measurements 2 .. k, from the factored loss
+      rows of :func:`_loss_rows`.  ``p = P_{n-1} - P_n`` and ``Pdet = 1 -
+      P``, as at k = 1.
 
-    The range changes only when a block joins it (71 times in 4000 steps
-    at L = 1000, tau = 0.05), so the loop is set up once per range: the
-    bound GEMM and its output, the slab runs it reaches with the state
-    each reads and the rows each writes, the projection test, the two
-    blocks that may join (None at a chain end) and the state views.  It
-    then steps until a block joins.  A step is the GEMM, one product per reached slab, at most two
-    edge norms, the copy and the norm, with no slicing: 9-15 µs at that
-    point (b = 14, w up to 72 blocks, band build included) on a 2-vCPU
-    box, against 14-17 µs when each step set itself up.
+    P is the squared norm of the window at each super-step's end and,
+    inside it, that norm plus the later losses: sums of non-negative
+    terms, so P keeps its relative accuracy, never rises inside a
+    super-step, and a model's p is never negative there.
     """
     _check_run_args(tau, n_max)
     if bulk_guard:
         _check_bulk_window(spec, tau, n_max)
-    bulk, runs = _step_band(spec, kind, tau)
+    band = _step_band(spec, kind, tau)
+    k = _steps_per_gemm(spec, kind, tau, n_max, len(band[0]))
+    head = n_max % k
+    p = np.zeros(n_max)
+    surv = np.empty(n_max)
+    # The state as its first site, its amplitudes from there, and P.
+    walk = (spec.initial_index - 1, np.ones(1), 1.0)
+    if head:
+        walk = _stride(spec, kind, band, 1, None, walk, p[:head], surv[:head])
+    readout = None
+    if k > 1:
+        s = spec.detector_index - 1
+        if kind is ModelKind.EXACT:
+            readout = _detector_rows(spec.L, s, tau, k)
+        else:
+            readout = (*_loss_rows(band, spec.L, s, k), None)
+        band = _step_band(spec, kind, tau, k)
+    _stride(spec, kind, band, k, readout, walk, p[head:], surv[head:])
+    if kind is ModelKind.EXACT:
+        return DetectionSeries(tau=tau, p=p, P=surv, Pdet=np.cumsum(p))
+    p = np.append(1.0, surv[:-1]) - surv
+    return DetectionSeries(tau=tau, p=p, P=surv, Pdet=1.0 - surv)
+
+
+def _stride(
+    spec: LatticeSpec, kind: ModelKind, band: tuple, k: int, readout, walk: tuple,
+    p: np.ndarray, surv: np.ndarray,
+) -> tuple:
+    """Advance ``walk`` by ``len(p) // k`` super-steps of k measurements through ``band``.
+
+    ``band`` is the band of k steps, b its half-width; ``walk`` is the
+    state as its first site, its amplitudes from there, and P.  Fills
+    ``p`` (the exact kind's detections) and ``surv`` (P after each
+    measurement) and returns the new ``walk``.  At k = 1 ``readout`` is
+    None and the loop does exactly the single-step arithmetic: the step,
+    the exact kind's amplitude read after it and zeroed, P the window's
+    squared norm.  At k > 1 it is ``(c0, F, C)``: the rows ``F`` on the
+    sites ``c0 ..`` read the pre-step state into the amplitudes (exact) or
+    loss components (models) of the super-step, and ``C`` is the exact
+    kind's correction (None for a model).
+
+    Only the block rows of the light cone are stepped.  The state lives
+    on a contiguous range of w blocks, starting at the initial site's
+    block.  The band reaches at most b sites, so a super-step can only
+    reach one more block on each side (clipped to the chain); such a
+    block joins the range unless its norm is at or below ``BAND_CUTOFF *
+    sqrt(P)``, the band's own eps^2 rule applied to the state, in which
+    case it is dropped and stays zero.  The steps are contractions, so
+    the dropped amplitudes shift P_n by at most about ``4 n eps^2
+    sqrt(P_n)`` (8e-28 after 4000 steps).  The exact kind's correction
+    writes only the stepped rows: the rest lie farther than b from the
+    state, where the projected steps leave amplitudes below the cutoff
+    too.
+
+    A super-step is one ``(w, 3 b) @ (3 b, b)`` GEMM of the range's
+    windows of the padded state against the bulk block, which treats
+    every block row as a bulk row; each run of slab rows the range
+    reaches then rewrites its rows with one product of its slab.  P is
+    the squared norm of the range alone, the only blocks that can be
+    nonzero.  A super-step costs O(w b^2), and no work or subnormal
+    arithmetic is spent on the blocks the front has not reached.
+
+    The range changes only when a block joins it (71 times in 4000 steps
+    at L = 1000, tau = 0.05, k = 1), so the loop is set up once per range:
+    the bound GEMM and its output, the slab runs it reaches with the state
+    each reads and the rows each writes, the projection test, the readout
+    and correction, the two blocks that may join (None at a chain end)
+    and the state views.  It then steps until a block joins.  A
+    super-step is the GEMM, one product per reached slab, the readout
+    (and the exact kind's correction) once the range reaches the
+    detector, at most two edge norms, the copy and the norm, with no
+    slicing; the loss sums of every super-step follow in whole-array
+    operations after the loop.
+    """
+    bulk, runs = band
     b = len(bulk)
     n_blocks = -(-spec.L // b)
+    x0, values, prev = walk
+    values = values[: spec.L - x0]
     # The state zero-padded by one block on each side; window k is what
     # block row k multiplies, and state block k sits at padded[(k + 1) b:].
     padded = np.zeros((n_blocks + 2) * b)
-    padded[b + spec.initial_index - 1] = 1.0
+    padded[b + x0 : b + x0 + len(values)] = values
     windows = sliding_window_view(padded, 3 * b)[::b]
     bulk_t = bulk.T
     phi = np.empty((n_blocks, b))
     flat = phi.ravel()
     project = kind is ModelKind.EXACT
     detector = spec.detector_index - 1
-    lo = (spec.initial_index - 1) // b
-    hi = lo + 1
-    p = np.zeros(n_max)
-    surv = np.empty(n_max)
-    prev = 1.0
-    k = 0
+    lo = x0 // b
+    hi = -(-(x0 + len(values)) // b)
+    count, last = len(p) // k, k - 1
+    # The measurements that end a super-step: each takes a step's arithmetic.
+    p_end, surv_end = p[last::k], surv[last::k]
+    if k > 1:
+        c0, F, C = readout
+        c1 = c0 + F.shape[1]
+        read, near = F.dot, padded[b + c0 : b + c1]
+        amps = np.zeros((count, len(F)))
+    j = 0
     # ndarray.dot rather than np.dot: the same product without the
     # per-call dispatch, which costs as much as a small product here.
-    while k < n_max:
+    while j < count:
         # Set up the stepped blocks start .. stop - 1 once per range: they
         # change only when a block joins it.
         start, stop = max(lo - 1, 0), min(hi + 1, n_blocks)
@@ -502,19 +754,30 @@ def _band_series(
         ]
         # Outside the stepped blocks phi is stale and the amplitude zero.
         detect = project and start * b <= detector < stop * b
+        # The readout's sites hold amplitude only once the range reaches
+        # them; the exact kind's correction writes the stepped rows among its own.
+        reading = k > 1 and c0 < hi * b and lo * b < c1
+        correcting = reading and project
+        if correcting:
+            f0, f1 = max(c0, start * b), min(c1, stop * b)
+            fix, fixed = C[f0 - c0 : f1 - c0].dot, flat[f0:f1]
         # The blocks that may join: None at a chain end or inside the range.
         left = phi[start] if start < lo else None
         right = phi[stop - 1] if stop > hi else None
         state, source = padded[(lo + 1) * b : (hi + 1) * b], flat[lo * b : hi * b]
         grown = False
-        while not grown and k < n_max:
+        while not grown and j < count:
+            if reading:
+                read(near, out=amps[j])
             # Every block row of the range as a bulk row, in one GEMM; then
             # the slab runs the range reaches overwrite theirs.
             gemm(bulk_t, out=out)
             for dot, cols, rows in reached:
                 dot(cols, out=rows)
+            if correcting:
+                fixed -= fix(amps[j])
             if detect:
-                p[k] = flat[detector] ** 2
+                p_end[j] = flat[detector] ** 2
                 flat[detector] = 0.0
             # A block the step has just reached joins the range unless its
             # mass is at most eps^4 P_{n-1}; if not, padded still holds zeros
@@ -527,9 +790,15 @@ def _band_series(
             if grown:
                 state, source = padded[(lo + 1) * b : (hi + 1) * b], flat[lo * b : hi * b]
             state[:] = source
-            prev = surv[k] = state.dot(state)
-            k += 1
-    if project:
-        return DetectionSeries(tau=tau, p=p, P=surv, Pdet=np.cumsum(p))
-    p = np.append(1.0, surv[:-1]) - surv
-    return DetectionSeries(tau=tau, p=p, P=surv, Pdet=1.0 - surv)
+            prev = surv_end[j] = state.dot(state)
+            j += 1
+    if k > 1:
+        # Inside a super-step P is its end's squared norm plus the later losses.
+        rounds = surv.reshape(count, k)
+        if project:
+            p.reshape(count, k)[:, :last] = amps**2
+            loss = p.reshape(count, k)[:, 1:]
+        else:
+            loss = (amps**2).reshape(count, last, len(F) // last).sum(axis=2)
+        rounds[:, :last] = rounds[:, last:] + np.cumsum(loss[:, ::-1], axis=1)[:, ::-1]
+    return lo * b, padded[(lo + 1) * b : (hi + 1) * b].copy(), prev

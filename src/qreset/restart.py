@@ -56,9 +56,10 @@ def mfdt(base: DetectionSeries, r: int) -> float:
         r tau (1 - Pdet(r)) / Pdet(r) + sum_ntilde ntilde tau p_ntilde / Pdet(r).
 
     The window survival is taken from ``P_r`` directly.  Every engine
-    computes ``P_r`` as a squared state norm, so it keeps its relative
-    accuracy at tiny survival, where ``1 - Pdet(r)`` would cancel to
-    rounding noise.  ``tau`` is the series' own.
+    computes ``P_r`` as a squared state norm, or inside a super-step of
+    several measurements as one plus the later losses, non-negative
+    terms; so it keeps its relative accuracy at tiny survival, where ``1 -
+    Pdet(r)`` would cancel to rounding noise.  ``tau`` is the series' own.
     """
     _check_window(base, r)
     tau = base.tau

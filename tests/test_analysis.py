@@ -77,6 +77,40 @@ class TestAlpha:
             alpha(model2_series(TWO_SITE, ABSORBING_TAU, ABSORBING_R), ABSORBING_R)
 
 
+class TestConvergenceOrder:
+    """The two descriptions approach the exact dynamics at different orders in tau.
+
+    At the operating point (L = 500, detector 260, start 250) the relative
+    error of the window decay weight, ``alpha_model / alpha_exact - 1``
+    with ``alpha_exact = -log1p(-Pdet_r)`` of the projected run, halves
+    with tau for ``model2`` (first order) and quarters for ``model1``
+    (second order: its bridge is the small-tau effective generator).
+    Measured: ratios 3.89 (t_r = 5) and 3.91 (t_r = 10) at the finest
+    halving for model1, 1.95 and 2.07 for model2, every error negative.
+    """
+
+    SPEC = LatticeSpec(L=500, detector_index=260, initial_index=250)
+    TAUS = (0.125, 0.0625, 0.03125)
+
+    def errors(self, kind: ModelKind, t_r: float) -> np.ndarray:
+        errors = []
+        for tau in self.TAUS:
+            r = int(round(t_r / tau))
+            exact = measured_evolution(self.SPEC, tau, r)
+            alpha_exact = -np.log1p(-exact.Pdet[r - 1])
+            errors.append(alpha(nh_survival_series(self.SPEC, kind, tau, r), r) / alpha_exact - 1.0)
+        return np.array(errors)
+
+    @pytest.mark.parametrize("t_r", [5.0, 10.0])
+    @pytest.mark.parametrize(
+        "kind,bounds", [(ModelKind.MODEL1, (3.6, 4.4)), (ModelKind.MODEL2, (1.8, 2.3))]
+    )
+    def test_error_ratio_at_the_finest_halving(self, kind, bounds, t_r):
+        errors = self.errors(kind, t_r)
+        assert np.all(np.sign(errors) == np.sign(errors[0])) and errors[0] != 0
+        assert bounds[0] <= errors[-2] / errors[-1] <= bounds[1]
+
+
 class TestSurvivalPrediction:
     def test_exponential_values(self):
         times = np.array([1.0, 2.0, 4.0])

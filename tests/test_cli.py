@@ -111,6 +111,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             RunConfig(tau=0.5, L=21)
 
+    # The default detector, L/2 + 10, lies past the end of a short chain:
+    # the message names the default and asks for detector_index, not a
+    # value the config never set.
+    def test_default_detector_outside_a_short_chain(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("L = 4\ntau = 0.25\nhorizon = 2\n")
+        out = tmp_path / "out"
+        assert main(["pdet", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and len(err.strip().splitlines()) == 1
+        assert "default detector_index L/2 + 10 = 12" in err and "set detector_index" in err
+        assert not out.exists()
+
     def test_invalid_model_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(tau=0.5, model="model3")

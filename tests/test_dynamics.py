@@ -585,6 +585,110 @@ class TestWindowSetup:
             assert np.array_equal(series.p, p)
 
 
+def chosen_steps(monkeypatch) -> list:
+    """Records the measurements per super-step, k, that each engine run chooses."""
+    chosen = []
+    choose = dynamics._steps_per_gemm
+
+    def spy(*args):
+        chosen.append(choose(*args))
+        return chosen[-1]
+
+    monkeypatch.setattr(dynamics, "_steps_per_gemm", spy)
+    return chosen
+
+
+class TestSuperSteps:
+    """Long runs advance k measurements per GEMM through the band of k steps.
+
+    Each super-step takes the losses of its first k - 1 measurements from
+    the pre-step state near the detector, so P is a squared norm at its
+    end and, inside it, that norm plus the later losses.  The per-step
+    loop is the reference: P agrees to 2 n eps relative, and the exact
+    kind's p to 1e-10 relative wherever it exceeds 1e-10.  Runs whose
+    n_max is no multiple of k take the first n_max mod k measurements one
+    at a time.
+    """
+
+    def assert_matches_per_step_loop(self, monkeypatch, spec, kind, tau, n):
+        chosen = chosen_steps(monkeypatch)
+        series = stepped_series(spec, kind, tau, n, bulk_guard=False)
+        [k] = chosen
+        assert k > 1
+        survival, p = per_step_band_series(spec, kind, tau, n)
+        eps = np.finfo(np.float64).eps
+        assert np.max(np.abs(series.P / survival - 1.0)) <= 2 * n * eps
+        if kind is ModelKind.EXACT:
+            kept = p > 1e-10
+            assert np.max(np.abs(series.p[kept] / p[kept] - 1.0)) <= 1e-10
+        # Inside each super-step every loss is a sum of squares, so P
+        # never rises and a model's p is never negative.
+        head = n % k
+        inside = np.ones(n, dtype=bool)
+        inside[head::k] = False
+        inside[:head] = False
+        assert np.all(series.p[inside] >= 0.0)
+        steps = series.P[head:].reshape(-1, k)
+        assert np.all(np.diff(steps, axis=1) <= 0.0)
+        return k
+
+    # The detection-curves point: L = 1000, tau = 0.05, 4000 measurements.
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_detection_curves_point(self, monkeypatch, kind):
+        self.assert_matches_per_step_loop(monkeypatch, default_geometry(1000), kind, 0.05, 4000)
+
+    # Runs that reflect off both ends, with the detector next to either end
+    # and 10 sites from the start, and n_max = 4003, no multiple of any k.
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("detector", [2, 110, 199])
+    def test_reflecting_runs(self, monkeypatch, kind, detector):
+        spec = LatticeSpec(L=200, detector_index=detector, initial_index=100)
+        k = self.assert_matches_per_step_loop(monkeypatch, spec, kind, 0.05, 4003)
+        assert 4003 % k
+
+    # The benchmark's short workloads: every engine run of optimal-tr at
+    # tau = 0.25 (60 measurements) and of reset-survival up to t_r = 10
+    # (40 measurements) takes one measurement per GEMM.
+    @pytest.mark.parametrize(
+        "recipe,config",
+        [
+            ("optimal-tr", "tau = 0.25\nmodel = all\ntr_sweep = 0.75:15.0:0.75\n"),
+            ("reset-survival", "tau = 0.25\nhorizon = 50\ntr_sweep = 2.5,5.0,10.0\n"),
+        ],
+    )
+    def test_short_runs_step_one_measurement_at_a_time(self, monkeypatch, tmp_path, recipe, config):
+        from qreset.cli import main
+
+        chosen = chosen_steps(monkeypatch)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        assert main([recipe, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert chosen and set(chosen) == {1}
+
+    # The exact kind's renewal rows give the detector amplitudes of the
+    # first k - 1 projected steps, and with their correction the band of k
+    # steps ends where k - 1 projected steps and one more step end: the
+    # detector site then holds the k-th amplitude.
+    @pytest.mark.parametrize("detector", [2, 30, 39])
+    def test_detector_rows_are_the_projected_amplitudes(self, detector):
+        spec = LatticeSpec(L=40, detector_index=detector, initial_index=20)
+        tau, k, s = 0.25, 6, detector - 1
+        v = real_dense_step(spec, ModelKind.EXACT, tau)
+        c0, M, C = dynamics._detector_rows(spec.L, s, tau, k)
+        cols = slice(c0, c0 + M.shape[1])
+        psi = np.zeros(spec.L)
+        psi[cols] = np.random.default_rng(detector).standard_normal(M.shape[1])
+        phi, amps = psi.copy(), []
+        for _ in range(k - 1):
+            phi = v @ phi
+            amps.append(phi[s])
+            phi[s] = 0.0
+        assert np.max(np.abs(M @ psi[cols] - amps)) <= 1e-14
+        full = np.linalg.matrix_power(v, k) @ psi
+        full[cols] -= C @ np.array(amps)
+        assert np.max(np.abs(full - v @ phi)) <= 1e-14
+
+
 class TestOneProbe:
     """The exact kind probes nothing, and each model probes its defect's segment once.
 
