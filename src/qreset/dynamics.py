@@ -544,60 +544,30 @@ def _loss_rows(band: tuple, L: int, s: int, k: int) -> tuple:
     return y0 * b + used[0], F[:, used[0] : used[-1] + 1]
 
 
-#: A rough cost model of the step loop on a 2-vCPU box, in µs, from which
-#: the loop chooses how many measurements one GEMM advances: the numpy
-#: overhead of one GEMM step, a flop, the band of k steps, the exact
-#: kind's setup per measurement of a super-step, and a model's Taylor term
-#: with its overhead and per entry of its probe block, and its loss rows.
-_STEP_US, _FLOP_US, _BAND_US, _ROW_US = 6.0, 6e-5, 300.0, 120.0
-_TERM_US, _ENTRY_US, _LOSS_US = 4.0, 2.5e-3, 1000.0
+def _steps_per_gemm(L: int, kind: ModelKind, tau: float, n_max: int) -> int:
+    """Measurements per super-step: 1 for a short run, else the largest k that pays.
 
-
-def _steps_per_gemm(spec: LatticeSpec, kind: ModelKind, tau: float, n_max: int, b: int) -> int:
-    """Measurements per super-step: the k of 1, 2, 4, 8 and 16 with the least estimated time.
-
-    A run of n measurements at k costs n / k super-steps, each one GEMM of
-    the window (its mean width: the light cone's, FRONT_SPEED sites a side
-    per unit time, capped at L) against the band of k steps, half-width
-    b_k, at 1.5 (exact) or 2 (models) steps' overhead for the readout
-    and the slabs; a model's readout adds about 20 k^2 b_k flops.  k > 1
-    adds the setup, counted twice: it is the least certain part, and a
-    super-step changes the last bits of the series, so it must pay for
-    itself with a margin.  The setup is the band of k steps plus the exact
-    kind's renewal rows, or a model's probe of k steps, whose Taylor terms
-    (about 50 a stage of norm 4) each cost an overhead and one pass over a
-    block of some 4 B by 2 B entries, B about 1.35 b_k, plus its loss rows,
-    about 20 k^3 b_k^2 flops.  b_k is estimated by the bound ``t^h / h!``
-    of ``J_h(2 t)``, t = k tau.  A k whose setup and overhead alone exceed
-    the time at k = 1 is not estimated, so short runs cost nothing here.
-    The estimate only chooses k: a poor one costs time, never accuracy.
+    A run of fewer than 400 measurements (exact kind) or 2000 (a model,
+    whose probe of k steps and loss rows cost more) keeps k = 1: the setup
+    would cost about as much as the GEMMs it saves.  A longer run takes
+    the largest k of 2, 4, 8 and, for the exact kind, 16 with at least
+    100 k measurements whose band is at most twice as wide as the step's,
+    ``b_k <= 2 b``, both the free chain's half-widths capped at L - 1.
+    Past that width the setup, which grows with b_k, outweighs the GEMMs
+    saved; a model's probe of 16 steps was slower than of 8 wherever
+    measured.  k only sets the speed: the series agrees with the
+    single-step loop to a few n eps at any k.
     """
-    width = min(spec.L, FRONT_SPEED * n_max * tau + 2 * b)
-    costs = {1: n_max * (_STEP_US + 6 * _FLOP_US * width * b)}
-    if costs[1] <= 2 * _BAND_US:
+    if n_max < (400 if kind is ModelKind.EXACT else 2000):
         return 1
-    # A probe's norm: 2 t plus the largest row sum of the defect, in stages of at most 4.
-    rows = {}
-    for (i, _), v in _gauge_defect(spec, kind, tau).items():
-        rows[i] = rows.get(i, 0.0) + abs(v)
-    defect = max(rows.values(), default=0.0)
-    for k in (2, 4, 8, 16):
-        if k > n_max:
-            break
-        stages = -(-k * (2 * tau + defect) // 4)
-        if kind is ModelKind.EXACT:
-            setup, overhead = _BAND_US + _ROW_US * k, 1.5 * _STEP_US
-        else:
-            setup, overhead = _BAND_US + _LOSS_US + 50 * stages * _TERM_US, 2 * _STEP_US
-        if 2 * setup + n_max / k * overhead >= costs[1]:
-            continue
-        b_k = _order_below(k * tau, 0, BAND_CUTOFF)
-        flops = 6 * width * b_k
-        if kind is not ModelKind.EXACT:
-            setup += 50 * stages * _ENTRY_US * 15 * b_k**2 + 20 * _FLOP_US * k**3 * b_k**2
-            flops += 20 * k**2 * b_k
-        costs[k] = 2 * setup + n_max / k * (overhead + _FLOP_US * flops)
-    return min(costs, key=costs.get)
+
+    def half_width(k):
+        return min(len(_bessel_row(2 * k * tau)), L) - 1
+
+    top, k = min(16 if kind is ModelKind.EXACT else 8, n_max // 100), 1
+    while 2 * k <= top and half_width(2 * k) <= 2 * half_width(1):
+        k *= 2
+    return k
 
 
 def _band_series(
@@ -613,12 +583,12 @@ def _band_series(
 
     A long run advances k measurements per super-step, one GEMM through
     the band of the k-step operator S^k (:func:`_stride`); k comes from
-    the run itself, its length, b and an estimate of b_k and of the setup
-    (:func:`_steps_per_gemm`), and is 1 for runs too short to pay for that
-    setup.  At tau = 0.05, b is 14 and b_k 19, 22 and 27 for k = 4, 8 and
-    16: one GEMM of half-width b_k replaces k of half-width b.  With k >
-    1 the first ``n_max mod k`` measurements are single steps, so no state
-    past ``n_max`` is computed.  What a super-step needs besides S^k's
+    the run's length, b and b_k (:func:`_steps_per_gemm`), and is 1 for
+    runs too short to pay for the setup.  At tau = 0.05, b is 14 and b_k
+    19, 22 and 27 for k = 4, 8 and 16: one GEMM of half-width b_k
+    replaces k of half-width b.  With k > 1 the first ``n_max mod k``
+    measurements are single steps, so no state past ``n_max`` is
+    computed.  What a super-step needs besides S^k's
     band is read off the pre-step amplitudes near the detector, from
     rows built once per run:
 
@@ -639,23 +609,26 @@ def _band_series(
     _check_run_args(tau, n_max)
     if bulk_guard:
         _check_bulk_window(spec, tau, n_max)
-    band = _step_band(spec, kind, tau)
-    k = _steps_per_gemm(spec, kind, tau, n_max, len(band[0]))
+    k = _steps_per_gemm(spec.L, kind, tau, n_max)
     head = n_max % k
+    # The band of one step, for single steps and a model's loss rows.
+    one = None
+    if k == 1 or head or kind is not ModelKind.EXACT:
+        one = _step_band(spec, kind, tau)
+    band = one if k == 1 else _step_band(spec, kind, tau, k)
     p = np.zeros(n_max)
     surv = np.empty(n_max)
     # The state as its first site, its amplitudes from there, and P.
     walk = (spec.initial_index - 1, np.ones(1), 1.0)
     if head:
-        walk = _stride(spec, kind, band, 1, None, walk, p[:head], surv[:head])
+        walk = _stride(spec, kind, one, 1, None, walk, p[:head], surv[:head])
     readout = None
     if k > 1:
         s = spec.detector_index - 1
         if kind is ModelKind.EXACT:
             readout = _detector_rows(spec.L, s, tau, k)
         else:
-            readout = (*_loss_rows(band, spec.L, s, k), None)
-        band = _step_band(spec, kind, tau, k)
+            readout = (*_loss_rows(one, spec.L, s, k), None)
     _stride(spec, kind, band, k, readout, walk, p[head:], surv[head:])
     if kind is ModelKind.EXACT:
         return DetectionSeries(tau=tau, p=p, P=surv, Pdet=np.cumsum(p))

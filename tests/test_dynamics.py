@@ -646,6 +646,22 @@ class TestSuperSteps:
         k = self.assert_matches_per_step_loop(monkeypatch, spec, kind, 0.05, 4003)
         assert 4003 % k
 
+    # The rule at tau = 0.05, L = 1000: a run too short to pay for the
+    # setup keeps k = 1, and the models stop at k = 8, the exact kind at 16.
+    @pytest.mark.parametrize(
+        "kind,n,k",
+        [
+            (ModelKind.EXACT, 399, 1),
+            (ModelKind.EXACT, 400, 4),
+            (ModelKind.EXACT, 10**6, 16),
+            (ModelKind.MODEL1, 1999, 1),
+            (ModelKind.MODEL1, 10**6, 8),
+            (ModelKind.MODEL2, 10**6, 8),
+        ],
+    )
+    def test_steps_per_gemm(self, kind, n, k):
+        assert dynamics._steps_per_gemm(1000, kind, 0.05, n) == k
+
     # The benchmark's short workloads: every engine run of optimal-tr at
     # tau = 0.25 (60 measurements) and of reset-survival up to t_r = 10
     # (40 measurements) takes one measurement per GEMM.
