@@ -581,16 +581,18 @@ def _band_series(
     rounding error of a step.  Besides the state, memory holds the bulk
     block and the slabs, O(B^2) at any chain length.
 
-    A long run advances k measurements per super-step, one GEMM through
-    the band of the k-step operator S^k (:func:`_stride`); k comes from
-    the run's length, b and b_k (:func:`_steps_per_gemm`), and is 1 for
-    runs too short to pay for the setup.  At tau = 0.05, b is 14 and b_k
-    19, 22 and 27 for k = 4, 8 and 16: one GEMM of half-width b_k
-    replaces k of half-width b.  With k > 1 the first ``n_max mod k``
-    measurements are single steps, so no state past ``n_max`` is
-    computed.  What a super-step needs besides S^k's
-    band is read off the pre-step amplitudes near the detector, from
-    rows built once per run:
+    A run is ``ceil(n_max / k)`` super-steps of k measurements from the
+    initial site, each one GEMM through the band of the k-step operator
+    S^k, b its half-width; k comes from the run's length and the
+    half-widths (:func:`_steps_per_gemm`), and is 1 for runs too short to
+    pay for the setup.  At tau = 0.05, b is 14 for one step and 19, 22
+    and 27 for k = 4, 8 and 16: one GEMM of half-width b_k replaces k of
+    half-width b.  The last super-step may run up to k - 1 measurements
+    past ``n_max``; those are dropped.  At k = 1 the loop does exactly the
+    single-step arithmetic: the step, the exact kind's amplitude read
+    after it and zeroed, P the window's squared norm.  At k > 1 what a
+    super-step needs besides S^k's band is read off the pre-step
+    amplitudes near the detector, from rows built once per run:
 
     * the exact kind: the detector amplitudes of the first k - 1
       measurements, from the local renewal of :func:`_detector_rows`,
@@ -598,60 +600,16 @@ def _band_series(
       GEMM; the k-th is the detector amplitude the super-step ends with,
       squared into ``p_n`` and zeroed as at k = 1.  ``Pdet = cumsum(p)``.
     * a model: the losses of measurements 2 .. k, from the factored loss
-      rows of :func:`_loss_rows`.  ``p = P_{n-1} - P_n`` and ``Pdet = 1 -
-      P``, as at k = 1.
+      rows of :func:`_loss_rows` on the band of one step.  ``p = P_{n-1}
+      - P_n`` and ``Pdet = 1 - P``, as at k = 1.
 
     P is the squared norm of the window at each super-step's end and,
     inside it, that norm plus the later losses: sums of non-negative
     terms, so P keeps its relative accuracy, never rises inside a
-    super-step, and a model's p is never negative there.
-    """
-    _check_run_args(tau, n_max)
-    if bulk_guard:
-        _check_bulk_window(spec, tau, n_max)
-    k = _steps_per_gemm(spec.L, kind, tau, n_max)
-    head = n_max % k
-    # The band of one step, for single steps and a model's loss rows.
-    one = None
-    if k == 1 or head or kind is not ModelKind.EXACT:
-        one = _step_band(spec, kind, tau)
-    band = one if k == 1 else _step_band(spec, kind, tau, k)
-    p = np.zeros(n_max)
-    surv = np.empty(n_max)
-    # The state as its first site, its amplitudes from there, and P.
-    walk = (spec.initial_index - 1, np.ones(1), 1.0)
-    if head:
-        walk = _stride(spec, kind, one, 1, None, walk, p[:head], surv[:head])
-    readout = None
-    if k > 1:
-        s = spec.detector_index - 1
-        if kind is ModelKind.EXACT:
-            readout = _detector_rows(spec.L, s, tau, k)
-        else:
-            readout = (*_loss_rows(one, spec.L, s, k), None)
-    _stride(spec, kind, band, k, readout, walk, p[head:], surv[head:])
-    if kind is ModelKind.EXACT:
-        return DetectionSeries(tau=tau, p=p, P=surv, Pdet=np.cumsum(p))
-    p = np.append(1.0, surv[:-1]) - surv
-    return DetectionSeries(tau=tau, p=p, P=surv, Pdet=1.0 - surv)
-
-
-def _stride(
-    spec: LatticeSpec, kind: ModelKind, band: tuple, k: int, readout, walk: tuple,
-    p: np.ndarray, surv: np.ndarray,
-) -> tuple:
-    """Advance ``walk`` by ``len(p) // k`` super-steps of k measurements through ``band``.
-
-    ``band`` is the band of k steps, b its half-width; ``walk`` is the
-    state as its first site, its amplitudes from there, and P.  Fills
-    ``p`` (the exact kind's detections) and ``surv`` (P after each
-    measurement) and returns the new ``walk``.  At k = 1 ``readout`` is
-    None and the loop does exactly the single-step arithmetic: the step,
-    the exact kind's amplitude read after it and zeroed, P the window's
-    squared norm.  At k > 1 it is ``(c0, F, C)``: the rows ``F`` on the
-    sites ``c0 ..`` read the pre-step state into the amplitudes (exact) or
-    loss components (models) of the super-step, and ``C`` is the exact
-    kind's correction (None for a model).
+    super-step, and a model's p is never negative there.  In the last
+    super-step P at ``n_max`` is its end's norm plus the losses after
+    ``n_max``, the norm at ``n_max`` whether or not the overrun reaches a
+    chain end.
 
     Only the block rows of the light cone are stepped.  The state lives
     on a contiguous range of w blocks, starting at the initial site's
@@ -686,28 +644,37 @@ def _stride(
     slicing; the loss sums of every super-step follow in whole-array
     operations after the loop.
     """
-    bulk, runs = band
+    _check_run_args(tau, n_max)
+    if bulk_guard:
+        _check_bulk_window(spec, tau, n_max)
+    k = _steps_per_gemm(spec.L, kind, tau, n_max)
+    bulk, runs = _step_band(spec, kind, tau, k)
     b = len(bulk)
     n_blocks = -(-spec.L // b)
-    x0, values, prev = walk
-    values = values[: spec.L - x0]
-    # The state zero-padded by one block on each side; window k is what
-    # block row k multiplies, and state block k sits at padded[(k + 1) b:].
+    project = kind is ModelKind.EXACT
+    detector = spec.detector_index - 1
+    # ceil(n_max / k) super-steps; those past n_max in the last are dropped at the end.
+    count, last = -(-n_max // k), k - 1
+    p = np.zeros(count * k)
+    surv = np.empty(count * k)
+    # The measurements that end a super-step: each takes a step's arithmetic.
+    p_end, surv_end = p[last::k], surv[last::k]
+    # The state zero-padded by one block on each side; window q is what
+    # block row q multiplies, and state block q sits at padded[(q + 1) b:].
     padded = np.zeros((n_blocks + 2) * b)
-    padded[b + x0 : b + x0 + len(values)] = values
+    padded[b + spec.initial_index - 1] = 1.0
     windows = sliding_window_view(padded, 3 * b)[::b]
     bulk_t = bulk.T
     phi = np.empty((n_blocks, b))
     flat = phi.ravel()
-    project = kind is ModelKind.EXACT
-    detector = spec.detector_index - 1
-    lo = x0 // b
-    hi = -(-(x0 + len(values)) // b)
-    count, last = len(p) // k, k - 1
-    # The measurements that end a super-step: each takes a step's arithmetic.
-    p_end, surv_end = p[last::k], surv[last::k]
+    # The state's blocks lo .. hi - 1 and P, at the initial site.
+    lo = (spec.initial_index - 1) // b
+    hi, prev = lo + 1, 1.0
     if k > 1:
-        c0, F, C = readout
+        if project:
+            c0, F, C = _detector_rows(spec.L, detector, tau, k)
+        else:
+            c0, F = _loss_rows(_step_band(spec, kind, tau), spec.L, detector, k)
         c1 = c0 + F.shape[1]
         read, near = F.dot, padded[b + c0 : b + c1]
         amps = np.zeros((count, len(F)))
@@ -774,4 +741,8 @@ def _stride(
         else:
             loss = (amps**2).reshape(count, last, len(F) // last).sum(axis=2)
         rounds[:, :last] = rounds[:, last:] + np.cumsum(loss[:, ::-1], axis=1)[:, ::-1]
-    return lo * b, padded[(lo + 1) * b : (hi + 1) * b].copy(), prev
+    p, surv = p[:n_max], surv[:n_max]
+    if project:
+        return DetectionSeries(tau=tau, p=p, P=surv, Pdet=np.cumsum(p))
+    p = np.append(1.0, surv[:-1]) - surv
+    return DetectionSeries(tau=tau, p=p, P=surv, Pdet=1.0 - surv)

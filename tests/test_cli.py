@@ -645,9 +645,9 @@ class TestSweepSemantics:
         builds = []
         step_band = dynamics._step_band
 
-        def counted(spec, kind, tau):
+        def counted(spec, kind, *args):
             builds.append(kind)
-            return step_band(spec, kind, tau)
+            return step_band(spec, kind, *args)
 
         monkeypatch.setattr(dynamics, "_step_band", counted)
         step_propagator.cache_clear()

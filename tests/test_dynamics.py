@@ -605,9 +605,10 @@ class TestSuperSteps:
     the pre-step state near the detector, so P is a squared norm at its
     end and, inside it, that norm plus the later losses.  The per-step
     loop is the reference: P agrees to 2 n eps relative, and the exact
-    kind's p to 1e-10 relative wherever it exceeds 1e-10.  Runs whose
-    n_max is no multiple of k take the first n_max mod k measurements one
-    at a time.
+    kind's p to 1e-10 relative wherever it exceeds 1e-10.  A run is
+    ceil(n_max / k) super-steps from the first measurement; when n_max is
+    no multiple of k the last one is partial, its measurements past n_max
+    dropped.
     """
 
     def assert_matches_per_step_loop(self, monkeypatch, spec, kind, tau, n):
@@ -621,15 +622,12 @@ class TestSuperSteps:
         if kind is ModelKind.EXACT:
             kept = p > 1e-10
             assert np.max(np.abs(series.p[kept] / p[kept] - 1.0)) <= 1e-10
-        # Inside each super-step every loss is a sum of squares, so P
-        # never rises and a model's p is never negative.
-        head = n % k
-        inside = np.ones(n, dtype=bool)
-        inside[head::k] = False
-        inside[:head] = False
+        # Inside each super-step, the partial last one too, every loss is
+        # a sum of squares, so P never rises and a model's p is never
+        # negative.  Super-steps start at measurements 1, k + 1, 2 k + 1, ...
+        inside = np.arange(n) % k != 0
         assert np.all(series.p[inside] >= 0.0)
-        steps = series.P[head:].reshape(-1, k)
-        assert np.all(np.diff(steps, axis=1) <= 0.0)
+        assert np.all(np.diff(series.P)[inside[1:]] <= 0.0)
         return k
 
     # The detection-curves point: L = 1000, tau = 0.05, 4000 measurements.
@@ -645,6 +643,25 @@ class TestSuperSteps:
         spec = LatticeSpec(L=200, detector_index=detector, initial_index=100)
         k = self.assert_matches_per_step_loop(monkeypatch, spec, kind, 0.05, 4003)
         assert 4003 % k
+
+    # A run of 4003 measurements, no multiple of k, builds the band of k
+    # steps and nothing else for the exact kind; a model builds the band
+    # of one step too, for its loss rows.
+    @pytest.mark.parametrize(
+        "kind,builds",
+        [(ModelKind.EXACT, [16]), (ModelKind.MODEL1, [8, 1]), (ModelKind.MODEL2, [8, 1])],
+    )
+    def test_bands_built_per_run(self, monkeypatch, kind, builds):
+        built = []
+        step_band = dynamics._step_band
+
+        def spy(spec, kind, tau, k=1):
+            built.append(k)
+            return step_band(spec, kind, tau, k)
+
+        monkeypatch.setattr(dynamics, "_step_band", spy)
+        stepped_series(default_geometry(1000), kind, 0.05, 4003)
+        assert sorted(built, reverse=True) == builds
 
     # The rule at tau = 0.05, L = 1000: a run too short to pay for the
     # setup keeps k = 1, and the models stop at k = 8, the exact kind at 16.
