@@ -333,15 +333,17 @@ def _free_entries(line: np.ndarray, L: int, rows: np.ndarray, cols: np.ndarray) 
     The open chain is the infinite one on states odd about the mirror
     sites -1 and L, so its row i is the image sum ``sum_m (-1)^m (g(j - i
     + m p) + (-1)^j g(m p - 2 - i - j))``, ``p = 2 L + 2`` (L is even): the
-    bulk row unless i lies within the row's reach of an end.
+    bulk row unless i lies within the row's reach of an end.  A stack of
+    lines, one a row about a common centre and zero past each one's
+    reach, gives the entries of each line in one call.
     """
-    mid = len(line) // 2
+    mid = line.shape[-1] // 2
     p = 2 * L + 2
     # The images m p that can bring an offset within the row's reach.
     m = np.arange(-(mid // p) - 1, mid // p + 2)[:, None, None]
-    mirror = (1 - 2 * (cols % 2)) * line.take(m * p - 2 - rows - cols + mid, mode="clip")
-    terms = line.take(cols - rows + m * p + mid, mode="clip") + mirror
-    return ((1 - 2 * (m % 2)) * terms).sum(axis=0)
+    mirror = (1 - 2 * (cols % 2)) * line.take(m * p - 2 - rows - cols + mid, axis=-1, mode="clip")
+    terms = line.take(cols - rows + m * p + mid, axis=-1, mode="clip") + mirror
+    return ((1 - 2 * (m % 2)) * terms).sum(axis=-3)
 
 
 def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float, k: int = 1) -> tuple:
@@ -476,21 +478,27 @@ def _detector_rows(L: int, s: int, tau: float, k: int) -> tuple:
     and reaches at most V^(k-1)'s half-width h from the detector.
 
     Returns ``(c0, M, C)``: M is ``(k - 1, w)`` and C ``(w, k - 1)``, on the
-    sites ``c0 .. c0 + w - 1`` within h of the detector.
+    sites ``c0 .. c0 + w - 1`` within h of the detector.  The rows, and
+    then the columns, come from one :func:`_free_entries` call on the
+    free lines of V .. V^(k-1) stacked about a common centre.
     """
     lines = [_free_line(m * tau) for m in range(1, k)]
-    h = max(len(line) for line in lines) // 2 - 1
+    mid = max(len(line) for line in lines) // 2
+    table = np.zeros((k - 1, 2 * mid + 1))
+    for row, line in zip(table, lines):
+        row[mid - len(line) // 2 :][: len(line)] = line
+    h = mid - 1
     c0 = max(s - h, 0)
     cols, site = np.arange(c0, min(s + h + 1, L))[None, :], np.array([[s]])
-    rows = np.concatenate([_free_entries(line, L, site, cols) for line in lines])
+    rows = _free_entries(table, L, site, cols)[:, 0]
     ret, M = rows[:, s - c0], rows.copy()
     for i in range(1, k - 1):
         M[i] -= ret[:i][::-1] @ M[:i]
-    C = np.concatenate([_free_entries(line, L, cols.T, site) for line in lines[::-1]], axis=1)
+    C = np.ascontiguousarray(_free_entries(table[::-1], L, cols.T, site)[..., 0].T)
     return c0, M, C
 
 
-def _loss_rows(band: tuple, L: int, s: int, k: int) -> tuple:
+def _loss_rows(band: tuple, L: int, s: int, k: int, reach: int) -> tuple:
     """A model's losses in steps 2 .. k of a super-step, as rows on the pre-step state.
 
     A step S takes ``phi^T (1 - S^T S) phi`` from the squared norm.  Up to
@@ -504,8 +512,21 @@ def _loss_rows(band: tuple, L: int, s: int, k: int) -> tuple:
     model at tau = 0.05, 5 and 7 at tau = 0.25.  Row block m of the result
     is ``W S^m``, m = 1 .. k - 1, so the loss of step m + 1 from the
     pre-step state psi is ``|W S^m psi|^2``: a sum of squares, never
-    negative.  S^m reaches m blocks past X, so the dense band on X and
-    k - 1 blocks on each side gives these rows exactly.
+    negative.
+
+    ``reach`` is the half-width b_k of the band of S^k, whose entries
+    above the cutoff reach farther than those of any S^m, m < k.  The
+    products run on a dense square of X and e = ceil(b_k / b) + 1 blocks
+    on each side, b the band's block size, or k - 1 blocks if fewer:
+    S^m reaches m blocks past X, so k - 1 blocks hold every product
+    exactly.  With e blocks the square's hard wall cuts only bonds whose
+    near ends lie at least (e - 1) b >= b_k sites from X, which W S^j
+    reaches through entries of S^j below the cutoff: the wall moves F by
+    about eps^2 times its largest entry, as the probe segment's wall moves
+    the band (:func:`_step_band`).  F is then cut to the columns from the
+    first to the last that holds an entry above ``BAND_CUTOFF`` times the
+    largest, those within about b_k of X: at L = 1000, tau = 0.05, 92
+    of 396 for model1 at k = 16 and 71 of 265 for model2 at k = 8.
 
     Returns ``(c0, F)``: F is ``((k - 1) r, w)``, r the rank kept, on the
     sites ``c0 .. c0 + w - 1``.
@@ -516,7 +537,8 @@ def _loss_rows(band: tuple, L: int, s: int, k: int) -> tuple:
     # The run of slab rows that holds the detector.
     r0, r1 = next((q, q + len(slab) // b) for q, slab in runs if q * b <= s < q * b + len(slab))
     x0, x1 = max(r0 - 1, 0), min(r1 + 1, n_blocks)
-    y0, y1 = max(x0 - k + 1, 0), min(x1 + k - 1, n_blocks)
+    e = min(k - 1, -(-reach // b) + 1)
+    y0, y1 = max(x0 - e, 0), min(x1 + e, n_blocks)
     # The band's block rows y0 .. y1 - 1, each against its three column
     # blocks, in a square padded by one block on each side.
     square = np.zeros(((y1 - y0 + 2) * b, (y1 - y0 + 2) * b))
@@ -538,34 +560,43 @@ def _loss_rows(band: tuple, L: int, s: int, k: int) -> tuple:
         w = w @ step
         rows.append(w)
     F = np.concatenate(rows)
-    used = np.flatnonzero(F.any(axis=0))
+    big = np.abs(F) > BAND_CUTOFF * np.abs(F).max(initial=0.0)
+    used = np.flatnonzero(big.any(axis=0))
     if not len(used):
         return 0, F[:, :0]
-    return y0 * b + used[0], F[:, used[0] : used[-1] + 1]
+    # Contiguous: the step loop's product with a strided view copies it on every call.
+    return y0 * b + used[0], np.ascontiguousarray(F[:, used[0] : used[-1] + 1])
 
 
-def _steps_per_gemm(L: int, kind: ModelKind, tau: float, n_max: int) -> int:
+def _steps_per_gemm(spec: LatticeSpec, kind: ModelKind, tau: float, n_max: int) -> int:
     """Measurements per super-step: 1 for a short run, else the largest k that pays.
 
     A run of fewer than 400 measurements (exact kind) or 2000 (a model,
     whose probe of k steps and loss rows cost more) keeps k = 1: the setup
     would cost about as much as the GEMMs it saves.  A longer run takes
-    the largest k of 2, 4, 8 and, for the exact kind, 16 with at least
-    100 k measurements whose band is at most twice as wide as the step's,
-    ``b_k <= 2 b``, both the free chain's half-widths capped at L - 1.
+    the largest k of 2, 4, 8 and 16 with at least 100 k measurements
+    whose band is at most twice as wide as the step's, ``b_k <= 2 b``,
+    both the free chain's half-widths capped at L - 1, and whose
+    contracting diagonal is at most 24, ``k d <= 24``: -d is the most
+    negative diagonal entry of the step's gauge generator, 0 for the
+    exact kind, tau^2 / 2 for model1 and 2 for model2 at every tau.
     Past that width the setup, which grows with b_k, outweighs the GEMMs
-    saved; a model's probe of 16 steps was slower than of 8 wherever
-    measured.  k only sets the speed: the series agrees with the
-    single-step loop to a few n eps at any k.
+    saved.  Past that diagonal so does a model's probe, whose Taylor
+    stages it sets: model2's probe of 16 steps (k d = 32) takes 9 stages
+    and 9.6 ms against 5 and 4.7 ms for 8 steps at L = 1000, tau = 0.05,
+    and on a 40-site chain at tau = 3 (d = 4.5) model1 runs fastest at
+    k = 4.  k only sets the speed: the series agrees with the single-step
+    loop to a few n eps at any k.
     """
     if n_max < (400 if kind is ModelKind.EXACT else 2000):
         return 1
 
     def half_width(k):
-        return min(len(_bessel_row(2 * k * tau)), L) - 1
+        return min(len(_bessel_row(2 * k * tau)), spec.L) - 1
 
-    top, k = min(16 if kind is ModelKind.EXACT else 8, n_max // 100), 1
-    while 2 * k <= top and half_width(2 * k) <= 2 * half_width(1):
+    d = -min((v for (i, j), v in _gauge_defect(spec, kind, tau).items() if i == j), default=0.0)
+    top, k = min(16, n_max // 100), 1
+    while 2 * k <= top and 2 * k * d <= 24 and half_width(2 * k) <= 2 * half_width(1):
         k *= 2
     return k
 
@@ -583,12 +614,13 @@ def _band_series(
 
     A run is ``ceil(n_max / k)`` super-steps of k measurements from the
     initial site, each one GEMM through the band of the k-step operator
-    S^k, b its half-width; k comes from the run's length and the
-    half-widths (:func:`_steps_per_gemm`), and is 1 for runs too short to
-    pay for the setup.  At tau = 0.05, b is 14 for one step and 19, 22
-    and 27 for k = 4, 8 and 16: one GEMM of half-width b_k replaces k of
-    half-width b.  The last super-step may run up to k - 1 measurements
-    past ``n_max``; those are dropped.  At k = 1 the loop does exactly the
+    S^k, b its half-width; k comes from the run's length, the
+    half-widths and the kind's contracting diagonal
+    (:func:`_steps_per_gemm`), and is 1 for runs too short to pay for the
+    setup.  At tau = 0.05, b is 14 for one step and 19, 22 and 27 for
+    k = 4, 8 and 16: one GEMM of half-width b_k replaces k of half-width
+    b.  The last super-step may run up to k - 1 measurements past
+    ``n_max``; those are dropped.  At k = 1 the loop does exactly the
     single-step arithmetic: the step, the exact kind's amplitude read
     after it and zeroed, P the window's squared norm.  At k > 1 what a
     super-step needs besides S^k's band is read off the pre-step
@@ -600,8 +632,11 @@ def _band_series(
       GEMM; the k-th is the detector amplitude the super-step ends with,
       squared into ``p_n`` and zeroed as at k = 1.  ``Pdet = cumsum(p)``.
     * a model: the losses of measurements 2 .. k, from the factored loss
-      rows of :func:`_loss_rows` on the band of one step.  ``p = P_{n-1}
-      - P_n`` and ``Pdet = 1 - P``, as at k = 1.
+      rows of :func:`_loss_rows` on the band of one step, cut to the
+      columns within the k-step band's reach of the detector's run (60 x
+      92 for model1 at k = 16 and 28 x 71 for model2 at k = 8 at L = 1000,
+      tau = 0.05).  ``p = P_{n-1} - P_n`` and ``Pdet = 1 - P``, as at k =
+      1.
 
     P is the squared norm of the window at each super-step's end and,
     inside it, that norm plus the later losses: sums of non-negative
@@ -647,7 +682,7 @@ def _band_series(
     _check_run_args(tau, n_max)
     if bulk_guard:
         _check_bulk_window(spec, tau, n_max)
-    k = _steps_per_gemm(spec.L, kind, tau, n_max)
+    k = _steps_per_gemm(spec, kind, tau, n_max)
     bulk, runs = _step_band(spec, kind, tau, k)
     b = len(bulk)
     n_blocks = -(-spec.L // b)
@@ -674,7 +709,7 @@ def _band_series(
         if project:
             c0, F, C = _detector_rows(spec.L, detector, tau, k)
         else:
-            c0, F = _loss_rows(_step_band(spec, kind, tau), spec.L, detector, k)
+            c0, F = _loss_rows(_step_band(spec, kind, tau), spec.L, detector, k, b)
         c1 = c0 + F.shape[1]
         read, near = F.dot, padded[b + c0 : b + c1]
         amps = np.zeros((count, len(F)))

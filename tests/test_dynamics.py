@@ -649,7 +649,7 @@ class TestSuperSteps:
     # of one step too, for its loss rows.
     @pytest.mark.parametrize(
         "kind,builds",
-        [(ModelKind.EXACT, [16]), (ModelKind.MODEL1, [8, 1]), (ModelKind.MODEL2, [8, 1])],
+        [(ModelKind.EXACT, [16]), (ModelKind.MODEL1, [16, 1]), (ModelKind.MODEL2, [8, 1])],
     )
     def test_bands_built_per_run(self, monkeypatch, kind, builds):
         built = []
@@ -664,7 +664,9 @@ class TestSuperSteps:
         assert sorted(built, reverse=True) == builds
 
     # The rule at tau = 0.05, L = 1000: a run too short to pay for the
-    # setup keeps k = 1, and the models stop at k = 8, the exact kind at 16.
+    # setup keeps k = 1; the exact kind and model1 go to k = 16, and
+    # model2, whose diagonal -2 a step sets its probe's Taylor stages,
+    # stops at k = 8.
     @pytest.mark.parametrize(
         "kind,n,k",
         [
@@ -672,12 +674,13 @@ class TestSuperSteps:
             (ModelKind.EXACT, 400, 4),
             (ModelKind.EXACT, 10**6, 16),
             (ModelKind.MODEL1, 1999, 1),
-            (ModelKind.MODEL1, 10**6, 8),
+            (ModelKind.MODEL1, 10**6, 16),
+            (ModelKind.MODEL2, 1999, 1),
             (ModelKind.MODEL2, 10**6, 8),
         ],
     )
     def test_steps_per_gemm(self, kind, n, k):
-        assert dynamics._steps_per_gemm(1000, kind, 0.05, n) == k
+        assert dynamics._steps_per_gemm(default_geometry(1000), kind, 0.05, n) == k
 
     # The benchmark's short workloads: every engine run of optimal-tr at
     # tau = 0.25 (60 measurements) and of reset-survival up to t_r = 10
@@ -720,6 +723,64 @@ class TestSuperSteps:
         full = np.linalg.matrix_power(v, k) @ psi
         full[cols] -= C @ np.array(amps)
         assert np.max(np.abs(full - v @ phi)) <= 1e-14
+
+    # The free lines of V .. V^(k-1) go through one image sum for the rows
+    # and one for the columns; the reference takes one call per line.
+    @pytest.mark.parametrize("k", [4, 16])
+    @pytest.mark.parametrize("L,detector,tau", [(40, 2, 0.25), (40, 30, 0.25), (40, 39, 0.25), (1000, 510, 0.05)])
+    def test_detector_rows_take_one_image_sum_for_every_line(self, L, detector, tau, k):
+        s = detector - 1
+        c0, M, C = dynamics._detector_rows(L, s, tau, k)
+        lines = [dynamics._free_line(m * tau) for m in range(1, k)]
+        h = max(len(line) for line in lines) // 2 - 1
+        assert c0 == max(s - h, 0)
+        cols, site = np.arange(c0, min(s + h + 1, L))[None, :], np.array([[s]])
+        rows = np.concatenate([dynamics._free_entries(line, L, site, cols) for line in lines])
+        ret, renewal = rows[:, s - c0], rows.copy()
+        for i in range(1, k - 1):
+            renewal[i] -= ret[:i][::-1] @ renewal[:i]
+        assert np.array_equal(M, renewal)
+        columns = [dynamics._free_entries(line, L, cols.T, site) for line in lines[::-1]]
+        assert np.array_equal(C, np.concatenate(columns, axis=1))
+
+    # A model's loss rows at the k its run takes, on the detection-curves
+    # point and the reflecting runs with the detector next to either end.
+    # F starts and ends on a column that holds an entry above the cutoff.
+    # W is only defined up to a rotation of its rows, so each row block
+    # W S^m is held to the dense step's through its Gram matrix, the
+    # quadratic form whose value is the loss, to a few eps (the rounding
+    # of 1 - S^T S); and every column of the dense W S^m outside F's
+    # span stays below the cutoff times F's largest entry.
+    @pytest.mark.parametrize("kind", [ModelKind.MODEL1, ModelKind.MODEL2])
+    @pytest.mark.parametrize("L,detector", [(1000, 510), (200, 2), (200, 199)])
+    def test_loss_rows_cut_to_reach(self, kind, L, detector):
+        spec = LatticeSpec(L=L, detector_index=detector, initial_index=L // 2)
+        tau, s = 0.05, detector - 1
+        k = dynamics._steps_per_gemm(spec, kind, tau, 4000)
+        band = dynamics._step_band(spec, kind, tau)
+        reach = len(dynamics._step_band(spec, kind, tau, k)[0])
+        c0, F = dynamics._loss_rows(band, L, s, k, reach)
+        top = np.abs(F).max()
+        cut = dynamics.BAND_CUTOFF * top
+        assert np.abs(F[:, 0]).max() > cut and np.abs(F[:, -1]).max() > cut
+        # X: the detector's run of slab rows and one block on each side.
+        bulk, runs = band
+        b = len(bulk)
+        r0, r1 = next((q, q + len(slab) // b) for q, slab in runs if q * b <= s < q * b + len(slab))
+        x = slice(max(r0 - 1, 0) * b, min((r1 + 1) * b, L))
+        step = real_dense_step(spec, kind, tau)
+        lam, u = np.linalg.eigh(np.eye(x.stop - x.start) - step[:, x].T @ step[:, x])
+        r = len(F) // (k - 1)
+        w = np.zeros((r, L))
+        w[:, x] = np.sqrt(lam[-r:])[:, None] * u[:, -r:].T
+        span = np.zeros(L, dtype=bool)
+        span[c0 : c0 + F.shape[1]] = True
+        eps = np.finfo(np.float64).eps
+        for m in range(k - 1):
+            w = w @ step
+            rows = F[m * r : (m + 1) * r]
+            assert np.max(np.abs(rows.T @ rows - w[:, span].T @ w[:, span])) <= 8 * eps
+            assert np.max(np.abs(w[:, ~span])) <= cut
 
 
 class TestOneProbe:
