@@ -23,12 +23,12 @@ Two routes to the same bookkeeping:
   amplitudes, from a local renewal that then corrects the state, or a
   model's losses, from a factor of its local ``1 - S^T S``.  The free
   chain's rows are closed forms, the Bessel row J_{i-j}(2 t) and its
-  mirror images about the chain ends; only a model's rows near the
-  detector come from a probe of the exponential on its segment (reaching
-  2B past them, B the probe half-width): no L x L matrix, no length-L
-  array.  All generators have real hops and imaginary entries on even
-  diagonals only, so in the gauge D = diag(i^x) band and state are real:
-  float64, half the memory of complex, with the same norms.
+  mirror images about the chain ends; a model's rows near the detector
+  come from one probe of the step on its segment (2B past them, B the
+  probe half-width), k steps' from the step band's k-th power there: no
+  L x L matrix, no length-L array.  All generators have real hops and
+  imaginary entries on even diagonals only, so in the gauge D = diag(i^x)
+  band and state are real float64, half the memory of complex, same norms.
 * ``renewal_amplitudes`` computes first-detection amplitudes from the
   recursion that subtracts, from the free transition amplitude, every
   earlier first-arrival propagated back to the detector.  It is the
@@ -346,59 +346,61 @@ def _free_entries(line: np.ndarray, L: int, rows: np.ndarray, cols: np.ndarray) 
     return ((1 - 2 * (m % 2)) * terms).sum(axis=-3)
 
 
-def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float, k: int = 1) -> tuple:
+def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float, k: int = 1, step=None) -> tuple:
     """Band of k steps in float64: the shared bulk block and the slabs of the other block rows.
 
-    The k-th power of the step is taken in the gauge D = diag(i^x), as
-    ``e^{k A}`` with A real, the free chain plus :func:`_gauge_defect` at
-    ``tau``: the defect and the free hops are both scaled by k, while the
-    generator stays the one of the step ``tau`` (a model's defect depends
-    on it).  The half-width b is the largest ``|i - j|`` of an entry above
+    The half-width b is the largest ``|i - j|`` of an entry above
     ``BAND_CUTOFF``; every entry farther out is dropped.  With blocks of b
     sites, block row q holds rows ``q b .. q b + b - 1`` against columns
     ``(q - 1) b .. (q + 2) b - 1``, zero past the chain ends; against the
     state zero-padded by one block on each side, those columns are the
-    window ``q b .. (q + 3) b - 1``.
+    window ``q b .. (q + 3) b - 1``.  The free open chain's rows are the
+    infinite chain's row after ``t = k tau``, ``g(j - i) = J_{i-j}(2 t)``
+    (:func:`_free_line`), but within b of an end its image sums
+    (:func:`_free_entries`).
 
-    The infinite free chain's row after ``t = k tau`` is ``g(j - i) =
-    J_{i-j}(2 t)`` (:func:`_free_line`, zero past its last order above the
-    cutoff), and the free open chain's rows are its image sums
-    (:func:`_free_entries`): the bulk row unless i lies within b of an end.
-
-    Only rows within B of the defect differ from the free open chain's,
-    B from :func:`_probe_half_width`; the exact kind has none and probes
-    nothing.  One probe runs on the n rows within 2B of the defect,
-    clipped to the chain: columns whose indices agree mod ``P = min(2 B +
-    1, n)`` share a probe vector, so one application of the exponential
-    to a block of P probe columns gives every entry with ``|i - j| <= B``
-    of a row within B of the defect, whose cut ends lie at least B away.
-    The other columns of its probe lie more than B away, where the bound
-    holds each entry below the cutoff, so they shift it by about eps^2 at
-    most; with P = n every column has a probe vector of its own.  An entry
-    above the cutoff at distance B means the bound failed, and raises.
+    Only rows within B of the defect differ, B from :func:`_probe_half_width`
+    for ``k A``, A the step's gauge generator; the exact kind has none.
+    They come from the n rows within 2B of the defect, clipped to the
+    chain, where columns agreeing mod ``P = min(2 B + 1, n)`` share a
+    probe vector: E, the P probe columns, goes to ``e^A E`` by one probe
+    (:func:`_probe_block`) at k = 1, else to ``S^k E``, S the band
+    ``step`` of one step (built if not given) on the segment
+    (:func:`_local_step`).  The segment's hard wall and E's other columns
+    touch a row within B of the defect only more than B sites away, where
+    the bound behind B (``e^{k|N|}``) holds every path below the cutoff:
+    they shift its entries with ``|i - j| <= B`` by about eps^2 at most
+    (none at P = n).  An entry above the cutoff at distance B raises.
 
     Returns ``(bulk, runs)``: ``bulk`` the ``(b, 3 b)`` block of every
-    block row with no row near the defect or within b of an end, and
-    the other block rows in runs of consecutive ones, each run ``k0 ..
-    k1 - 1`` as ``(k0, slab)`` with ``slab`` the dense ``((k1 - k0) b,
-    (k1 - k0 + 2) b)`` rows of the run against the padded state's sites
-    ``k0 b .. (k1 + 2) b - 1``.  Probe, bulk block and slabs cost
-    O(B^2); nothing has the length of the chain.
+    block row with no row near the defect or within b of an end, and the
+    others in runs of consecutive ones, each run ``k0 .. k1 - 1`` as ``(k0,
+    slab)``, ``slab`` the dense ``((k1 - k0) b, (k1 - k0 + 2) b)`` rows of
+    the run against the padded state's sites ``k0 b .. (k1 + 2) b - 1``.
+    Probe, bulk block and slabs cost O(B^2), the power O(B^3); nothing
+    has the length of the chain.
     """
     L = spec.L
-    a = {ij: k * v for ij, v in _gauge_defect(spec, kind, tau).items()}
-    t = k * tau
+    a = _gauge_defect(spec, kind, tau)
     # g(o) = line[o + mid], zero for |o| past the row's reach.
-    line = _free_line(t)
+    line = _free_line(k * tau)
     mid = len(line) // 2
     # Rows near the defect: none for the exact kind.
     b, near = mid - 1, (0, 0)
     if a:
-        B = _probe_half_width(a, t, L)
+        B = _probe_half_width({ij: k * v for ij, v in a.items()}, k * tau, L)
         first, last = min(a)[0], max(a)[0]
         lo, hi = max(0, first - 2 * B), min(L, last + 2 * B + 1)
         P = min(2 * B + 1, hi - lo)
-        f = _probe_block(a, t, lo, hi - lo, P)
+        if k == 1:
+            f = _probe_block(a, tau, lo, hi - lo, P)
+        else:
+            power = _local_step(step or _step_band(spec, kind, tau), L, lo, hi)
+            # S^k E over k's bits from the lowest: log2 k squarings and one product at k = 2^j.
+            f = np.eye(P)[np.arange(hi - lo) % P]
+            for j, bit in enumerate(f"{k:b}"[::-1]):
+                power = power @ power if j else power
+                f = power @ f if bit == "1" else f
         # Column c of the probe holds, on row i, the entry of the column
         # j = lo + c; with P = 2B + 1, that of the j = lo + c mod P with |i - j| <= B.
         near = (max(0, first - B), min(L, last + B + 1))
@@ -421,13 +423,17 @@ def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float, k: int = 1) -> tu
         rows = np.arange(k0 * b, k1 * b)[:, None]
         cols = np.arange((k0 - 1) * b, (k1 + 1) * b)[None, :]
         o = cols - rows
-        # The free open chain's rows: the bulk row, and on a run that
-        # touches an end its image sum; then the rows near the defect from
-        # the probe.
-        if k0 == 0 or k1 * b > L - b:
-            entries = _free_entries(line, L, rows, cols)
-        else:
+        # The free open chain's rows: the bulk row on rows head .. tail - 1, b or more
+        # from either end, else its image sum; then the rows near the defect from the probe.
+        head, tail = max(b - k0 * b, 0), max(L - b - k0 * b, 0)
+        if head < min(tail, len(rows)):
             entries = line.take(o + mid, mode="clip")
+            if head:
+                entries[:head] = _free_entries(line, L, rows[:head], cols)
+            if tail < len(rows):
+                entries[tail:] = _free_entries(line, L, rows[tail:], cols)
+        else:
+            entries = _free_entries(line, L, rows, cols)
         if a:
             i = slice(max(near[0] - k0 * b, 0), max(min(near[1], k1 * b) - k0 * b, 0))
             mine = rows[i] - lo
@@ -443,6 +449,22 @@ def _step_band(spec: LatticeSpec, kind: ModelKind, tau: float, k: int = 1) -> tu
     o = np.arange(3 * b) - np.arange(b)[:, None] - b
     bulk = np.where(np.abs(o) <= b, line.take(o + mid, mode="clip"), 0.0)
     return bulk, [slab(int(s[0]), int(s[-1]) + 1) for s in spans]
+
+
+def _local_step(band: tuple, L: int, lo: int, hi: int) -> np.ndarray:
+    """Rows and columns ``lo .. hi - 1`` of a band as a dense square (a view), walled past them."""
+    bulk, runs = band
+    b = len(bulk)
+    q0, q1 = lo // b, -(-hi // b)
+    square = np.zeros(((q1 - q0 + 2) * b, (q1 - q0 + 2) * b))
+    for j in range(q0, q1):
+        block = bulk
+        for k0, slab in runs:
+            if k0 <= j < k0 + len(slab) // b:
+                block = slab[(j - k0) * b :][:b, (j - k0) * b :][:, : 3 * b]
+        square[(j - q0 + 1) * b :][:b, (j - q0) * b :][:, : 3 * b] = block
+    cut = slice(b + lo - q0 * b, b + hi - q0 * b)
+    return square[cut, cut]
 
 
 def nh_survival_series(
@@ -525,8 +547,8 @@ def _loss_rows(band: tuple, L: int, s: int, k: int, reach: int) -> tuple:
     about eps^2 times its largest entry, as the probe segment's wall moves
     the band (:func:`_step_band`).  F is then cut to the columns from the
     first to the last that holds an entry above ``BAND_CUTOFF`` times the
-    largest, those within about b_k of X: at L = 1000, tau = 0.05, 92
-    of 396 for model1 at k = 16 and 71 of 265 for model2 at k = 8.
+    largest, those within about b_k of X: at L = 1000, tau = 0.05 and
+    k = 16, 92 of the square's 180 for model1 and 78 of 154 for model2.
 
     Returns ``(c0, F)``: F is ``((k - 1) r, w)``, r the rank kept, on the
     sites ``c0 .. c0 + w - 1``.
@@ -539,21 +561,11 @@ def _loss_rows(band: tuple, L: int, s: int, k: int, reach: int) -> tuple:
     x0, x1 = max(r0 - 1, 0), min(r1 + 1, n_blocks)
     e = min(k - 1, -(-reach // b) + 1)
     y0, y1 = max(x0 - e, 0), min(x1 + e, n_blocks)
-    # The band's block rows y0 .. y1 - 1, each against its three column
-    # blocks, in a square padded by one block on each side.
-    square = np.zeros(((y1 - y0 + 2) * b, (y1 - y0 + 2) * b))
-    for j in range(y0, y1):
-        block = bulk
-        for k0, slab in runs:
-            if k0 <= j < k0 + len(slab) // b:
-                block = slab[(j - k0) * b :][:b, (j - k0) * b :][:, : 3 * b]
-        square[(j - y0 + 1) * b :][:b, (j - y0) * b :][:, : 3 * b] = block
-    n = min(y1 * b, L) - y0 * b
-    step = square[b : b + n, b : b + n]
+    step = _local_step(band, L, y0 * b, min(y1 * b, L))
     x = slice((x0 - y0) * b, min(x1 * b, L) - y0 * b)
     lam, u = np.linalg.eigh(np.eye(x.stop - x.start) - step[:, x].T @ step[:, x])
     kept = lam > max(np.finfo(np.float64).eps * lam[-1], -lam[0])
-    w = np.zeros((np.count_nonzero(kept), n))
+    w = np.zeros((np.count_nonzero(kept), len(step)))
     w[:, x] = np.sqrt(lam[kept])[:, None] * u[:, kept].T
     rows = []
     for _ in range(k - 1):
@@ -572,31 +584,26 @@ def _steps_per_gemm(spec: LatticeSpec, kind: ModelKind, tau: float, n_max: int) 
     """Measurements per super-step: 1 for a short run, else the largest k that pays.
 
     A run of fewer than 400 measurements (exact kind) or 2000 (a model,
-    whose probe of k steps and loss rows cost more) keeps k = 1: the setup
-    would cost about as much as the GEMMs it saves.  A longer run takes
-    the largest k of 2, 4, 8 and 16 with at least 100 k measurements
-    whose band is at most twice as wide as the step's, ``b_k <= 2 b``,
-    both the free chain's half-widths capped at L - 1, and whose
-    contracting diagonal is at most 24, ``k d <= 24``: -d is the most
-    negative diagonal entry of the step's gauge generator, 0 for the
-    exact kind, tau^2 / 2 for model1 and 2 for model2 at every tau.
-    Past that width the setup, which grows with b_k, outweighs the GEMMs
-    saved.  Past that diagonal so does a model's probe, whose Taylor
-    stages it sets: model2's probe of 16 steps (k d = 32) takes 9 stages
-    and 9.6 ms against 5 and 4.7 ms for 8 steps at L = 1000, tau = 0.05,
-    and on a 40-site chain at tau = 3 (d = 4.5) model1 runs fastest at
-    k = 4.  k only sets the speed: the series agrees with the single-step
-    loop to a few n eps at any k.
+    whose setup costs more) keeps k = 1: the setup would cost about as
+    much as the GEMMs it saves.  A longer run takes the largest k of 2,
+    4, 8 and 16 with at least 100 k measurements whose band is at most
+    twice as wide as the step's, ``b_k <= 2 b`` (the free chain's, capped
+    at L - 1), and, for a model, whose probe segment of about 4 B_k sites
+    (:func:`_step_band`), capped at L, holds at most 300.  Past that width
+    the setup outweighs the GEMMs saved, past that segment its squarings
+    and the dense slab it leaves: model1 at L = 500, tau = 3 runs 1.2x its
+    k = 1 time at k = 2 (364 sites).  k only sets the speed.
     """
     if n_max < (400 if kind is ModelKind.EXACT else 2000):
         return 1
+    a, b = _gauge_defect(spec, kind, tau), min(len(_bessel_row(2 * tau)), spec.L) - 1
 
-    def half_width(k):
-        return min(len(_bessel_row(2 * k * tau)), spec.L) - 1
+    def pays(k):
+        B = _probe_half_width({ij: k * v for ij, v in a.items()}, k * tau, spec.L) if a else 0
+        return min(len(_bessel_row(2 * k * tau)), spec.L) - 1 <= 2 * b and min(4 * B, spec.L) <= 300
 
-    d = -min((v for (i, j), v in _gauge_defect(spec, kind, tau).items() if i == j), default=0.0)
     top, k = min(16, n_max // 100), 1
-    while 2 * k <= top and 2 * k * d <= 24 and half_width(2 * k) <= 2 * half_width(1):
+    while 2 * k <= top and pays(2 * k):
         k *= 2
     return k
 
@@ -609,22 +616,20 @@ def _band_series(
     The band (:func:`_step_band`) and the initial state are real in the
     gauge D = diag(i^x), which changes no norm.  The band's dropped
     entries are each at most ``BAND_CUTOFF`` = eps^2, far below the
-    rounding error of a step.  Besides the state, memory holds the bulk
-    block and the slabs, O(B^2) at any chain length.
+    rounding error of a step.
 
     A run is ``ceil(n_max / k)`` super-steps of k measurements from the
     initial site, each one GEMM through the band of the k-step operator
-    S^k, b its half-width; k comes from the run's length, the
-    half-widths and the kind's contracting diagonal
-    (:func:`_steps_per_gemm`), and is 1 for runs too short to pay for the
-    setup.  At tau = 0.05, b is 14 for one step and 19, 22 and 27 for
-    k = 4, 8 and 16: one GEMM of half-width b_k replaces k of half-width
-    b.  The last super-step may run up to k - 1 measurements past
-    ``n_max``; those are dropped.  At k = 1 the loop does exactly the
-    single-step arithmetic: the step, the exact kind's amplitude read
-    after it and zeroed, P the window's squared norm.  At k > 1 what a
-    super-step needs besides S^k's band is read off the pre-step
-    amplitudes near the detector, from rows built once per run:
+    S^k, b its half-width, k from :func:`_steps_per_gemm` (1 for runs too
+    short to pay for the setup).  At tau = 0.05, b is 14 for one step and
+    19, 22 and 27 for k = 4, 8 and 16: one GEMM of half-width b_k replaces
+    k of half-width b.  The last super-step may
+    run up to k - 1 measurements past ``n_max``; those are dropped.  At
+    k = 1 the loop does exactly the single-step arithmetic: the step, the
+    exact kind's amplitude read after it and zeroed, P the window's
+    squared norm.  At k > 1 what a super-step needs besides S^k's band is
+    read off the pre-step amplitudes near the detector, from rows built
+    once per run:
 
     * the exact kind: the detector amplitudes of the first k - 1
       measurements, from the local renewal of :func:`_detector_rows`,
@@ -632,11 +637,10 @@ def _band_series(
       GEMM; the k-th is the detector amplitude the super-step ends with,
       squared into ``p_n`` and zeroed as at k = 1.  ``Pdet = cumsum(p)``.
     * a model: the losses of measurements 2 .. k, from the factored loss
-      rows of :func:`_loss_rows` on the band of one step, cut to the
-      columns within the k-step band's reach of the detector's run (60 x
-      92 for model1 at k = 16 and 28 x 71 for model2 at k = 8 at L = 1000,
-      tau = 0.05).  ``p = P_{n-1} - P_n`` and ``Pdet = 1 - P``, as at k =
-      1.
+      rows of :func:`_loss_rows` on the band of one step (built once per
+      run, S^k's band's source too), cut to the columns within S^k's reach
+      of the detector's run (60 x 92 for model1 and 60 x 78 for model2 at
+      L = 1000, tau = 0.05).  ``p = P_{n-1} - P_n``, ``Pdet = 1 - P``.
 
     P is the squared norm of the window at each super-step's end and,
     inside it, that norm plus the later losses: sums of non-negative
@@ -646,47 +650,43 @@ def _band_series(
     ``n_max``, the norm at ``n_max`` whether or not the overrun reaches a
     chain end.
 
-    Only the block rows of the light cone are stepped.  The state lives
-    on a contiguous range of w blocks, starting at the initial site's
-    block.  The band reaches at most b sites, so a super-step can only
-    reach one more block on each side (clipped to the chain); such a
-    block joins the range unless its norm is at or below ``BAND_CUTOFF *
-    sqrt(P)``, the band's own eps^2 rule applied to the state, in which
-    case it is dropped and stays zero.  The steps are contractions, so
-    the dropped amplitudes shift P_n by at most about ``4 n eps^2
-    sqrt(P_n)`` (8e-28 after 4000 steps).  The exact kind's correction
-    writes only the stepped rows: the rest lie farther than b from the
-    state, where the projected steps leave amplitudes below the cutoff
-    too.
+    Only the block rows of the light cone are stepped: the state lives
+    on a contiguous range of w blocks, from the initial site's block.  The
+    band reaches at most b sites, so a super-step can only reach one more
+    block on each side (clipped to the chain), which joins the range
+    unless its norm is at or below ``BAND_CUTOFF * sqrt(P)``, the band's
+    own eps^2 rule applied to the state; then it is dropped and stays
+    zero.  The steps are contractions, so the dropped amplitudes shift P_n
+    by at most about ``4 n eps^2 sqrt(P_n)`` (8e-28 after 4000 steps).
+    The exact kind's correction writes only the stepped rows: the rest
+    lie farther than b from the state, where the projected steps leave
+    amplitudes below the cutoff too.
 
     A super-step is one ``(w, 3 b) @ (3 b, b)`` GEMM of the range's
     windows of the padded state against the bulk block, which treats
     every block row as a bulk row; each run of slab rows the range
     reaches then rewrites its rows with one product of its slab.  P is
     the squared norm of the range alone, the only blocks that can be
-    nonzero.  A super-step costs O(w b^2), and no work or subnormal
-    arithmetic is spent on the blocks the front has not reached.
-
-    The range changes only when a block joins it (71 times in 4000 steps
-    at L = 1000, tau = 0.05, k = 1), so the loop is set up once per range:
-    the bound GEMM and its output, the slab runs it reaches with the state
-    each reads and the rows each writes, the projection test, the readout
-    and correction, the two blocks that may join (None at a chain end)
-    and the state views.  It then steps until a block joins.  A
-    super-step is the GEMM, one product per reached slab, the readout
-    (and the exact kind's correction) once the range reaches the
-    detector, at most two edge norms, the copy and the norm, with no
-    slicing; the loss sums of every super-step follow in whole-array
-    operations after the loop.
+    nonzero: O(w b^2) a super-step, none on blocks the front has not
+    reached.  The range changes only when a block joins it (71 times in
+    4000 steps at L = 1000, tau = 0.05, k = 1), so the loop sets up once
+    per range the bound GEMM and its output, the slab runs it reaches
+    with the state each reads and the rows each writes, the projection
+    test, the readout and correction, the two blocks that may join (None
+    at a chain end) and the state views, then steps until a block joins.
+    The loss sums of every super-step follow in whole-array operations
+    after the loop.
     """
     _check_run_args(tau, n_max)
     if bulk_guard:
         _check_bulk_window(spec, tau, n_max)
     k = _steps_per_gemm(spec, kind, tau, n_max)
-    bulk, runs = _step_band(spec, kind, tau, k)
+    project = kind is ModelKind.EXACT
+    # A model's band of one step: its band at k = 1, else its loss rows' and S^k's source.
+    step = None if project else _step_band(spec, kind, tau)
+    bulk, runs = _step_band(spec, kind, tau, k, step) if k > 1 or project else step
     b = len(bulk)
     n_blocks = -(-spec.L // b)
-    project = kind is ModelKind.EXACT
     detector = spec.detector_index - 1
     # ceil(n_max / k) super-steps; those past n_max in the last are dropped at the end.
     count, last = -(-n_max // k), k - 1
@@ -709,7 +709,7 @@ def _band_series(
         if project:
             c0, F, C = _detector_rows(spec.L, detector, tau, k)
         else:
-            c0, F = _loss_rows(_step_band(spec, kind, tau), spec.L, detector, k, b)
+            c0, F = _loss_rows(step, spec.L, detector, k, b)
         c1 = c0 + F.shape[1]
         read, near = F.dot, padded[b + c0 : b + c1]
         amps = np.zeros((count, len(F)))

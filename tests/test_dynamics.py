@@ -645,42 +645,46 @@ class TestSuperSteps:
         assert 4003 % k
 
     # A run of 4003 measurements, no multiple of k, builds the band of k
-    # steps and nothing else for the exact kind; a model builds the band
-    # of one step too, for its loss rows.
-    @pytest.mark.parametrize(
-        "kind,builds",
-        [(ModelKind.EXACT, [16]), (ModelKind.MODEL1, [16, 1]), (ModelKind.MODEL2, [8, 1])],
-    )
-    def test_bands_built_per_run(self, monkeypatch, kind, builds):
+    # steps and nothing else for the exact kind; a model builds its band of
+    # one step, for its loss rows, and hands it to the build of its band of
+    # k steps, which takes its rows near the defect from the step's k-th power.
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_bands_built_per_run(self, monkeypatch, kind):
         built = []
         step_band = dynamics._step_band
 
-        def spy(spec, kind, tau, k=1):
-            built.append(k)
-            return step_band(spec, kind, tau, k)
+        def spy(spec, kind, tau, k=1, step=None):
+            built.append((k, step is not None))
+            return step_band(spec, kind, tau, k, step)
 
         monkeypatch.setattr(dynamics, "_step_band", spy)
         stepped_series(default_geometry(1000), kind, 0.05, 4003)
-        assert sorted(built, reverse=True) == builds
+        assert built == ([(16, False)] if kind is ModelKind.EXACT else [(1, False), (16, True)])
 
     # The rule at tau = 0.05, L = 1000: a run too short to pay for the
-    # setup keeps k = 1; the exact kind and model1 go to k = 16, and
-    # model2, whose diagonal -2 a step sets its probe's Taylor stages,
-    # stops at k = 8.
+    # setup keeps k = 1, and a long one goes to k = 16 for every kind, the
+    # 4000 measurements of the detection-curves point too.  On a 500-site
+    # chain at tau = 3 a model's probe segment of 2 steps holds 364 sites
+    # or more, and model1 keeps k = 1, while the exact kind takes k = 4.
     @pytest.mark.parametrize(
-        "kind,n,k",
+        "kind,L,tau,n,k",
         [
-            (ModelKind.EXACT, 399, 1),
-            (ModelKind.EXACT, 400, 4),
-            (ModelKind.EXACT, 10**6, 16),
-            (ModelKind.MODEL1, 1999, 1),
-            (ModelKind.MODEL1, 10**6, 16),
-            (ModelKind.MODEL2, 1999, 1),
-            (ModelKind.MODEL2, 10**6, 8),
+            (ModelKind.EXACT, 1000, 0.05, 399, 1),
+            (ModelKind.EXACT, 1000, 0.05, 400, 4),
+            (ModelKind.EXACT, 1000, 0.05, 10**6, 16),
+            (ModelKind.MODEL1, 1000, 0.05, 1999, 1),
+            (ModelKind.MODEL1, 1000, 0.05, 10**6, 16),
+            (ModelKind.MODEL2, 1000, 0.05, 1999, 1),
+            (ModelKind.MODEL2, 1000, 0.05, 10**6, 16),
+            (ModelKind.EXACT, 1000, 0.05, 4000, 16),
+            (ModelKind.MODEL1, 1000, 0.05, 4000, 16),
+            (ModelKind.MODEL2, 1000, 0.05, 4000, 16),
+            (ModelKind.MODEL1, 500, 3.0, 4000, 1),
+            (ModelKind.EXACT, 500, 3.0, 4000, 4),
         ],
     )
-    def test_steps_per_gemm(self, kind, n, k):
-        assert dynamics._steps_per_gemm(default_geometry(1000), kind, 0.05, n) == k
+    def test_steps_per_gemm(self, kind, L, tau, n, k):
+        assert dynamics._steps_per_gemm(default_geometry(L), kind, tau, n) == k
 
     # The benchmark's short workloads: every engine run of optimal-tr at
     # tau = 0.25 (60 measurements) and of reset-survival up to t_r = 10
@@ -758,7 +762,7 @@ class TestSuperSteps:
         tau, s = 0.05, detector - 1
         k = dynamics._steps_per_gemm(spec, kind, tau, 4000)
         band = dynamics._step_band(spec, kind, tau)
-        reach = len(dynamics._step_band(spec, kind, tau, k)[0])
+        reach = len(dynamics._step_band(spec, kind, tau, k, band)[0])
         c0, F = dynamics._loss_rows(band, L, s, k, reach)
         top = np.abs(F).max()
         cut = dynamics.BAND_CUTOFF * top
@@ -781,6 +785,63 @@ class TestSuperSteps:
             rows = F[m * r : (m + 1) * r]
             assert np.max(np.abs(rows.T @ rows - w[:, span].T @ w[:, span])) <= 8 * eps
             assert np.max(np.abs(w[:, ~span])) <= cut
+
+    # A model's band of k steps takes its rows near the defect from the k-th
+    # power of its one-step band on the probe segment.  Held to the k-th
+    # power of the dense step at every k from 2 to 16, on the
+    # detection-curves point, the reflecting runs and a 40-site chain at
+    # tau = 1 and 3: the dense power's half-width, slabs on exactly the
+    # block rows within B_k of the defect or b of an end, and every entry
+    # within 1.2e-14.  The largest distance measured is 7.1e-15, as far as
+    # a Taylor probe of e^{kA} lies: the dense power has rounding of its own.
+    @pytest.mark.parametrize("kind", [ModelKind.MODEL1, ModelKind.MODEL2])
+    @pytest.mark.parametrize(
+        "L,detector,tau",
+        [(1000, 510, 0.05), (200, 2, 0.05), (200, 110, 0.05), (200, 199, 0.05), (40, 30, 1.0), (40, 30, 3.0)],
+    )
+    def test_band_of_k_steps_is_the_power_of_the_step(self, kind, L, detector, tau):
+        spec = LatticeSpec(L=L, detector_index=detector, initial_index=L // 2)
+        step = real_dense_step(spec, kind, tau)
+        a = dynamics._gauge_defect(spec, kind, tau)
+        first, last = min(a)[0], max(a)[0]
+        band, power = dynamics._step_band(spec, kind, tau), step
+        for k in range(2, 17):
+            power = power @ step
+            bulk, runs = dynamics._step_band(spec, kind, tau, k, band)
+            oracle = band_blocks(power)
+            blocks = block_rows(bulk, runs, L)
+            assert blocks.shape == oracle.shape
+            assert np.max(np.abs(blocks - oracle)) <= 1.2e-14
+            b = len(bulk)
+            B = dynamics._probe_half_width({ij: k * v for ij, v in a.items()}, k * tau, L)
+            ranges = ((first - B, last + B + 1), (0, b), (L - b, L))
+            held = {q for r0, r1 in ranges for q in range(max(r0, 0) // b, (min(r1, L) - 1) // b + 1)}
+            assert {q for k0, slab in runs for q in range(k0, k0 + len(slab) // b)} == held
+
+    # A slab row within b of an end is the free open chain's image sum, and
+    # every other one not near the defect the bulk row: the slabs equal the
+    # image sum taken over the whole run, at one step and at the rule's k.
+    @pytest.mark.parametrize(
+        "L,detector,tau", [(200, 2, 0.05), (200, 110, 0.05), (200, 199, 0.05), (40, 30, 1.0), (40, 30, 3.0)]
+    )
+    def test_slabs_take_image_sums_within_b_of_an_end(self, L, detector, tau):
+        spec = LatticeSpec(L=L, detector_index=detector, initial_index=L // 2)
+        for kind in ModelKind:
+            for k in {1, dynamics._steps_per_gemm(spec, kind, tau, 4000)}:
+                bulk, runs = dynamics._step_band(spec, kind, tau, k)
+                b, line = len(bulk), dynamics._free_line(k * tau)
+                # The rows near the defect, first .. last: none for the exact kind.
+                a, first, last = dynamics._gauge_defect(spec, kind, tau), L, -1
+                if a:
+                    B = dynamics._probe_half_width({ij: k * v for ij, v in a.items()}, k * tau, L)
+                    first, last = min(a)[0] - B, max(a)[0] + B
+                for k0, slab in runs:
+                    rows = np.arange(k0 * b, k0 * b + len(slab))[:, None]
+                    cols = np.arange((k0 - 1) * b, (k0 + 1) * b + len(slab))[None, :]
+                    keep = (rows < L) & (cols >= 0) & (cols < L) & (np.abs(cols - rows) <= b)
+                    whole = np.where(keep, dynamics._free_entries(line, L, rows, cols), 0.0)
+                    free = (rows[:, 0] < first) | (rows[:, 0] > last)
+                    assert np.array_equal(slab[free], whole[free])
 
 
 class TestOneProbe:
@@ -842,6 +903,16 @@ class TestOneProbe:
         dynamics._step_band(default_geometry(40), kind, 1.0)
         [(n, P)] = shapes
         assert P <= n
+
+    # A model run of 4003 measurements at k = 16 probes only for its band of
+    # one step: its band of 16 steps is that band's power.
+    @pytest.mark.parametrize("kind", [ModelKind.MODEL1, ModelKind.MODEL2])
+    def test_super_stepped_run_probes_once(self, monkeypatch, kind):
+        chosen = chosen_steps(monkeypatch)
+        calls = self.probe_calls(monkeypatch)
+        nh_survival_series(default_geometry(1000), kind, 0.05, 4003)
+        assert chosen == [16]
+        assert len([n for n in calls if n != "bound"]) == 1
 
     # Runs that reflect off both ends, from the middle and next to an end,
     # make no probe past the band's one.
